@@ -30,8 +30,6 @@ from .core import (
     SolverOptions,
     TraceRecord,
     WindowPair,
-    trace_append,
-    window_push,
 )
 from .identities import (
     InducedInverseReport,
@@ -56,7 +54,6 @@ from .problems import (
     BratuProblem,
     LennardJonesProblem,
     LogRegProblem,
-    fcc_init,
     logreg_load_csv,
     logreg_make_synthetic,
     make_linear_problem,

@@ -15,7 +15,6 @@ from .core import (
     ConvergenceTrace,
     DivergenceError,
     EvalCounter,
-    JvProbe,
     LineSearchOptions,
     NonlinearProblem,
     NotDescentError,
@@ -30,9 +29,8 @@ DIVERGENCE_FACTOR = 1e8
 CONDITION_BOUND = 1e12
 
 
-def _start(prob, x0, opts, probe=None):
-    probe = probe or JvProbe(eps_scale=opts.frechet_eps_scale)
-    ev = EvalCounter(prob, probe)
+def _start(prob, x0):
+    ev = EvalCounter(prob)
     x = check_finite(np.asarray(x0, dtype=float), "x0").copy()
     if x.shape != (prob.dim,):
         raise ValueError(f"x0 must have length {prob.dim}")
@@ -102,7 +100,7 @@ def aa_solve(
     if m < 0:
         raise ValueError("m must be >= 0")
     opts = opts or SolverOptions()
-    ev, x, fx, r0n, trace, t0 = _start(prob, x0, opts)
+    ev, x, fx, r0n, trace, t0 = _start(prob, x0)
     if r0n == 0.0:
         return x, trace.freeze()
     state = AaState(beta_mix=beta, m=m)
@@ -174,7 +172,7 @@ def broyden2_solve(
     of df. Dense storage keeps this to moderate dimensions (n <= 2000).
     """
     opts = opts or SolverOptions()
-    ev, x, fx, r0n, trace, t0 = _start(prob, x0, opts)
+    ev, x, fx, r0n, trace, t0 = _start(prob, x0)
     if r0n == 0.0:
         return x, trace.freeze()
     n = x.shape[0]
@@ -232,8 +230,7 @@ def newton_krylov_solve(
     if inner_m < 1:
         raise ValueError("inner_m must be >= 1")
     opts = opts or SolverOptions()
-    probe = JvProbe(eps_scale=opts.frechet_eps_scale)
-    ev, x, fx, r0n, trace, t0 = _start(prob, x0, opts, probe)
+    ev, x, fx, r0n, trace, t0 = _start(prob, x0)
     if r0n == 0.0:
         return x, trace.freeze()
     ls = opts.linesearch or LineSearchOptions()
@@ -321,7 +318,7 @@ def nesterov_solve(prob: NonlinearProblem, x0, opts: Optional[SolverOptions] = N
     the per-iteration evaluation lands.
     """
     opts = opts or SolverOptions()
-    ev, x, fx, r0n, trace, t0 = _start(prob, x0, opts)
+    ev, x, fx, r0n, trace, t0 = _start(prob, x0)
     if r0n == 0.0:
         return x, trace.freeze()
     L = _estimate_lipschitz(ev, x, fx)
@@ -392,7 +389,7 @@ def ncg_fr_solve(prob: NonlinearProblem, x0, opts: Optional[SolverOptions] = Non
     fails the descent test.
     """
     opts = opts or SolverOptions()
-    ev, x, fx, r0n, trace, t0 = _start(prob, x0, opts)
+    ev, x, fx, r0n, trace, t0 = _start(prob, x0)
     if r0n == 0.0:
         return x, trace.freeze()
     ls = opts.linesearch or LineSearchOptions()
@@ -426,7 +423,7 @@ def lbfgs_solve(
     if m < 1:
         raise ValueError("m must be >= 1")
     opts = opts or SolverOptions()
-    ev, x, fx, r0n, trace, t0 = _start(prob, x0, opts)
+    ev, x, fx, r0n, trace, t0 = _start(prob, x0)
     if r0n == 0.0:
         return x, trace.freeze()
     ls = opts.linesearch or LineSearchOptions()

@@ -20,13 +20,23 @@ from .baselines import (
     nesterov_solve,
     newton_krylov_solve,
 )
-from .core import DivergenceError, LineSearchOptions, SolverOptions
+from .core import (
+    BreakdownError,
+    DivergenceError,
+    LineSearchOptions,
+    NonFiniteError,
+    NotDescentError,
+    SolverOptions,
+)
 from .problems import BratuProblem, LennardJonesProblem, logreg_make_synthetic
 from .solver import nltgcr_solve
 
 COMPARE_THRESHOLDS = (1e-4, 1e-6, 1e-8, 1e-10)
 SOLVERS = ("nltgcr", "aa", "newton-krylov", "broyden2", "nesterov", "ncg", "lbfgs")
 PROBLEMS = ("bratu", "lennard-jones", "logreg")
+# A solve raising one of these is recorded as a failed run and the batch goes
+# on; ValueError covers evaluations outside a problem's domain (exp overflow).
+RUN_FAILURES = (BreakdownError, DivergenceError, NonFiniteError, NotDescentError, ValueError)
 
 
 class ConfigError(Exception):
@@ -41,7 +51,10 @@ def _get(section, key, default=None, cast=str):
     raw = section[key]
     if cast is bool:
         return raw.strip().lower() in ("1", "true", "on", "yes")
-    return cast(raw)
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ConfigError(f"bad value for '{key}': {raw!r}") from None
 
 
 def _build_problem(section, seed):
@@ -169,19 +182,25 @@ def cmd_run(args) -> int:
                 try:
                     _, trace = _run_solver(section, prob, x0, tol, props_path)
                     note = ""
-                except DivergenceError as err:
-                    trace = err.trace
-                    note = "diverged"
+                except RUN_FAILURES as err:
+                    trace = getattr(err, "trace", None)
+                    if isinstance(err, DivergenceError):
+                        note = "diverged"
+                    else:
+                        note = f"failed: {type(err).__name__}: {err}"
                 wall = time.perf_counter() - t_start
-                trace_path = out_dir / f"{name}_rep{rep}.csv"
-                trace.to_csv(trace_path)
-                fev = trace.fevals_to_relative(tol)
+                fev = None
+                final = float("nan")
+                if trace is not None:
+                    trace.to_csv(out_dir / f"{name}_rep{rep}.csv")
+                    fev = trace.fevals_to_relative(tol)
+                    final = trace.final().resnorm
                 summary_rows.append(
                     {
                         "solver": solver,
                         "problem": problem_name,
                         "fevals_to_tol": "-" if fev is None else str(fev),
-                        "final_resnorm": f"{trace.final().resnorm:.16e}",
+                        "final_resnorm": f"{final:.16e}",
                         "wallclock_s": f"{wall:.6f}",
                         "run": name,
                         "rep": rep,

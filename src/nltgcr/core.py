@@ -20,12 +20,13 @@ class BreakdownError(RuntimeError):
     lucky breakdown (residual already tiny) from an unlucky one.
     """
 
-    def __init__(self, message, residual=None, resnorm=None, x=None, history=None):
+    def __init__(self, message, residual=None, resnorm=None, x=None, history=None, trace=None):
         super().__init__(message)
         self.residual = residual
         self.resnorm = resnorm
         self.x = x
         self.history = history
+        self.trace = trace
 
 
 class DivergenceError(RuntimeError):
@@ -109,13 +110,7 @@ class SolverOptions:
     adaptive_threshold: float = 0.01
     adaptive_check_period: int = 10
     linesearch: Optional[LineSearchOptions] = None
-    frechet_eps_scale: float = 1e-7
-    breakdown_tol: float = 1e-14
-    # Slope estimate handed to the line search: "window" uses ||y||^2 (free,
-    # exact for frozen Jacobians), "frechet" spends one probe per iteration.
-    slope_mode: str = "window"
     truncated_update: bool = False
-    max_breakdown_restarts: int = 3
 
     def __post_init__(self):
         if self.window_m < 1:
@@ -132,19 +127,20 @@ class SolverOptions:
             raise ValueError("restart_every must be >= 1 or None")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.slope_mode not in ("window", "frechet"):
-            raise ValueError("slope_mode must be 'window' or 'frechet'")
 
     def with_(self, **kw) -> "SolverOptions":
         return replace(self, **kw)
 
 
 class WindowPair:
-    """Sliding window of paired direction columns (p_i, v_i), v_i = J(x_i) p_i.
+    """Sliding window of paired directions (p_i, v_i), v_i = J(x_i) p_i.
 
-    Columns are stored oldest to newest; pushing at capacity evicts the
-    oldest pair. The v columns are expected orthonormal (the caller
-    orthogonalizes and normalizes before pushing).
+    The pairs are rows of two preallocated (capacity, n) buffers, oldest to
+    newest; pushing at capacity evicts the oldest pair by moving the others
+    up one row. p_matrix() and v_matrix() return the window as n x k views
+    with one column per pair. The views alias the buffers, so no caller may
+    hold P or V across a push. The v columns are expected orthonormal (the
+    caller orthogonalizes; push divides by the scale it is given).
     """
 
     NORMALIZATION_TOL = 1e-10
@@ -153,54 +149,56 @@ class WindowPair:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.p_cols: List[np.ndarray] = []
-        self.v_cols: List[np.ndarray] = []
+        # Sized to the vector length at the first push.
+        self._p = np.empty((capacity, 0))
+        self._v = np.empty((capacity, 0))
+        self._len = 0
         self.oldest_index = 0
-        self._next_index = 0
 
     def __len__(self):
-        return len(self.p_cols)
+        return self._len
 
-    def push(self, p: np.ndarray, v: np.ndarray) -> None:
+    def push(self, p: np.ndarray, v: np.ndarray, scale: float = 1.0) -> None:
+        """Append the pair (p / scale, v / scale); ||v|| / scale must be 1."""
         if p.shape != v.shape:
             raise ValueError("p and v must have the same length")
-        if self.p_cols and p.shape != self.p_cols[0].shape:
-            raise ValueError("dimension mismatch with existing window columns")
-        nv = float(np.linalg.norm(v))
+        n = p.shape[0]
+        if n != self._p.shape[1]:
+            if self._len:
+                raise ValueError("dimension mismatch with existing window columns")
+            self._p = np.empty((self.capacity, n))
+            self._v = np.empty((self.capacity, n))
+        nv = float(np.linalg.norm(v)) / scale
         if abs(nv - 1.0) > self.NORMALIZATION_TOL:
             raise ValueError(f"v is not normalized: ||v|| = {nv!r}")
-        self.p_cols.append(p)
-        self.v_cols.append(v)
-        self._next_index += 1
-        if len(self.p_cols) > self.capacity:
-            self.p_cols.pop(0)
-            self.v_cols.pop(0)
-        self.oldest_index = self._next_index - len(self.p_cols)
+        if self._len == self.capacity:
+            # Flat 1-D views let numpy move the overlapping rows in place.
+            for buf in (self._p, self._v):
+                flat = buf.reshape(-1)
+                flat[:-n] = flat[n:]
+            self.oldest_index += 1
+        else:
+            self._len += 1
+        np.divide(p, scale, out=self._p[self._len - 1])
+        np.divide(v, scale, out=self._v[self._len - 1])
 
     def clear(self) -> None:
-        self.p_cols = []
-        self.v_cols = []
-        self.oldest_index = self._next_index
+        self.oldest_index += self._len
+        self._len = 0
 
     def p_matrix(self) -> np.ndarray:
-        return np.stack(self.p_cols, axis=1)
+        return self._p[: self._len].T
 
     def v_matrix(self) -> np.ndarray:
-        return np.stack(self.v_cols, axis=1)
+        return self._v[: self._len].T
 
     def orthonormality_defect(self) -> float:
         """Max-norm deviation of V^T V from the identity."""
-        if not self.v_cols:
+        if not self._len:
             return 0.0
         V = self.v_matrix()
         G = V.T @ V - np.eye(V.shape[1])
         return float(np.abs(G).max())
-
-
-def window_push(window: WindowPair, p: np.ndarray, v: np.ndarray) -> WindowPair:
-    """Append a normalized pair, evicting the oldest pair at capacity."""
-    window.push(p, v)
-    return window
 
 
 @dataclass(frozen=True)
@@ -304,10 +302,6 @@ class ConvergenceTrace:
                     )
                 )
         return trace
-
-
-def trace_append(trace: ConvergenceTrace, rec: TraceRecord) -> ConvergenceTrace:
-    return trace.append(rec)
 
 
 @dataclass

@@ -30,7 +30,7 @@ def build_B_matrix(hist: KrylovHistory) -> np.ndarray:
     """
     if not hist.complete_beta_table:
         raise ValueError("B reconstruction needs a full (untruncated) history")
-    k = len(hist.P) - 1
+    k = len(hist.scales) - 1
     B = np.eye(k + 1)
     for (i, t), val in hist.betas.items():
         if t <= k:
@@ -60,7 +60,7 @@ def reconstruction_defects(hist: KrylovHistory, A: LinearOperator):
     """Max-norm errors of the two matrix reconstructions R=PB and AP=RH."""
     B = build_B_matrix(hist)
     H = build_H_matrix(hist)
-    k = len(hist.P) - 1
+    k = len(hist.scales) - 1
     R_k = hist.R_matrix(k)
     P_un = hist.P_unnormalized(k)
     err_b = float(np.abs(R_k - P_un @ B).max())
@@ -129,7 +129,7 @@ def induced_inverse_checks(
     from a solve started at x0 = 0.
     """
     if k is None:
-        k = len(hist.P) - 1
+        k = len(hist.scales) - 1
     P = hist.P_matrix(k)
     V = hist.V_matrix(k)
     Ad = _dense(A)

@@ -1,7 +1,8 @@
 """Residual-minimizing linear solvers: full GCR, truncated GCR, and CR.
 
-The truncated and full solvers share one modified Gram-Schmidt kernel that
-keeps the stored A p_i columns orthonormal; the classical conjugate residual
+The truncated and full solvers share one direction step, add_direction,
+with the nonlinear solver: modified Gram-Schmidt against a WindowPair that
+keeps the stored A p_i columns orthonormal. The classical conjugate residual
 recurrence is implemented separately so the two can cross-check each other
 on symmetric operators.
 """
@@ -14,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import BreakdownError, check_finite
+from .core import BreakdownError, WindowPair, check_finite
 
 
 @dataclass
@@ -52,8 +53,13 @@ class LinearOperator:
 class LinearOptions:
     tol_rel: float = 1e-10
     max_iters: int = 500
-    breakdown_tol: float = 1e-14
-    reorth_rel: float = 1e-8
+
+
+# A new direction collapses when its orthogonalized ||v|| is at most
+# BREAKDOWN_TOL * max(1, ||p||) for the raw p; Gram-Schmidt takes a second
+# pass when the first leaves a projection above REORTH_REL * ||v||.
+BREAKDOWN_TOL = 1e-14
+REORTH_REL = 1e-8
 
 
 class KrylovHistory:
@@ -61,17 +67,18 @@ class KrylovHistory:
 
     The algorithms store p_i and v_i = A p_i scaled so that the v columns
     are unit vectors; `scales[i]` is the norm removed at step i. The
-    classical unnormalized quantities are recovered through the
-    *_unnormalized accessors: p_i_un = scales[i] * p_i, alpha_un =
-    alpha / scales[j], beta_un(i, j) = beta(i, j) / scales[i].
+    directions are read from the solve's window, so a truncated history
+    holds only the last m of them (column j is direction
+    window.oldest_index + j). The classical unnormalized quantities are
+    recovered through the *_unnormalized accessors: p_i_un = scales[i] *
+    p_i, alpha_un = alpha / scales[j], beta_un(i, j) = beta(i, j) / scales[i].
     """
 
-    def __init__(self, kind: str = "gcr"):
+    def __init__(self, kind: str = "gcr", window: Optional[WindowPair] = None):
         self.kind = kind
+        self.window = window
         self.R: List[np.ndarray] = []
         self.xs: List[np.ndarray] = []
-        self.P: List[np.ndarray] = []
-        self.V: List[np.ndarray] = []
         self.scales: List[float] = []
         self.alphas: List[float] = []
         self.betas: Dict[Tuple[int, int], float] = {}
@@ -93,21 +100,21 @@ class KrylovHistory:
         cols = self.R if k is None else self.R[: k + 1]
         return np.stack(cols, axis=1)
 
-    def P_unnormalized(self, k: Optional[int] = None) -> np.ndarray:
-        upto = len(self.P) if k is None else k + 1
-        return np.stack([self.scales[i] * self.P[i] for i in range(upto)], axis=1)
-
-    def AP_unnormalized(self, k: Optional[int] = None) -> np.ndarray:
-        upto = len(self.V) if k is None else k + 1
-        return np.stack([self.scales[i] * self.V[i] for i in range(upto)], axis=1)
+    def P_matrix(self, k: Optional[int] = None) -> np.ndarray:
+        return self.window.p_matrix()[:, : None if k is None else k + 1]
 
     def V_matrix(self, k: Optional[int] = None) -> np.ndarray:
-        cols = self.V if k is None else self.V[: k + 1]
-        return np.stack(cols, axis=1)
+        return self.window.v_matrix()[:, : None if k is None else k + 1]
 
-    def P_matrix(self, k: Optional[int] = None) -> np.ndarray:
-        cols = self.P if k is None else self.P[: k + 1]
-        return np.stack(cols, axis=1)
+    def _unnormalized(self, M: np.ndarray) -> np.ndarray:
+        lo = self.window.oldest_index
+        return M * np.array(self.scales[lo : lo + M.shape[1]])
+
+    def P_unnormalized(self, k: Optional[int] = None) -> np.ndarray:
+        return self._unnormalized(self.P_matrix(k))
+
+    def AP_unnormalized(self, k: Optional[int] = None) -> np.ndarray:
+        return self._unnormalized(self.V_matrix(k))
 
     def alpha_unnormalized(self, j: int) -> float:
         return self.alphas[j] / self.scales[j]
@@ -127,29 +134,48 @@ class KrylovHistory:
         return text
 
 
-def orthogonalize_pair(p, v, P_cols, V_cols, lo, hi, reorth_rel=1e-8):
+def orthogonalize_pair(p, v, P, V, lo, hi):
     """Modified Gram-Schmidt of (p, v) against window columns lo..hi-1.
 
-    The same combination applied to v is applied to p so v = A p is
-    preserved. Runs a second pass when the first leaves a relative
-    projection above reorth_rel. Returns (p, v, betas dict by column index).
+    P and V hold the window pairs as columns, oldest first. The same
+    combination applied to v is applied to p so v = A p is preserved. Runs
+    a second pass when the first leaves a relative projection above
+    REORTH_REL. Returns (p, v, betas dict by column index).
     """
     betas = {}
     for i in range(lo, hi):
-        b = float(v @ V_cols[i])
-        p = p - b * P_cols[i]
-        v = v - b * V_cols[i]
+        b = float(v @ V[:, i])
+        p = p - b * P[:, i]
+        v = v - b * V[:, i]
         betas[i] = b
     nv = float(np.linalg.norm(v))
     if hi > lo and nv > 0.0:
-        proj = np.array([float(v @ V_cols[i]) for i in range(lo, hi)])
-        if float(np.abs(proj).max()) > reorth_rel * nv:
+        proj = np.array([float(v @ V[:, i]) for i in range(lo, hi)])
+        if float(np.abs(proj).max()) > REORTH_REL * nv:
             for i in range(lo, hi):
-                b = float(v @ V_cols[i])
-                p = p - b * P_cols[i]
-                v = v - b * V_cols[i]
+                b = float(v @ V[:, i])
+                p = p - b * P[:, i]
+                v = v - b * V[:, i]
                 betas[i] += b
     return p, v, betas
+
+
+def add_direction(window: WindowPair, p, v):
+    """The direction step of TGCR, nlTGCR and the Newton-Krylov inner solve.
+
+    Orthogonalizes the raw pair (p, v = A p) against the window and pushes
+    it divided by ||v|| unless v collapses (BREAKDOWN_TOL). Returns None on
+    collapse, with the window unchanged; otherwise (||v||, the Gram-Schmidt
+    coefficients keyed by window column).
+    """
+    p_norm = float(np.linalg.norm(p))
+    P, V = window.p_matrix(), window.v_matrix()
+    p, v, betas = orthogonalize_pair(p, v, P, V, 0, len(window))
+    s = float(np.linalg.norm(v))
+    if s <= BREAKDOWN_TOL * max(1.0, p_norm):
+        return None
+    window.push(p, v, scale=s)
+    return s, betas
 
 
 def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions, kind: str):
@@ -157,7 +183,9 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
     x = check_finite(np.asarray(x0, dtype=float), "x0").copy()
     if b.shape[0] != A.dim or x.shape[0] != A.dim:
         raise ValueError("dimension mismatch between operator, b, and x0")
-    hist = KrylovHistory(kind=kind)
+    # At most max_iters directions are built; gcr_solve explains the dim bound.
+    window = WindowPair(min(m or A.dim, max(opts.max_iters, 1)))
+    hist = KrylovHistory(kind=kind, window=window)
     # A @ 0 = 0 by linearity; skipping the apply also spares matrix-free
     # operators a probe along the zero vector.
     r = b.copy() if not np.any(x) else b - A.apply(x)
@@ -176,34 +204,24 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
 
     def _new_direction(t: int):
         """Build direction t from the current residual; raises on breakdown."""
-        p_raw = r.copy()
-        v_raw = A.apply(p_raw)
-        lo = 0 if m is None else max(0, t - m)
-        if lo > 0:
-            hist.truncated = True
-        p_new, v_new, betas = orthogonalize_pair(
-            p_raw, v_raw, hist.P, hist.V, lo, t, opts.reorth_rel
-        )
-        s = float(np.linalg.norm(v_new))
-        p_scale = float(np.linalg.norm(p_raw))
-        if s <= opts.breakdown_tol or s <= opts.breakdown_tol * p_scale:
+        first = window.oldest_index
+        hist.truncated |= first > 0
+        built = add_direction(window, r, A.apply(r))
+        if built is None:
             raise BreakdownError(
-                f"direction collapsed at step {t}: ||v|| = {s:.3e}",
+                f"direction collapsed at step {t}",
                 residual=r.copy(),
                 resnorm=float(np.linalg.norm(r)),
                 x=x.copy(),
                 history=hist,
             )
-        hist.P.append(p_new / s)
-        hist.V.append(v_new / s)
-        hist.scales.append(s)
-        for i, val in betas.items():
-            hist.betas[(i, t)] = val
+        hist.scales.append(built[0])
+        hist.betas.update({(first + i, t): val for i, val in built[1].items()})
 
     _new_direction(0)
     for j in range(opts.max_iters):
-        v_j = hist.V[j]
-        p_j = hist.P[j]
+        p_j = window.p_matrix()[:, -1]
+        v_j = window.v_matrix()[:, -1]
         alpha = float(r @ v_j)
         x = x + alpha * p_j
         r = r - alpha * v_j
@@ -223,13 +241,20 @@ def gcr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
     """Full GCR: minimizes ||b - A x|| over x0 + span of all directions.
 
     Returns (x, history) with the complete orthogonalization table so the
-    upper-triangular and bidiagonal reconstructions can be formed.
+    upper-triangular and bidiagonal reconstructions can be formed. The
+    window is allocated up front for min(max_iters, dim) directions: past
+    dim orthonormal v columns a new v collapses to rounding noise, so a
+    solve does not reach dim + 1 directions in practice; one that does
+    evicts the oldest like TGCR with m = dim and is marked truncated.
     """
     return _tgcr_engine(A, b, x0, None, opts or LinearOptions(), kind="gcr")
 
 
 def tgcr_solve(A: LinearOperator, b, x0, m: int, opts: Optional[LinearOptions] = None):
-    """Truncated GCR: orthogonalizes only against the last m directions."""
+    """Truncated GCR: orthogonalizes only against the last m directions.
+
+    The window is allocated up front for min(m, max_iters) directions.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     return _tgcr_engine(A, b, x0, m, opts or LinearOptions(), kind="tgcr")
@@ -263,7 +288,7 @@ def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
     rAr = float(r @ Ar)
     for j in range(opts.max_iters):
         denom = float(Ap @ Ap)
-        if np.sqrt(denom) <= opts.breakdown_tol:
+        if np.sqrt(denom) <= BREAKDOWN_TOL:
             raise BreakdownError(
                 f"CR direction collapsed at step {j}",
                 residual=r.copy(),

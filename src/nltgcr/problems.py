@@ -103,14 +103,6 @@ class BratuProblem:
         )
 
 
-def bratu_f(prob: BratuProblem, u: np.ndarray) -> np.ndarray:
-    return prob.f(u)
-
-
-def bratu_exact_jv(prob: BratuProblem, u: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return prob.jv(u, p)
-
-
 # ---------------------------------------------------------------------------
 # Lennard-Jones cluster, reduced units. Positions are a flat (3 * atoms,)
 # vector; f = grad E.
@@ -171,18 +163,6 @@ class LennardJonesProblem:
             eval_phi=self.energy,
             name="lennard-jones",
         )
-
-
-def lj_energy(prob: LennardJonesProblem, pos: np.ndarray) -> float:
-    return prob.energy(pos)
-
-
-def lj_gradient(prob: LennardJonesProblem, pos: np.ndarray) -> np.ndarray:
-    return prob.gradient(pos)
-
-
-def fcc_init(prob: LennardJonesProblem, seed: Optional[int] = None) -> np.ndarray:
-    return prob.initial_positions(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +227,6 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     e = np.exp(t[~pos])
     out[~pos] = e / (1.0 + e)
     return out
-
-
-def logreg_grad(prob: LogRegProblem, theta: np.ndarray) -> np.ndarray:
-    return prob.grad(theta)
 
 
 def logreg_make_synthetic(

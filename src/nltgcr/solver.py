@@ -21,12 +21,15 @@ from .core import (
     WindowPair,
     check_finite,
 )
-from .linear import orthogonalize_pair
+# orthogonalize_pair stays importable here: perfbench/tracing.py wraps it by this name.
+from .linear import add_direction, orthogonalize_pair  # noqa: F401
 from .linesearch import backtrack, backtrack_linearized, update_alpha0
 
 TO_LIN = "to_lin"
 TO_NL = "to_nl"
 STAY = "stay"
+# Window restarts allowed after collapsed directions before giving up.
+MAX_BREAKDOWN_RESTARTS = 3
 
 
 def angular_distance(r_nl: np.ndarray, r_lin: np.ndarray) -> float:
@@ -122,7 +125,7 @@ class _Loop:
         self.anchor_x = x
         self.anchor_f = fx
         self.lin_steps = 0
-        self.breakdown_budget = opts.max_breakdown_restarts
+        self.breakdown_budget = MAX_BREAKDOWN_RESTARTS
         self.ls = opts.linesearch
 
     def jv_at_anchor(self, p):
@@ -137,16 +140,12 @@ class _Loop:
     def seed_window(self):
         """(Re)build the window from the current residual: one probe."""
         self.window.clear()
-        p = self.r.copy()
-        v = self.jv_at_anchor(p)
-        s = float(np.linalg.norm(v))
-        if s <= self.opts.breakdown_tol * max(1.0, float(np.linalg.norm(p))):
+        if not self.build_direction():
             raise BreakdownError(
                 "seed direction collapsed",
                 residual=self.r.copy(),
                 resnorm=float(np.linalg.norm(self.r)),
             )
-        self.window.push(p / s, v / s)
 
     def restart(self) -> bool:
         """Clear and reseed the window; False when the retry budget is spent."""
@@ -157,17 +156,8 @@ class _Loop:
         return True
 
     def build_direction(self) -> bool:
-        """Orthogonalize a fresh pair against the window; False on collapse."""
-        p_raw = self.r.copy()
-        v_raw = self.jv_at_anchor(p_raw)
-        p, v, _ = orthogonalize_pair(
-            p_raw, v_raw, self.window.p_cols, self.window.v_cols, 0, len(self.window)
-        )
-        s = float(np.linalg.norm(v))
-        if s <= self.opts.breakdown_tol * max(1.0, float(np.linalg.norm(p_raw))):
-            return False
-        self.window.push(p / s, v / s)
-        return True
+        """Add the pair probed along the current residual; False on collapse."""
+        return add_direction(self.window, self.r, self.jv_at_anchor(self.r)) is not None
 
 
 def nltgcr_solve(
@@ -192,7 +182,6 @@ def nltgcr_solve(
     violations; `observer` receives live state for heavier checks.
     """
     opts = opts or SolverOptions()
-    probe = probe or JvProbe(eps_scale=opts.frechet_eps_scale)
     ev = EvalCounter(prob, probe)
     t0 = time.perf_counter()
     trace = ConvergenceTrace()
@@ -209,7 +198,7 @@ def nltgcr_solve(
             return st.x, trace.freeze()
         st.seed_window()
         return _run(st, opts, ev, trace, opts.tol_rel * r0n, t0, diagnostics, observer)
-    except NonFiniteError as err:
+    except (NonFiniteError, BreakdownError) as err:
         if err.trace is None:
             err.trace = trace.freeze()
         raise
@@ -234,7 +223,7 @@ def _run(st, opts, ev, trace, target, t0, diagnostics, observer):
         k = V.shape[1]
         if opts.truncated_update:
             y = np.zeros(k)
-            y[-1] = float(st.window.v_cols[-1] @ st.r)
+            y[-1] = float(V[:, -1] @ st.r)
         else:
             y = V.T @ st.r
 
@@ -243,7 +232,7 @@ def _run(st, opts, ev, trace, target, t0, diagnostics, observer):
             diag = {"iter": it, "mode": st.mode, "window": k}
             if prev_z is not None and not opts.truncated_update:
                 rhs = -(V.T @ prev_z)
-                rhs[-1] += float(st.window.v_cols[-1] @ prev_rtilde)
+                rhs[-1] += float(V[:, -1] @ prev_rtilde)
                 diag["item4_y_reconstruction"] = float(np.abs(y - rhs).max())
             if not opts.truncated_update:
                 # debug route: the orthonormal-window shortcut must agree
@@ -265,13 +254,7 @@ def _run(st, opts, ev, trace, target, t0, diagnostics, observer):
         try:
             if st.mode == "NL":
                 if st.ls is not None:
-                    if opts.slope_mode == "frechet":
-                        slope = ev.slope(st.x, st.r, d)
-                        if slope <= 0.0:
-                            slope = float(y @ y)
-                    else:
-                        slope = float(y @ y)
-                    res = backtrack(ev.f, st.x, d, st.r, slope, st.ls)
+                    res = backtrack(ev.f, st.x, d, st.r, float(y @ y), st.ls)
                     st.ls = update_alpha0(st.ls, res.steps)
                     step = res.alpha
                     st.x = res.x_new
@@ -372,7 +355,7 @@ def _run(st, opts, ev, trace, target, t0, diagnostics, observer):
 
         if diag is not None:
             if built:
-                v_new = st.window.v_cols[-1]
+                v_new = st.window.v_matrix()[:, -1]
                 diag["item3_vr"] = abs(float(v_new @ r_tilde) - float(v_new @ r_old))
             diagnostics.append(diag)
         if observer is not None:

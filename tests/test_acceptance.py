@@ -111,7 +111,7 @@ def test_criterion_3_identity_suite_on_small_fixtures():
         worst_semi = max(worst_semi, rep.lower_violation)
         if op.is_symmetric:
             worst_conj = max(worst_conj, rep.offdiag_violation)
-        k = min(6, len(h.P) - 1)
+        k = min(6, len(h.scales) - 1)
         inv = induced_inverse_checks(h, op, k=k, seed=seed)
         worst_induced = max(worst_induced, inv.max_deviation())
     elapsed = time.perf_counter() - t0

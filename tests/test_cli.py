@@ -216,6 +216,43 @@ max_iters = 300
         assert rc == 0
         assert "diverged" in capsys.readouterr().out
 
+    def test_failed_solve_recorded_and_batch_continues(self, tmp_path, capsys):
+        # lambda = 50 is past the Bratu turning point: the iterate leaves the
+        # range where exp(u) is finite and the solve raises ValueError.
+        cfg = _write(
+            tmp_path,
+            """\
+[bratu-supercritical]
+problem = bratu
+grid_n = 5
+lambda = 50
+x0 = zeros
+solver = nltgcr
+tol = 1e-8
+max_iters = 200
+
+"""
+            + BASE_CONFIG,
+        )
+        out = tmp_path / "o"
+        rc = main(["run", str(cfg), "--out", str(out)])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        assert "bratu-supercritical rep0" in printed
+        assert "failed: ValueError: exp overflow" in printed
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert rows[0].split(",")[2] == "-"
+        assert rows[1].split(",")[2] != "-"
+        trace = ConvergenceTrace.from_csv(out / "bratu-small_rep0.csv")
+        assert trace.final().resnorm <= 1e-8 * trace.records[0].resnorm
+
+    def test_bad_config_value_exits_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, BASE_CONFIG.replace("m = 1", "m = one"))
+        rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "bad value for 'm'" in capsys.readouterr().err
+
 
 class TestCompare:
     def _trace_csv(self, tmp_path, name, resnorms, start_fev=1):

@@ -11,8 +11,6 @@ from nltgcr import (
     SolverOptions,
     TraceRecord,
     WindowPair,
-    trace_append,
-    window_push,
 )
 
 
@@ -27,7 +25,7 @@ class TestWindowPair:
         w = WindowPair(capacity=3)
         v = np.zeros(5)
         v[0] = 1.0
-        window_push(w, np.arange(5.0), v)
+        w.push(np.arange(5.0), v)
         assert len(w) == 1
         assert w.oldest_index == 0
 
@@ -38,9 +36,9 @@ class TestWindowPair:
         for p, v in zip(ps, vs):
             w.push(p, v)
         assert len(w) == 2
-        np.testing.assert_array_equal(w.p_cols[0], ps[1])
-        np.testing.assert_array_equal(w.p_cols[1], ps[2])
-        np.testing.assert_array_equal(w.v_cols[0], vs[1])
+        np.testing.assert_array_equal(w.p_matrix()[:, 0], ps[1])
+        np.testing.assert_array_equal(w.p_matrix()[:, 1], ps[2])
+        np.testing.assert_array_equal(w.v_matrix()[:, 0], vs[1])
 
     def test_oldest_index_matches_window_start_formula(self):
         # After pushing pairs 0..j with capacity m, the window holds
@@ -51,7 +49,7 @@ class TestWindowPair:
         for j in range(7):
             w.push(np.full(10, float(j)), vs[j])
             assert w.oldest_index == max(0, j - m + 1)
-            assert w.p_cols[0][0] == float(max(0, j - m + 1))
+            assert w.p_matrix()[0, 0] == float(max(0, j - m + 1))
 
     def test_dimension_mismatch_rejected(self):
         w = WindowPair(capacity=2)
@@ -85,7 +83,7 @@ class TestWindowPair:
             for j in range(Q.shape[1]):
                 w.push(np.full(n, float(j)), Q[:, j])
                 assert len(w) <= cap
-                assert len(w.p_cols) == len(w.v_cols)
+                assert w.p_matrix().shape == w.v_matrix().shape == (n, len(w))
                 assert w.orthonormality_defect() <= 1e-10
                 assert w.oldest_index == max(0, j - cap + 1)
 
@@ -95,8 +93,8 @@ class TestWindowPair:
         for i, v in enumerate(vs):
             w.push(np.full(8, float(i)), v)
             for slot in range(len(w)):
-                origin = int(w.p_cols[slot][0])
-                np.testing.assert_array_equal(w.v_cols[slot], vs[origin])
+                origin = int(w.p_matrix()[0, slot])
+                np.testing.assert_array_equal(w.v_matrix()[:, slot], vs[origin])
 
 
 class TestConvergenceTrace:
@@ -105,7 +103,7 @@ class TestConvergenceTrace:
 
     def test_first_append(self):
         t = ConvergenceTrace()
-        trace_append(t, self._rec(0, 2))
+        t.append(self._rec(0, 2))
         assert len(t) == 1
 
     def test_decreasing_fevals_rejected(self):

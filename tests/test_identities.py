@@ -31,7 +31,7 @@ class TestBMatrix:
     def test_residuals_factor_through_directions(self):
         op, b, h = _run_gcr(n=10, seed=5, steps=3)
         B = build_B_matrix(h)
-        k = len(h.P) - 1
+        k = len(h.scales) - 1
         defect = np.abs(h.R_matrix(k) - h.P_unnormalized(k) @ B).max()
         assert defect <= 1e-10
 
@@ -70,7 +70,7 @@ class TestHMatrix:
 
     def test_symmetric_product_is_lower_bidiagonal(self):
         op, b, h = _run_gcr(kind="spd", n=10, seed=4)
-        k = len(h.P) - 1
+        k = len(h.scales) - 1
         R = h.R_matrix(k)
         AP = h.AP_unnormalized(k)
         AR = op.mat @ R
@@ -102,7 +102,7 @@ class TestInducedInverse:
     def test_full_space_recovers_the_inverse(self):
         n = 8
         op, b, h = _run_gcr(kind="spd", n=n, seed=8, tol=1e-14)
-        k = len(h.P) - 1
+        k = len(h.scales) - 1
         assert k == n - 1
         Bk = h.P_matrix() @ h.V_matrix().T
         assert np.abs(op.mat @ Bk - np.eye(n)).max() <= 1e-8

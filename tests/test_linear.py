@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
+import nltgcr.linear as linear
+import nltgcr.solver as solver_module
 from nltgcr import (
     BreakdownError,
+    JvProbe,
     LinearOperator,
     LinearOptions,
+    NonlinearProblem,
+    SolverOptions,
+    WindowPair,
     cr_solve,
     gcr_solve,
     make_linear_problem,
+    nltgcr_solve,
     tgcr_solve,
 )
 from oracles import krylov_min_resnorm
@@ -167,3 +174,98 @@ class TestHistoryCsv:
         lines = text.strip().splitlines()
         assert lines[0] == "iter,resnorm"
         assert len(lines) == len(h.R) + 1
+
+
+def _snapshot(window):
+    return len(window), window.oldest_index, window.p_matrix().copy(), window.v_matrix().copy()
+
+
+def _assert_same_window(a, b):
+    assert a[:2] == b[:2]
+    np.testing.assert_array_equal(a[2], b[2])
+    np.testing.assert_array_equal(a[3], b[3])
+
+
+class TestAddDirection:
+    """The one direction step shared by TGCR, nlTGCR and Newton-Krylov."""
+
+    @staticmethod
+    def _spy(monkeypatch, module):
+        # Wraps the step where `module` looks it up; records the window
+        # before and after every call and what the call returned.
+        calls = []
+        step = linear.add_direction
+
+        def spy(window, p, v):
+            before = _snapshot(window)
+            out = step(window, p, v)
+            calls.append((before, _snapshot(window), out))
+            return out
+
+        monkeypatch.setattr(module, "add_direction", spy)
+        return calls
+
+    def test_pushes_orthonormalized_pair_and_evicts_at_capacity(self):
+        w = WindowPair(capacity=2)
+        e = np.eye(3)
+        assert linear.add_direction(w, 2.0 * e[0], 2.0 * e[0]) == (2.0, {})
+        assert linear.add_direction(w, e[1], e[1]) is not None
+        s, betas = linear.add_direction(w, e[2], e[0] + e[2])
+        assert s == pytest.approx(1.0) and betas == {0: 1.0, 1: 0.0}
+        # v = A p is kept: the multiple of v_0 removed from v comes off p too.
+        np.testing.assert_allclose(w.p_matrix()[:, 1], e[2] - e[0], atol=1e-15)
+        np.testing.assert_allclose(w.v_matrix(), e[:, 1:], atol=1e-15)
+        assert (len(w), w.oldest_index) == (2, 1)
+
+    def test_collapse_at_capacity_leaves_window_unchanged(self):
+        w = WindowPair(capacity=2)
+        e = np.eye(4)
+        linear.add_direction(w, e[0], e[0])
+        linear.add_direction(w, e[1], e[1])
+        before = _snapshot(w)
+        # v lies in the span of the window, so nothing is left of it.
+        assert linear.add_direction(w, e[2], 3.0 * e[0] - e[1]) is None
+        _assert_same_window(before, _snapshot(w))
+
+    def test_tgcr_breakdown_keeps_window(self, monkeypatch):
+        # Three eigenvalues: the residual reaches rounding level after three
+        # steps and the fourth direction, against a full m = 2 window that
+        # has already evicted direction 0, collapses.
+        calls = self._spy(monkeypatch, linear)
+        op = LinearOperator.from_matrix(np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]))
+        b = np.random.default_rng(0).standard_normal(6)
+        with pytest.raises(BreakdownError) as info:
+            tgcr_solve(op, b, np.zeros(6), m=2, opts=LinearOptions(tol_rel=1e-30, max_iters=20))
+        before, after, out = calls[-1]
+        assert out is None and all(c[2] is not None for c in calls[:-1])
+        assert before[:2] == (2, 1)
+        _assert_same_window(before, after)
+        _assert_same_window(before, _snapshot(info.value.history.window))
+
+    def test_nltgcr_restarts_window_after_collapse(self, monkeypatch):
+        # f(0) = (-1, 0) with J(0) = I, so the first step lands on (1, 0)
+        # where J r = (1/2, 0) is parallel to the stored v: the new direction
+        # collapses against the window, while a restarted window takes it.
+        calls = self._spy(monkeypatch, solver_module)
+
+        def f(x):
+            return np.array([x[0] - 1.0 + x[0] * x[1], x[1] * (1.0 - x[0]) - 0.5 * x[0] ** 2])
+
+        def jv(x, p):
+            J = np.array([[1.0 + x[1], x[0]], [-x[1] - x[0], 1.0 - x[0]]])
+            return J @ p
+
+        prob = NonlinearProblem(dim=2, eval_f=f, exact_jv=jv)
+        opts = SolverOptions(max_iters=20, restart_every=None)
+        # r is orthogonal to J r at (1, 0), so every restarted window gives a
+        # zero step and the restart budget runs out.
+        with pytest.raises(BreakdownError) as info:
+            nltgcr_solve(prob, np.zeros(2), opts, probe=JvProbe(mode="exact"))
+        (_, seeded, first), (before, after, out), (cleared, reseeded, again) = calls[:3]
+        assert first is not None and seeded[0] == 1
+        assert out is None and before[0] == 1
+        _assert_same_window(before, after)
+        assert cleared[0] == 0 and again is not None
+        np.testing.assert_allclose(reseeded[2][:, 0], [0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(reseeded[3][:, 0], [1.0, 0.0], atol=1e-15)
+        assert info.value.trace.frozen and len(info.value.trace) >= 2

@@ -8,7 +8,6 @@ from nltgcr import (
     LinearOperator,
     LinearOptions,
     SolverOptions,
-    fcc_init,
     logreg_load_csv,
     logreg_make_synthetic,
     make_linear_problem,
@@ -133,12 +132,12 @@ class TestLennardJones:
 
     def test_fcc_init_deterministic_and_counts(self):
         prob = LennardJonesProblem(cells_per_side=3, rng_seed=11)
-        a = fcc_init(prob)
-        b = fcc_init(prob)
+        a = prob.initial_positions()
+        b = prob.initial_positions()
         assert prob.atoms == 108
         assert a.shape == (324,)
         np.testing.assert_array_equal(a, b)
-        c = fcc_init(prob, seed=12)
+        c = prob.initial_positions(seed=12)
         assert np.abs(a - c).max() > 0
 
     def test_unperturbed_lattice_energy_finite_and_negative(self):

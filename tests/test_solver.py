@@ -312,9 +312,9 @@ class TestResidualIdentities:
             y = V.T @ r
             d = P @ y
             lhs = -float(bp.jv(x, r) @ d)
-            rhs = -float(w.v_cols[-1] @ r) ** 2
+            rhs = -float(V[:, -1] @ r) ** 2
             for i in range(len(w) - 1):
-                rhs -= float(w.v_cols[i] @ r) * float(bp.jv(x, w.p_cols[i]) @ r)
+                rhs -= float(V[:, i] @ r) * float(bp.jv(x, P[:, i]) @ r)
             scale = max(rnorm * rnorm, abs(lhs))
             gaps.append(abs(lhs - rhs) / scale)
             signs.append((lhs, rhs))
@@ -362,9 +362,9 @@ class TestTruncatedUpdate:
 
         def watch(s):
             w = s["window"]
-            a = float(w.v_cols[-1] @ s["r"])
+            a = float(w.v_matrix()[:, -1] @ s["r"])
             if len(checks) < 100 and a != 0.0:
-                d = a * w.p_cols[-1]
+                d = a * w.p_matrix()[:, -1]
                 val, _ = descent_check(prob, s["x"], s["r"], d, JvProbe())
                 checks.append((val, a))
 
@@ -385,7 +385,7 @@ class TestTruncatedUpdate:
         v = np.array([1.0, 0.0])
         w.push(v.copy(), v.copy())
         r = np.array([0.0, 1.0])
-        y = float(w.v_cols[-1] @ r)
+        y = float(w.v_matrix()[:, -1] @ r)
         assert y == 0.0
 
 
