@@ -191,7 +191,8 @@ def cmd_run(args) -> int:
                 wall = time.perf_counter() - t_start
                 fev = None
                 final = float("nan")
-                if trace is not None:
+                # A solve that fails at x0 carries an empty trace: no CSV.
+                if trace is not None and len(trace) > 0:
                     trace.to_csv(out_dir / f"{name}_rep{rep}.csv")
                     fev = trace.fevals_to_relative(tol)
                     final = trace.final().resnorm

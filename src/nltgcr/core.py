@@ -313,13 +313,10 @@ class JvProbe:
     """
 
     mode: str = "frechet"
-    eps_scale: float = 1e-7
 
     def __post_init__(self):
         if self.mode not in ("frechet", "exact"):
             raise ValueError("mode must be 'frechet' or 'exact'")
-        if self.eps_scale <= 0.0:
-            raise ValueError("eps_scale must be positive")
 
 
 class EvalCounter:

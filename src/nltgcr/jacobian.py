@@ -8,9 +8,8 @@ import numpy as np
 
 from .core import JvProbe, NonFiniteError, NonlinearProblem
 
-
-def _frechet_eps(x: np.ndarray, p_norm: float, eps_scale: float) -> float:
-    return eps_scale * (1.0 + float(np.abs(x).max())) / p_norm
+# Relative step of the forward-difference probe (scaled by 1 + ||x||_inf).
+FRECHET_EPS_SCALE = 1e-7
 
 
 def frechet_jv(
@@ -23,7 +22,7 @@ def frechet_jv(
     """Approximate J(x) @ p, reusing the already computed f_x.
 
     Frechet mode takes one forward difference with
-    eps = eps_scale * (1 + ||x||_inf) / ||p||_2 and costs 1 feval; exact
+    eps = FRECHET_EPS_SCALE * (1 + ||x||_inf) / ||p||_2 and costs 1 feval; exact
     mode delegates to the problem's exact_jv and costs 0.
 
     Returns (J(x) @ p, fevals_spent).
@@ -35,7 +34,7 @@ def frechet_jv(
     p_norm = float(np.linalg.norm(p))
     if p_norm == 0.0:
         raise ValueError("cannot probe along a zero direction")
-    eps = _frechet_eps(x, p_norm, probe.eps_scale)
+    eps = FRECHET_EPS_SCALE * (1.0 + float(np.abs(x).max())) / p_norm
     f_shift = prob.eval_f(x + eps * p)
     if not np.all(np.isfinite(f_shift)):
         raise NonFiniteError("f(x + eps*p) is not finite", x=x + eps * p)

@@ -108,7 +108,6 @@ class BratuProblem:
 # vector; f = grad E.
 # ---------------------------------------------------------------------------
 
-MIN_PAIR_DISTANCE = 1e-8
 # FCC lattice constant putting nearest neighbors at the pair-energy minimum
 # 2^(1/6): neighbors sit at a / sqrt(2).
 FCC_LATTICE_CONSTANT = 2.0 ** (1.0 / 6.0) * np.sqrt(2.0)
@@ -133,13 +132,10 @@ class LennardJonesProblem:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected length {self.dim}, got {x.shape}")
-        pos = x.reshape(self.atoms, 3)
-        if kernels.lj_min_pair_distance(pos) < MIN_PAIR_DISTANCE:
-            raise ValueError("coincident atoms: pair distance below 1e-8")
-        return pos
+        return x.reshape(self.atoms, 3)
 
     def energy(self, x: np.ndarray) -> float:
-        return float(kernels.lj_energy(self._positions(x)))
+        return kernels.lj_energy(self._positions(x))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return kernels.lj_gradient(self._positions(x)).ravel()

@@ -198,8 +198,10 @@ def nltgcr_solve(
             return st.x, trace.freeze()
         st.seed_window()
         return _run(st, opts, ev, trace, opts.tol_rel * r0n, t0, diagnostics, observer)
-    except (NonFiniteError, BreakdownError) as err:
-        if err.trace is None:
+    except (NonFiniteError, BreakdownError, ValueError) as err:
+        # ValueError: an evaluation outside the problem's domain. It keeps its
+        # class and gets the same frozen trace as the solver's own errors.
+        if getattr(err, "trace", None) is None:
             err.trace = trace.freeze()
         raise
 
@@ -301,7 +303,7 @@ def _run(st, opts, ev, trace, target, t0, diagnostics, observer):
                         switch = adaptive_switch(r_true, st.r, opts, mode="LIN")
                     st.r = r_true
                     resnorm = rtn
-        except NonFiniteError as err:
+        except (NonFiniteError, ValueError) as err:
             err.x = x_good
             raise
 

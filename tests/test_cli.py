@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from nltgcr.cli import main
@@ -243,9 +245,28 @@ max_iters = 200
         rows = (out / "summary.csv").read_text().splitlines()[1:]
         assert len(rows) == 2
         assert rows[0].split(",")[2] == "-"
+        assert math.isfinite(float(rows[0].split(",")[3]))
+        assert (out / "bratu-supercritical_rep0.csv").exists()
         assert rows[1].split(",")[2] != "-"
         trace = ConvergenceTrace.from_csv(out / "bratu-small_rep0.csv")
         assert trace.final().resnorm <= 1e-8 * trace.records[0].resnorm
+
+    def test_failure_at_start_writes_no_trace(self, tmp_path, capsys, monkeypatch):
+        # A solve refused at x0 carries an empty trace: the run is recorded
+        # without a trace CSV and the batch does not crash on it.
+        from nltgcr.problems import BratuProblem
+
+        def refuse(self, u):
+            raise ValueError("exp overflow: u is out of physical range")
+
+        monkeypatch.setattr(BratuProblem, "f", refuse)
+        out = tmp_path / "o"
+        rc = main(["run", str(_write(tmp_path, BASE_CONFIG)), "--out", str(out)])
+        assert rc == 0
+        assert "failed: ValueError: exp overflow" in capsys.readouterr().out
+        assert not (out / "bratu-small_rep0.csv").exists()
+        row = (out / "summary.csv").read_text().splitlines()[1].split(",")
+        assert row[2] == "-" and row[3] == "nan"
 
     def test_bad_config_value_exits_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, BASE_CONFIG.replace("m = 1", "m = one"))

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -14,62 +10,14 @@ def rng():
 
 
 class TestBackendAgreement:
-    def test_bratu_residual_paths_agree(self, rng):
-        if not kernels.HAVE_NUMBA:
-            pytest.skip("numba path inactive")
-        u = rng.standard_normal((17, 17))
-        a = kernels.bratu_residual_numba(u, 0.5, 0.1)
-        b = kernels.bratu_residual_numpy(u, 0.5, 0.1)
-        np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-10)
-
-    def test_bratu_jv_paths_agree(self, rng):
-        if not kernels.HAVE_NUMBA:
-            pytest.skip("numba path inactive")
-        u = rng.standard_normal((13, 13))
-        p = rng.standard_normal((13, 13))
-        a = kernels.bratu_jv_numba(u, p, 0.7, 0.05)
-        b = kernels.bratu_jv_numpy(u, p, 0.7, 0.05)
-        np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-10)
-
-    def test_lj_energy_paths_agree(self, rng):
-        if not kernels.HAVE_NUMBA:
-            pytest.skip("numba path inactive")
-        pos = 2.0 * rng.standard_normal((30, 3))
-        a = kernels.lj_energy_numba(pos)
-        b = kernels.lj_energy_numpy(pos)
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_lj_gradient_paths_agree(self, rng):
-        if not kernels.HAVE_NUMBA:
-            pytest.skip("numba path inactive")
-        pos = 2.0 * rng.standard_normal((30, 3))
-        a = kernels.lj_gradient_numba(pos)
-        b = kernels.lj_gradient_numpy(pos)
-        np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-11)
-
     def test_min_pair_distance_paths_agree(self, rng):
         pos = rng.standard_normal((20, 3))
-        b = kernels.lj_min_pair_distance_numpy(pos)
-        if kernels.HAVE_NUMBA:
-            a = kernels.lj_min_pair_distance_numba(pos)
-            assert a == pytest.approx(b, rel=1e-14)
         diffs = pos[:, None, :] - pos[None, :, :]
         d = np.sqrt((diffs**2).sum(-1))
         np.fill_diagonal(d, np.inf)
-        assert b == pytest.approx(float(d.min()), rel=1e-14)
+        assert kernels.lj_min_pair_distance(pos) == pytest.approx(float(d.min()), rel=1e-14)
 
 
 class TestEnvFlag:
-    def test_disable_flag_selects_numpy_backend(self):
-        env = dict(os.environ, NLTGCR_DISABLE_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from nltgcr import kernels; print(kernels.active_backend())"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
     def test_default_backend_reported(self):
-        assert kernels.active_backend() in ("numba", "numpy")
+        assert kernels.active_backend() == "numpy"

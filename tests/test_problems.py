@@ -94,19 +94,19 @@ class TestBratu:
 class TestLennardJones:
     def test_two_atoms_at_minimum_distance(self):
         # The pair energy minimum sits at 2^(1/6) with value -1 and zero force.
-        from nltgcr.kernels import lj_energy_numpy, lj_gradient_numpy
+        from nltgcr.kernels import lj_energy, lj_gradient
 
         pos = np.zeros((2, 3))
         pos[1, 0] = 2.0 ** (1.0 / 6.0)
-        assert lj_energy_numpy(pos) == pytest.approx(-1.0, abs=1e-12)
-        assert np.abs(lj_gradient_numpy(pos)).max() <= 1e-12
+        assert lj_energy(pos) == pytest.approx(-1.0, abs=1e-12)
+        assert np.abs(lj_gradient(pos)).max() <= 1e-12
 
     def test_two_atoms_at_unit_distance_zero_energy(self):
-        from nltgcr.kernels import lj_energy_numpy
+        from nltgcr.kernels import lj_energy
 
         pos = np.zeros((2, 3))
         pos[1, 2] = 1.0
-        assert lj_energy_numpy(pos) == pytest.approx(0.0, abs=1e-14)
+        assert lj_energy(pos) == pytest.approx(0.0, abs=1e-14)
 
     def test_gradient_matches_central_differences(self):
         prob = LennardJonesProblem(cells_per_side=2, rng_seed=3)
@@ -123,12 +123,25 @@ class TestLennardJones:
         g = prob.gradient(x).reshape(-1, 3)
         np.testing.assert_allclose(g.sum(axis=0), np.zeros(3), atol=1e-8)
 
-    def test_coincident_atoms_rejected(self):
+    @pytest.mark.parametrize("quantity", ["energy", "gradient"])
+    @pytest.mark.parametrize("gap", [0.0, 0.5e-8])
+    def test_coincident_atoms_rejected(self, quantity, gap):
+        # The guard sits in the pair pass both kernels share; the limit is
+        # a pair distance of 1e-8.
         prob = LennardJonesProblem(cells_per_side=1)
         x = prob.initial_positions()
         x[3:6] = x[0:3]
+        x[3] += gap
         with pytest.raises(ValueError, match="coincident"):
-            prob.energy(x)
+            getattr(prob, quantity)(x)
+
+    @pytest.mark.parametrize("quantity", ["energy", "gradient"])
+    def test_close_atoms_above_limit_accepted(self, quantity):
+        prob = LennardJonesProblem(cells_per_side=1)
+        x = prob.initial_positions()
+        x[3:6] = x[0:3]
+        x[3] += 2e-8
+        assert np.all(np.isfinite(getattr(prob, quantity)(x)))
 
     def test_fcc_init_deterministic_and_counts(self):
         prob = LennardJonesProblem(cells_per_side=3, rng_seed=11)

@@ -407,6 +407,20 @@ class TestFailureModes:
         assert info.value.trace is not None
         assert info.value.x is not None
 
+    def test_out_of_domain_evaluation_carries_state(self):
+        # lambda = 50 is past the Bratu turning point: the iterate grows until
+        # f refuses it with a plain ValueError, which keeps its class.
+        bp = BratuProblem(grid_n=5, lam=50)
+        with pytest.raises(ValueError, match="exp overflow") as info:
+            nltgcr_solve(bp.problem(), np.zeros(bp.dim), SolverOptions(max_iters=200))
+        trace = info.value.trace
+        assert len(trace) > 1
+        with pytest.raises(RuntimeError, match="frozen"):
+            trace.append(trace.final())
+        assert np.isfinite(trace.final().resnorm)
+        np.testing.assert_array_less(info.value.x, 700.0)
+        assert np.all(np.isfinite(bp.f(info.value.x)))
+
     def test_restart_policy_reseeds_window(self):
         # Hard restarts slow the short recurrence but must not break it.
         bp, prob = _bratu(10)
