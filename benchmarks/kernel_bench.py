@@ -1,19 +1,40 @@
-"""Time each numpy kernel on the benchmark problem sizes.
+"""Time each numpy kernel and the window Gram-Schmidt step on the benchmark sizes.
 
 Run:  PYTHONPATH=src python benchmarks/kernel_bench.py
-Prints the best per-call time over 5 repeats of 20 calls.
+Prints the median per-call time over 15 repeats of 20 calls, with the
+interquartile range of those repeats, so each row shows its own noise.
+BLAS runs on one thread, as in the solve benchmark (perfbench/run.py).
 """
 
-import timeit
+import os
 
-import numpy as np
+# Before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from nltgcr import kernels
+import timeit  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from nltgcr import kernels  # noqa: E402
+from nltgcr.core import WindowPair  # noqa: E402
+from nltgcr.linear import orthogonalize_pair  # noqa: E402
 
 
-def _time(fn, *args, repeat=5, number=20):
-    best = min(timeit.repeat(lambda: fn(*args), repeat=repeat, number=number))
-    return best / number
+def _time(fn, *args, repeat=15, number=20):
+    per_call = np.array(timeit.repeat(lambda: fn(*args), repeat=repeat, number=number)) / number
+    q1, med, q3 = np.percentile(per_call, [25, 50, 75])
+    return med, q3 - q1
+
+
+def _window_args(k, n, rng):
+    """orthogonalize_pair's arguments against a full k-pair window, as the
+    direction step passes them: n x k views of the WindowPair row buffers."""
+    w = WindowPair(k)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    for v in Q.T:
+        w.push(rng.standard_normal(n), v)
+    return rng.standard_normal(n), rng.standard_normal(n), w.p_matrix(), w.v_matrix(), 0, k
 
 
 def main():
@@ -29,11 +50,15 @@ def main():
         ("lj_gradient 108 atoms", kernels.lj_gradient, (pos,)),
         ("lj_min_pair_distance 108", kernels.lj_min_pair_distance, (pos,)),
     ]
-    header = f"{'kernel':<26}{'numpy (us)':>12}"
+    # The window shapes of bratu-m1, bratu-m10 and newton-krylov.
+    for k in (1, 10, 50):
+        cases.append((f"orthogonalize_pair k={k}", orthogonalize_pair, _window_args(k, 10**4, rng)))
+    header = f"{'kernel':<28}{'median (us)':>12}{'IQR (us)':>10}"
     print(header)
     print("-" * len(header))
     for name, fn, args in cases:
-        print(f"{name:<26}{_time(fn, *args) * 1e6:>12.1f}")
+        med, iqr = _time(fn, *args)
+        print(f"{name:<28}{med * 1e6:>12.1f}{iqr * 1e6:>10.1f}")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .core import (
+    SOLVE_FAILURES,
     BreakdownError,
     ConvergenceTrace,
     DivergenceError,
@@ -44,6 +45,12 @@ def _start(prob, x0):
 
 def _record(trace, it, ev, resnorm, step, t0):
     trace.append(TraceRecord(it, ev.count, resnorm, step, "NL", time.perf_counter() - t0))
+
+
+def _failed(err, x, trace):
+    """Attach the solve's last x and its frozen trace to a failure after x0."""
+    err.x, err.trace = x, trace.freeze()
+    return err
 
 
 # ---------------------------------------------------------------------------
@@ -104,30 +111,31 @@ def aa_solve(
     if r0n == 0.0:
         return x, trace.freeze()
     state = AaState(beta_mix=beta, m=m)
-    for it in range(1, opts.max_iters + 1):
-        if len(state.dx_cols) == 0:
-            x_new = x + beta * fx
-        else:
-            while len(state.dx_cols) > 1 and np.linalg.cond(state.F()) > CONDITION_BOUND:
-                state.drop_oldest()
-            F = state.F()
-            X = state.X()
-            theta, *_ = np.linalg.lstsq(F, fx, rcond=None)
-            x_new = x + beta * fx - (X + beta * F) @ theta
-        f_new = ev.f(x_new)
-        if m > 0:
-            state.push(x_new - x, f_new - fx)
-        x, fx = x_new, f_new
-        resnorm = float(np.linalg.norm(fx))
-        _record(trace, it, ev, resnorm, 1.0, t0)
-        if observer is not None and state.dx_cols:
-            observer(state)
-        if resnorm <= opts.tol_rel * r0n:
-            break
-        if resnorm > DIVERGENCE_FACTOR * r0n:
-            raise DivergenceError(
-                f"residual grew to {resnorm:.3e} from {r0n:.3e}", x=x, trace=trace.freeze()
-            )
+    try:
+        for it in range(1, opts.max_iters + 1):
+            if len(state.dx_cols) == 0:
+                x_new = x + beta * fx
+            else:
+                while len(state.dx_cols) > 1 and np.linalg.cond(state.F()) > CONDITION_BOUND:
+                    state.drop_oldest()
+                F = state.F()
+                X = state.X()
+                theta, *_ = np.linalg.lstsq(F, fx, rcond=None)
+                x_new = x + beta * fx - (X + beta * F) @ theta
+            f_new = ev.f(x_new)
+            if m > 0:
+                state.push(x_new - x, f_new - fx)
+            x, fx = x_new, f_new
+            resnorm = float(np.linalg.norm(fx))
+            _record(trace, it, ev, resnorm, 1.0, t0)
+            if observer is not None and state.dx_cols:
+                observer(state)
+            if resnorm <= opts.tol_rel * r0n:
+                break
+            if resnorm > DIVERGENCE_FACTOR * r0n:
+                raise DivergenceError(f"residual grew to {resnorm:.3e} from {r0n:.3e}")
+    except SOLVE_FAILURES as err:
+        raise _failed(err, x, trace)
     return x, trace.freeze()
 
 
@@ -177,25 +185,26 @@ def broyden2_solve(
         return x, trace.freeze()
     n = x.shape[0]
     G = -beta * np.eye(n)
-    for it in range(1, opts.max_iters + 1):
-        x_new = x - G @ fx
-        f_new = ev.f(x_new)
-        dx = x_new - x
-        df = f_new - fx
-        dfn = float(np.linalg.norm(df))
-        if dfn > 0.0:
-            G = G + np.outer(dx - G @ df, df) / (dfn * dfn)
-        x, fx = x_new, f_new
-        resnorm = float(np.linalg.norm(fx))
-        _record(trace, it, ev, resnorm, 1.0, t0)
-        if observer is not None:
-            observer({"iter": it, "G": G, "dx": dx, "df": df})
-        if resnorm <= opts.tol_rel * r0n:
-            break
-        if resnorm > DIVERGENCE_FACTOR * r0n:
-            raise DivergenceError(
-                f"residual grew to {resnorm:.3e}", x=x, trace=trace.freeze()
-            )
+    try:
+        for it in range(1, opts.max_iters + 1):
+            x_new = x - G @ fx
+            f_new = ev.f(x_new)
+            dx = x_new - x
+            df = f_new - fx
+            dfn = float(np.linalg.norm(df))
+            if dfn > 0.0:
+                G = G + np.outer(dx - G @ df, df) / (dfn * dfn)
+            x, fx = x_new, f_new
+            resnorm = float(np.linalg.norm(fx))
+            _record(trace, it, ev, resnorm, 1.0, t0)
+            if observer is not None:
+                observer({"iter": it, "G": G, "dx": dx, "df": df})
+            if resnorm <= opts.tol_rel * r0n:
+                break
+            if resnorm > DIVERGENCE_FACTOR * r0n:
+                raise DivergenceError(f"residual grew to {resnorm:.3e}")
+    except SOLVE_FAILURES as err:
+        raise _failed(err, x, trace)
     return x, trace.freeze()
 
 
@@ -236,55 +245,58 @@ def newton_krylov_solve(
     ls = opts.linesearch or LineSearchOptions()
     eta = eta0
     fnorm_prev = r0n
-    for it in range(1, opts.max_iters + 1):
-        x_frozen = x
-        f_frozen = fx
-        op = LinearOperator(
-            dim=prob.dim,
-            apply=lambda v: ev.jv(x_frozen, v, f_frozen),
-            is_symmetric=False,
-        )
-        inner_opts = LinearOptions(tol_rel=eta, max_iters=inner_m)
-        try:
-            delta, ihist = tgcr_solve(op, -fx, np.zeros_like(x), m=inner_m, opts=inner_opts)
-        except BreakdownError as err:
-            delta = err.x
-            ihist = err.history
-            if delta is None or float(np.linalg.norm(delta)) == 0.0:
-                raise
-        slope = ev.slope(x, -fx, delta)
-        if slope <= 0.0:
-            delta = 0.5 * delta
+    try:
+        for it in range(1, opts.max_iters + 1):
+            x_frozen = x
+            f_frozen = fx
+            op = LinearOperator(
+                dim=prob.dim,
+                apply=lambda v: ev.jv(x_frozen, v, f_frozen),
+                is_symmetric=False,
+            )
+            inner_opts = LinearOptions(tol_rel=eta, max_iters=inner_m)
+            try:
+                delta, ihist = tgcr_solve(op, -fx, np.zeros_like(x), m=inner_m, opts=inner_opts)
+            except BreakdownError as err:
+                delta = err.x
+                ihist = err.history
+                if delta is None or float(np.linalg.norm(delta)) == 0.0:
+                    raise
             slope = ev.slope(x, -fx, delta)
             if slope <= 0.0:
-                raise NotDescentError("inner solve produced a non-descent direction")
-        res = backtrack(ev.f, x, delta, -fx, slope, ls)
-        ls = update_alpha0(ls, res.steps)
-        x = res.x_new
-        fx = res.f_new
-        fnorm = float(np.linalg.norm(fx))
-        _record(trace, it, ev, fnorm, res.alpha, t0)
-        if observer is not None:
-            observer(
-                {
-                    "iter": it,
-                    "eta": eta,
-                    "inner_resnorms": ihist.resnorms(),
-                    "inner_steps": ihist.iterations,
-                    "forcing_rhs": eta * fnorm_prev,
-                    "cap_hit": ihist.iterations >= inner_m and not ihist.converged,
-                    "alpha": res.alpha,
-                }
-            )
-        if fnorm <= opts.tol_rel * r0n:
-            break
-        if adapt_eta:
-            eta_new = EW_GAMMA * (fnorm / fnorm_prev) ** 2
-            safeguard = EW_GAMMA * eta * eta
-            if safeguard > EW_SAFEGUARD_FLOOR:
-                eta_new = max(eta_new, safeguard)
-            eta = min(eta_new, EW_ETA_MAX)
-        fnorm_prev = fnorm
+                delta = 0.5 * delta
+                slope = ev.slope(x, -fx, delta)
+                if slope <= 0.0:
+                    raise NotDescentError("inner solve produced a non-descent direction")
+            res = backtrack(ev.f, x, delta, -fx, slope, ls)
+            ls = update_alpha0(ls, res.steps)
+            x = res.x_new
+            fx = res.f_new
+            fnorm = float(np.linalg.norm(fx))
+            _record(trace, it, ev, fnorm, res.alpha, t0)
+            if observer is not None:
+                observer(
+                    {
+                        "iter": it,
+                        "eta": eta,
+                        "inner_resnorms": ihist.resnorms(),
+                        "inner_steps": ihist.iterations,
+                        "forcing_rhs": eta * fnorm_prev,
+                        "cap_hit": ihist.iterations >= inner_m and not ihist.converged,
+                        "alpha": res.alpha,
+                    }
+                )
+            if fnorm <= opts.tol_rel * r0n:
+                break
+            if adapt_eta:
+                eta_new = EW_GAMMA * (fnorm / fnorm_prev) ** 2
+                safeguard = EW_GAMMA * eta * eta
+                if safeguard > EW_SAFEGUARD_FLOOR:
+                    eta_new = max(eta_new, safeguard)
+                eta = min(eta_new, EW_ETA_MAX)
+            fnorm_prev = fnorm
+    except SOLVE_FAILURES as err:
+        raise _failed(err, x, trace)
     return x, trace.freeze()
 
 
@@ -324,29 +336,30 @@ def nesterov_solve(prob: NonlinearProblem, x0, opts: Optional[SolverOptions] = N
     L = _estimate_lipschitz(ev, x, fx)
     x_prev = x.copy()
     k = 1
-    for it in range(1, opts.max_iters + 1):
-        y = x + ((k - 1.0) / (k + 2.0)) * (x - x_prev)
-        g = ev.f(y)
-        x_new = y - g / L
-        if float(g @ (x_new - x)) > 0.0:
-            # Momentum points uphill: restart it and refresh the stepsize.
-            x_prev = x.copy()
-            k = 1
-            fx = ev.f(x)
-            L = _estimate_lipschitz(ev, x, fx, n_iters=4, seed=it)
-        else:
-            x_prev = x
-            x = x_new
-            k += 1
-        resnorm = float(np.linalg.norm(g))
-        _record(trace, it, ev, resnorm, 1.0 / L, t0)
-        if resnorm <= opts.tol_rel * r0n:
-            x = x_new
-            break
-        if resnorm > DIVERGENCE_FACTOR * r0n:
-            raise DivergenceError(
-                f"residual grew to {resnorm:.3e}", x=x, trace=trace.freeze()
-            )
+    try:
+        for it in range(1, opts.max_iters + 1):
+            y = x + ((k - 1.0) / (k + 2.0)) * (x - x_prev)
+            g = ev.f(y)
+            x_new = y - g / L
+            if float(g @ (x_new - x)) > 0.0:
+                # Momentum points uphill: restart it and refresh the stepsize.
+                x_prev = x.copy()
+                k = 1
+                fx = ev.f(x)
+                L = _estimate_lipschitz(ev, x, fx, n_iters=4, seed=it)
+            else:
+                x_prev = x
+                x = x_new
+                k += 1
+            resnorm = float(np.linalg.norm(g))
+            _record(trace, it, ev, resnorm, 1.0 / L, t0)
+            if resnorm <= opts.tol_rel * r0n:
+                x = x_new
+                break
+            if resnorm > DIVERGENCE_FACTOR * r0n:
+                raise DivergenceError(f"residual grew to {resnorm:.3e}")
+    except SOLVE_FAILURES as err:
+        raise _failed(err, x, trace)
     return x, trace.freeze()
 
 
@@ -398,20 +411,23 @@ def ncg_fr_solve(prob: NonlinearProblem, x0, opts: Optional[SolverOptions] = Non
     g = fx
     d = -g
     gg = float(g @ g)
-    for it in range(1, opts.max_iters + 1):
-        x, g_new, phi_x, alpha, steps, reset = _gradient_step(ev, prob, x, g, d, ls, phi_x)
-        ls = update_alpha0(ls, steps)
-        gg_new = float(g_new @ g_new)
-        resnorm = float(np.sqrt(gg_new))
-        _record(trace, it, ev, resnorm, alpha, t0)
-        if resnorm <= opts.tol_rel * r0n:
-            break
-        if reset or it % restart_period == 0:
-            d = -g_new
-        else:
-            beta_fr = gg_new / gg
-            d = -g_new + beta_fr * d
-        g, gg = g_new, gg_new
+    try:
+        for it in range(1, opts.max_iters + 1):
+            x, g_new, phi_x, alpha, steps, reset = _gradient_step(ev, prob, x, g, d, ls, phi_x)
+            ls = update_alpha0(ls, steps)
+            gg_new = float(g_new @ g_new)
+            resnorm = float(np.sqrt(gg_new))
+            _record(trace, it, ev, resnorm, alpha, t0)
+            if resnorm <= opts.tol_rel * r0n:
+                break
+            if reset or it % restart_period == 0:
+                d = -g_new
+            else:
+                beta_fr = gg_new / gg
+                d = -g_new + beta_fr * d
+            g, gg = g_new, gg_new
+    except SOLVE_FAILURES as err:
+        raise _failed(err, x, trace)
     return x, trace.freeze()
 
 
@@ -432,39 +448,42 @@ def lbfgs_solve(
     rho_list: List[float] = []
     phi_x = ev.phi(x) if prob.eval_phi is not None else None
     g = fx
-    for it in range(1, opts.max_iters + 1):
-        q = g.copy()
-        alphas = []
-        for s, yv, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
-            a = rho * float(s @ q)
-            q -= a * yv
-            alphas.append(a)
-        if s_list:
-            gamma = float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
-            q *= gamma
-        for (s, yv, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
-            b = rho * float(yv @ q)
-            q += (a - b) * s
-        d = -q
-        x_new, g_new, phi_x, alpha, steps, reset = _gradient_step(ev, prob, x, g, d, ls, phi_x)
-        if reset:
-            s_list, y_list, rho_list = [], [], []
-        ls = update_alpha0(ls, steps)
-        s = x_new - x
-        yv = g_new - g
-        sy = float(s @ yv)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
-            s_list.append(s)
-            y_list.append(yv)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > m:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
-        x = x_new
-        g = g_new
-        resnorm = float(np.linalg.norm(g))
-        _record(trace, it, ev, resnorm, alpha, t0)
-        if resnorm <= opts.tol_rel * r0n:
-            break
+    try:
+        for it in range(1, opts.max_iters + 1):
+            q = g.copy()
+            alphas = []
+            for s, yv, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+                a = rho * float(s @ q)
+                q -= a * yv
+                alphas.append(a)
+            if s_list:
+                gamma = float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
+                q *= gamma
+            for (s, yv, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+                b = rho * float(yv @ q)
+                q += (a - b) * s
+            d = -q
+            x_new, g_new, phi_x, alpha, steps, reset = _gradient_step(ev, prob, x, g, d, ls, phi_x)
+            if reset:
+                s_list, y_list, rho_list = [], [], []
+            ls = update_alpha0(ls, steps)
+            s = x_new - x
+            yv = g_new - g
+            sy = float(s @ yv)
+            if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+                s_list.append(s)
+                y_list.append(yv)
+                rho_list.append(1.0 / sy)
+                if len(s_list) > m:
+                    s_list.pop(0)
+                    y_list.pop(0)
+                    rho_list.pop(0)
+            x = x_new
+            g = g_new
+            resnorm = float(np.linalg.norm(g))
+            _record(trace, it, ev, resnorm, alpha, t0)
+            if resnorm <= opts.tol_rel * r0n:
+                break
+    except SOLVE_FAILURES as err:
+        raise _failed(err, x, trace)
     return x, trace.freeze()

@@ -20,23 +20,13 @@ from .baselines import (
     nesterov_solve,
     newton_krylov_solve,
 )
-from .core import (
-    BreakdownError,
-    DivergenceError,
-    LineSearchOptions,
-    NonFiniteError,
-    NotDescentError,
-    SolverOptions,
-)
+from .core import SOLVE_FAILURES, DivergenceError, LineSearchOptions, SolverOptions
 from .problems import BratuProblem, LennardJonesProblem, logreg_make_synthetic
 from .solver import nltgcr_solve
 
 COMPARE_THRESHOLDS = (1e-4, 1e-6, 1e-8, 1e-10)
 SOLVERS = ("nltgcr", "aa", "newton-krylov", "broyden2", "nesterov", "ncg", "lbfgs")
 PROBLEMS = ("bratu", "lennard-jones", "logreg")
-# A solve raising one of these is recorded as a failed run and the batch goes
-# on; ValueError covers evaluations outside a problem's domain (exp overflow).
-RUN_FAILURES = (BreakdownError, DivergenceError, NonFiniteError, NotDescentError, ValueError)
 
 
 class ConfigError(Exception):
@@ -182,7 +172,7 @@ def cmd_run(args) -> int:
                 try:
                     _, trace = _run_solver(section, prob, x0, tol, props_path)
                     note = ""
-                except RUN_FAILURES as err:
+                except SOLVE_FAILURES as err:  # recorded; the batch goes on
                     trace = getattr(err, "trace", None)
                     if isinstance(err, DivergenceError):
                         note = "diverged"

@@ -30,12 +30,10 @@ class BreakdownError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Iteration diverged (residual norm grew past the divergence bound)."""
+    """Iteration diverged (residual norm grew past the divergence bound).
 
-    def __init__(self, message, x=None, trace=None):
-        super().__init__(message)
-        self.x = x
-        self.trace = trace
+    The solver that raises it attaches its last x and frozen trace.
+    """
 
 
 class NotDescentError(RuntimeError):
@@ -49,6 +47,11 @@ class NonFiniteError(RuntimeError):
         super().__init__(message)
         self.x = x
         self.trace = trace
+
+
+# Every way a solve can fail after x0; ValueError covers evaluations outside a
+# problem's domain (exp overflow). The solvers attach their frozen trace.
+SOLVE_FAILURES = (BreakdownError, DivergenceError, NonFiniteError, NotDescentError, ValueError)
 
 
 def check_finite(v, what="vector"):

@@ -1,8 +1,9 @@
 """Residual-minimizing linear solvers: full GCR, truncated GCR, and CR.
 
 The truncated and full solvers share one direction step, add_direction,
-with the nonlinear solver: modified Gram-Schmidt against a WindowPair that
-keeps the stored A p_i columns orthonormal. The classical conjugate residual
+with the nonlinear solver: classical Gram-Schmidt, with a second pass
+when the first leaves a projection, against a WindowPair that keeps the
+stored A p_i columns orthonormal. The classical conjugate residual
 recurrence is implemented separately so the two can cross-check each other
 on symmetric operators.
 """
@@ -135,29 +136,28 @@ class KrylovHistory:
 
 
 def orthogonalize_pair(p, v, P, V, lo, hi):
-    """Modified Gram-Schmidt of (p, v) against window columns lo..hi-1.
+    """Classical Gram-Schmidt of (p, v) against window columns lo..hi-1.
 
-    P and V hold the window pairs as columns, oldest first. The same
-    combination applied to v is applied to p so v = A p is preserved. Runs
-    a second pass when the first leaves a relative projection above
-    REORTH_REL. Returns (p, v, betas dict by column index).
+    P and V hold the window pairs as columns, oldest first. As WindowPair
+    views, V[:, lo:hi].T is a contiguous row block, so each pass is two
+    BLAS-2 products. The same combination applied to v is applied to p so
+    v = A p is preserved. Runs a second pass when the first leaves a
+    projection above REORTH_REL * ||v||. Never writes to p or v. Returns
+    (p, v, betas dict by column index).
     """
-    betas = {}
-    for i in range(lo, hi):
-        b = float(v @ V[:, i])
-        p = p - b * P[:, i]
-        v = v - b * V[:, i]
-        betas[i] = b
+    if hi == lo:
+        return p, v, {}
+    Vr = V[:, lo:hi].T
+    b = Vr @ v
+    v = v - np.dot(b, Vr)
     nv = float(np.linalg.norm(v))
-    if hi > lo and nv > 0.0:
-        proj = np.array([float(v @ V[:, i]) for i in range(lo, hi)])
+    if nv > 0.0:
+        proj = Vr @ v
         if float(np.abs(proj).max()) > REORTH_REL * nv:
-            for i in range(lo, hi):
-                b = float(v @ V[:, i])
-                p = p - b * P[:, i]
-                v = v - b * V[:, i]
-                betas[i] += b
-    return p, v, betas
+            v = v - np.dot(proj, Vr)
+            b = b + proj
+    p = p - np.dot(b, P[:, lo:hi].T)
+    return p, v, dict(zip(range(lo, hi), b.tolist()))
 
 
 def add_direction(window: WindowPair, p, v):
@@ -189,8 +189,8 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
     # A @ 0 = 0 by linearity; skipping the apply also spares matrix-free
     # operators a probe along the zero vector.
     r = b.copy() if not np.any(x) else b - A.apply(x)
-    hist.R.append(r.copy())
-    hist.xs.append(x.copy())
+    hist.R.append(r)
+    hist.xs.append(x)
     ref = float(np.linalg.norm(b))
     if ref == 0.0:
         ref = max(float(np.linalg.norm(r)), 1.0)
@@ -226,8 +226,8 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
         x = x + alpha * p_j
         r = r - alpha * v_j
         hist.alphas.append(alpha)
-        hist.R.append(r.copy())
-        hist.xs.append(x.copy())
+        hist.R.append(r)
+        hist.xs.append(x)
         if _converged(r):
             hist.converged = True
             break
@@ -274,8 +274,8 @@ def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
     x = check_finite(np.asarray(x0, dtype=float), "x0").copy()
     hist = KrylovHistory(kind="cr")
     r = b - A.apply(x)
-    hist.R.append(r.copy())
-    hist.xs.append(x.copy())
+    hist.R.append(r)
+    hist.xs.append(x)
     ref = float(np.linalg.norm(b))
     if ref == 0.0:
         ref = max(float(np.linalg.norm(r)), 1.0)
@@ -298,8 +298,8 @@ def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
         x = x + alpha * p
         r = r - alpha * Ap
         hist.alphas.append(alpha)
-        hist.R.append(r.copy())
-        hist.xs.append(x.copy())
+        hist.R.append(r)
+        hist.xs.append(x)
         if float(np.linalg.norm(r)) <= opts.tol_rel * ref:
             hist.converged = True
             break

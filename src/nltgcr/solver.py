@@ -10,6 +10,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .core import (
+    SOLVE_FAILURES,
     BreakdownError,
     ConvergenceTrace,
     EvalCounter,
@@ -198,9 +199,7 @@ def nltgcr_solve(
             return st.x, trace.freeze()
         st.seed_window()
         return _run(st, opts, ev, trace, opts.tol_rel * r0n, t0, diagnostics, observer)
-    except (NonFiniteError, BreakdownError, ValueError) as err:
-        # ValueError: an evaluation outside the problem's domain. It keeps its
-        # class and gets the same frozen trace as the solver's own errors.
+    except SOLVE_FAILURES as err:
         if getattr(err, "trace", None) is None:
             err.trace = trace.freeze()
         raise

@@ -118,3 +118,28 @@ def newton_cr_reference(eval_f, exact_jv, x0, tol_rel):
         x = x + d
         fx = eval_f(x)
     raise AssertionError("Newton iteration did not reach the target")
+
+
+def mgs_orthogonalize_pair(p, v, P, V, lo, hi, reorth_rel=1e-8):
+    """Modified Gram-Schmidt of (p, v) against the columns lo..hi-1 of V,
+    one column at a time, applying each coefficient to p against P as well.
+
+    A second sweep runs when the first leaves a projection above
+    reorth_rel * ||v||. Returns (p, v, coefficients keyed by column).
+    """
+    betas = {}
+    for i in range(lo, hi):
+        b = float(v @ V[:, i])
+        p = p - b * P[:, i]
+        v = v - b * V[:, i]
+        betas[i] = b
+    nv = float(np.linalg.norm(v))
+    if hi > lo and nv > 0.0:
+        proj = np.array([float(v @ V[:, i]) for i in range(lo, hi)])
+        if float(np.abs(proj).max()) > reorth_rel * nv:
+            for i in range(lo, hi):
+                b = float(v @ V[:, i])
+                p = p - b * P[:, i]
+                v = v - b * V[:, i]
+                betas[i] += b
+    return p, v, betas

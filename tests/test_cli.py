@@ -251,6 +251,28 @@ max_iters = 200
         trace = ConvergenceTrace.from_csv(out / "bratu-small_rep0.csv")
         assert trace.final().resnorm <= 1e-8 * trace.records[0].resnorm
 
+    def test_every_baseline_failure_after_start_writes_a_trace(self, tmp_path, capsys):
+        # Past the Bratu turning point the baselines end in DivergenceError,
+        # NotDescentError or an evaluation's ValueError. Each failure after
+        # x0 must leave its trace CSV and a finite final residual.
+        cfg = "".join(
+            f"[{solver}-{form}]\nproblem = bratu\ngrid_n = 5\nlambda = 50\nx0 = zeros\n"
+            f"form = {form}\nsolver = {solver}\ntol = 1e-8\nmax_iters = 200\n\n"
+            for solver in ("aa", "newton-krylov", "broyden2", "nesterov", "ncg", "lbfgs")
+            for form in ("roots", "minimization")
+        )
+        out = tmp_path / "o"
+        assert main(["run", str(_write(tmp_path, cfg)), "--out", str(out)]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines() if " rep0: " in line]
+        assert len(printed) == 12
+        failed = [line for line in printed if line.endswith("]")]
+        for kind in ("[diverged]", "NotDescentError", "ValueError: exp overflow"):
+            assert any(kind in line for line in failed), kind
+        for line in failed:
+            run = line.split(" rep0: ")[0]
+            assert (out / f"{run}_rep0.csv").exists(), line
+            assert math.isfinite(float(line.split(" final=")[1].split(" ")[0])), line
+
     def test_failure_at_start_writes_no_trace(self, tmp_path, capsys, monkeypatch):
         # A solve refused at x0 carries an empty trace: the run is recorded
         # without a trace CSV and the batch does not crash on it.

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nltgcr.linear as linear
 import nltgcr.solver as solver_module
@@ -17,7 +19,7 @@ from nltgcr import (
     nltgcr_solve,
     tgcr_solve,
 )
-from oracles import krylov_min_resnorm
+from oracles import krylov_min_resnorm, mgs_orthogonalize_pair
 
 
 class TestGcr:
@@ -116,6 +118,23 @@ class TestTgcr:
         _, h = tgcr_solve(op, b, np.zeros(20), m=2)
         assert h.truncated
 
+    @pytest.mark.parametrize(
+        "solve",
+        [lambda A, b, x0, opts: tgcr_solve(A, b, x0, 5, opts), gcr_solve, cr_solve],
+        ids=["tgcr", "gcr", "cr"],
+    )
+    def test_history_entries_share_no_memory(self, solve):
+        # The history stores r and x without copying; that is safe only while
+        # every step makes new arrays. An in-place update would alias them.
+        op, b = make_linear_problem("spd", 30, seed=0)
+        x0 = np.zeros(30)
+        _, h = solve(op, b, x0, LinearOptions(max_iters=12))
+        stored = [b, x0] + h.R + h.xs
+        assert len(h.R) == len(h.xs) == 13
+        for i, a in enumerate(stored):
+            for c in stored[i + 1 :]:
+                assert not np.shares_memory(a, c)
+
     def test_m_must_be_positive(self):
         op, b = make_linear_problem("spd", 5, seed=0)
         with pytest.raises(ValueError):
@@ -151,6 +170,79 @@ class TestCr:
         op, b = make_linear_problem("nonsymmetric", 6, seed=1)
         with pytest.raises(ValueError, match="symmetric"):
             cr_solve(op, b, np.zeros(6))
+
+
+def _window_instance(k, n, seed, near_span=False, drift=0.0):
+    """A window of k pairs v_i = A p_i with unit v rows, and a new pair.
+
+    The v rows are orthonormal up to `drift`. With near_span the new v lies
+    within 1e-10 (relative) of span(V).
+    """
+    rng = np.random.default_rng(seed)
+    A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    Q, _ = np.linalg.qr(A @ rng.standard_normal((n, k)))
+    Q = Q + drift * rng.standard_normal(Q.shape)
+    Q /= np.linalg.norm(Q, axis=0)
+    w = WindowPair(capacity=max(k, 1))
+    for p_i, v_i in zip(np.linalg.solve(A, Q).T, Q.T):
+        w.push(p_i, v_i)
+    p = rng.standard_normal(n)
+    if near_span:
+        c = rng.standard_normal(k)
+        p = w.p_matrix() @ c + 1e-10 * np.linalg.norm(c) * p / np.linalg.norm(A @ p)
+    return A, w, p, A @ p
+
+
+class TestOrthogonalizePair:
+    """Classical Gram-Schmidt with the conditional second pass."""
+
+    @staticmethod
+    def _check(A, w, p, v):
+        P, V = w.p_matrix(), w.v_matrix()
+        k = V.shape[1]
+        saved = [a.copy() for a in (p, v, P, V)]
+        p_out, v_out, betas = linear.orthogonalize_pair(p, v, P, V, 0, k)
+        for a, b in zip((p, v, P, V), saved):
+            np.testing.assert_array_equal(a, b)
+        assert sorted(betas) == list(range(k))
+        b = np.array([betas[i] for i in range(k)])
+        nv = float(np.linalg.norm(v))
+        nv_out = float(np.linalg.norm(v_out))
+        assert float(np.abs(V.T @ v_out).max()) <= linear.REORTH_REL * nv_out
+        assert float(np.linalg.norm(v_out - A @ p_out)) <= 1e-10 * nv
+        assert float(np.linalg.norm(v - v_out - V @ b)) <= 1e-12 * nv
+        return p_out, v_out, betas
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(0, 12), extra=st.integers(1, 48), seed=st.integers(0, 2**32 - 1))
+    def test_invariants_and_mgs_agreement(self, k, extra, seed):
+        A, w, p, v = _window_instance(k, k + extra, seed)
+        if k == 0:
+            # An empty window hands back the inputs themselves.
+            P, V = w.p_matrix(), w.v_matrix()
+            p_out, v_out, betas = linear.orthogonalize_pair(p, v, P, V, 0, 0)
+            assert p_out is p and v_out is v and betas == {}
+            return
+        p_out, v_out, betas = self._check(A, w, p, v)
+        p_ref, v_ref, betas_ref = mgs_orthogonalize_pair(p, v, w.p_matrix(), w.v_matrix(), 0, k)
+        np.testing.assert_allclose(v_out, v_ref, rtol=0, atol=1e-10 * np.linalg.norm(v))
+        np.testing.assert_allclose(p_out, p_ref, rtol=0, atol=1e-10 * np.linalg.norm(p))
+        b, b_ref = (np.array([d[i] for i in range(k)]) for d in (betas, betas_ref))
+        np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-10 * np.linalg.norm(v))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "case", [dict(near_span=True), dict(drift=1e-7)], ids=["near-span", "drifted-window"]
+    )
+    def test_second_pass_runs_and_ends_orthogonal(self, case, seed):
+        # Near the span, one pass leaves mostly rounding error; against a
+        # window whose rows drifted from orthonormal it leaves ~1e-7 ||v||,
+        # so p must take the second pass's coefficients too.
+        A, w, p, v = _window_instance(8, 40, seed, **case)
+        V = w.v_matrix()
+        once = v - V @ (V.T @ v)
+        assert np.abs(V.T @ once).max() > linear.REORTH_REL * np.linalg.norm(once)
+        self._check(A, w, p, v)
 
 
 class TestLinearOperator:
