@@ -4,6 +4,11 @@ Run:  PYTHONPATH=src python benchmarks/kernel_bench.py
 Prints the median per-call time over 15 repeats of 20 calls, with the
 interquartile range of those repeats, so each row shows its own noise.
 BLAS runs on one thread, as in the solve benchmark (perfbench/run.py).
+
+Informational only: no gate reads these numbers, and they have no
+machine-speed reference, so a row drifts by up to about 40 % between runs
+on unchanged code. Compare kernels with perfbench/run.py, which adjusts for
+machine speed.
 """
 
 import os
@@ -54,6 +59,7 @@ def main():
     for k in (1, 10, 50):
         cases.append((f"orthogonalize_pair k={k}", orthogonalize_pair, _window_args(k, 10**4, rng)))
     header = f"{'kernel':<28}{'median (us)':>12}{'IQR (us)':>10}"
+    print("Informational, not gated: rows drift up to about 40 % between runs.")
     print(header)
     print("-" * len(header))
     for name, fn, args in cases:

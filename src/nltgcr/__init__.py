@@ -37,8 +37,10 @@ from .identities import (
     build_B_matrix,
     build_H_matrix,
     check_semiconjugacy,
+    identity_observer,
     induced_inverse_checks,
     reconstruction_defects,
+    secant_property_check,
 )
 from .jacobian import descent_check, frechet_jv
 from .linear import (
@@ -58,12 +60,6 @@ from .problems import (
     logreg_make_synthetic,
     make_linear_problem,
 )
-from .solver import (
-    adaptive_switch,
-    angular_distance,
-    frobenius_gap,
-    nltgcr_solve,
-    secant_property_check,
-)
+from .solver import adaptive_switch, angular_distance, nltgcr_solve
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ from .baselines import (
     newton_krylov_solve,
 )
 from .core import SOLVE_FAILURES, DivergenceError, LineSearchOptions, SolverOptions
+from .identities import identity_observer
 from .problems import BratuProblem, LennardJonesProblem, logreg_make_synthetic
 from .solver import nltgcr_solve
 
@@ -103,11 +104,12 @@ def _run_solver(section, prob, x0, tol, props_path=None):
     name = _get(section, "solver")
     if name == "nltgcr":
         opts = _solver_options(section, tol)
-        diagnostics = [] if props_path else None
-        x, trace = nltgcr_solve(prob, x0, opts, diagnostics=diagnostics)
+        records = []
+        observer = identity_observer(records) if props_path else None
+        x, trace = nltgcr_solve(prob, x0, opts, observer=observer)
         if props_path:
             with open(props_path, "w") as fh:
-                json.dump(diagnostics, fh, indent=1)
+                json.dump(records, fh, indent=1)
         return x, trace
     opts = SolverOptions(
         tol_rel=tol,

@@ -91,8 +91,10 @@ class BratuProblem:
         """
 
         def phi(u):
+            # The quadratic goes first: its f call range-checks u before exp.
+            quad = self.laplacian_quadratic(u)
             exp_sum = self._row_scale * self.lam * float(np.sum(np.exp(u)))
-            return -(self.laplacian_quadratic(u) + exp_sum)
+            return -(quad + exp_sum)
 
         return NonlinearProblem(
             dim=self.dim,

@@ -1,11 +1,10 @@
 """Windowed nonlinear conjugate-residual solver with three residual-update
-variants (nonlinear, linearized, adaptive) and built-in property probes."""
+variants (nonlinear, linearized, adaptive)."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -56,60 +55,6 @@ def adaptive_switch(
     if mode == "NL":
         return TO_LIN if theta < opts.adaptive_threshold else STAY
     return TO_NL if theta >= opts.adaptive_threshold else STAY
-
-
-@dataclass
-class SecantReport:
-    secant_max: float
-    nochange_max: float
-
-
-def secant_property_check(window: WindowPair, seed: int = 0, n_probes: int = 3) -> SecantReport:
-    """Check G = P V^T against its secant and no-change identities.
-
-    secant_max is max_i ||P V^T v_i - p_i||_inf; nochange_max is the largest
-    ||P V^T q||_inf over random probes q orthogonalized against the window.
-    """
-    if len(window) == 0:
-        raise ValueError("secant check needs a nonempty window")
-    P = window.p_matrix()
-    V = window.v_matrix()
-    secant = 0.0
-    for i in range(V.shape[1]):
-        resid = P @ (V.T @ V[:, i]) - P[:, i]
-        secant = max(secant, float(np.abs(resid).max()))
-    rng = np.random.default_rng(seed)
-    nochange = 0.0
-    for _ in range(n_probes):
-        q = rng.standard_normal(V.shape[0])
-        q = q - V @ (V.T @ q)
-        q = q - V @ (V.T @ q)
-        nq = float(np.linalg.norm(q))
-        if nq == 0.0:
-            continue
-        q /= nq
-        nochange = max(nochange, float(np.abs(P @ (V.T @ q)).max()))
-    return SecantReport(secant_max=secant, nochange_max=nochange)
-
-
-def frobenius_gap(window: WindowPair, seed: int = 0, n_samples: int = 10) -> float:
-    """Smallest ||G'||_F - ||G||_F over perturbations G' = G + Z (I - V V^T).
-
-    G = P V^T is the minimum-Frobenius-norm matrix satisfying G V = P, so
-    the gap should never be meaningfully negative.
-    """
-    P = window.p_matrix()
-    V = window.v_matrix()
-    G = P @ V.T
-    base = float(np.linalg.norm(G))
-    rng = np.random.default_rng(seed)
-    gap = np.inf
-    n = V.shape[0]
-    for _ in range(n_samples):
-        Z = rng.standard_normal((n, n))
-        Gp = G + Z - (Z @ V) @ V.T
-        gap = min(gap, float(np.linalg.norm(Gp)) - base)
-    return gap
 
 
 class _Loop:
@@ -166,7 +111,6 @@ def nltgcr_solve(
     x0: np.ndarray,
     opts: Optional[SolverOptions] = None,
     probe: Optional[JvProbe] = None,
-    diagnostics: Optional[List[dict]] = None,
     observer: Optional[Callable[[dict], None]] = None,
 ):
     """Solve f(x) = 0 by the windowed conjugate-residual iteration.
@@ -178,9 +122,16 @@ def nltgcr_solve(
     iterate, or the sweep origin for linearized updates).
 
     Returns (x, trace). Stops when ||f(x)|| / ||f(x0)|| <= opts.tol_rel or
-    after max_iters iterations. `diagnostics`, when given a list, receives
-    one JSON-friendly dict per iteration with the residual-identity
-    violations; `observer` receives live state for heavier checks.
+    after max_iters iterations.
+
+    `observer`, if given, is called once per iteration after the step and
+    before the window takes its new pair, with a dict of live state it must
+    not modify: iter, mode (of the step), x and r (after it), r_old, y, the
+    window that gave y, step, theta (adaptive angle or None), r_tilde =
+    r_old - V y, z = r_tilde - r (None in LIN mode), truncated, and
+    fresh_pair (the window's newest pair was built along the previously
+    observed r, with no restart since). identities.identity_observer checks
+    the residual identities from it.
     """
     opts = opts or SolverOptions()
     ev = EvalCounter(prob, probe)
@@ -198,57 +149,46 @@ def nltgcr_solve(
         if r0n == 0.0:
             return st.x, trace.freeze()
         st.seed_window()
-        return _run(st, opts, ev, trace, opts.tol_rel * r0n, t0, diagnostics, observer)
+        return _run(st, opts, ev, trace, opts.tol_rel * r0n, t0, observer)
     except SOLVE_FAILURES as err:
         if getattr(err, "trace", None) is None:
             err.trace = trace.freeze()
         raise
 
 
-def _run(st, opts, ev, trace, target, t0, diagnostics, observer):
+def _run(st, opts, ev, trace, target, t0, observer):
     def fail_breakdown():
         raise BreakdownError(
             "window restarts exhausted",
             residual=st.r.copy(),
             resnorm=float(np.linalg.norm(st.r)),
+            x=st.x,
         )
 
-    prev_rtilde = None
-    prev_z = None
+    fresh = False  # the window's newest pair extends the previous step
     it = 0
     while it < opts.max_iters:
         it += 1
         x_good = st.x
         V = st.window.v_matrix()
         P = st.window.p_matrix()
-        k = V.shape[1]
         if opts.truncated_update:
-            y = np.zeros(k)
+            y = np.zeros(V.shape[1])
             y[-1] = float(V[:, -1] @ st.r)
         else:
             y = V.T @ st.r
 
-        diag = None
-        if diagnostics is not None:
-            diag = {"iter": it, "mode": st.mode, "window": k}
-            if prev_z is not None and not opts.truncated_update:
-                rhs = -(V.T @ prev_z)
-                rhs[-1] += float(V[:, -1] @ prev_rtilde)
-                diag["item4_y_reconstruction"] = float(np.abs(y - rhs).max())
-            if not opts.truncated_update:
-                # debug route: the orthonormal-window shortcut must agree
-                # with a dense least-squares solve of min ||r - V y||
-                y_ls, *_ = np.linalg.lstsq(V, st.r, rcond=None)
-                diag["least_squares_gap"] = float(np.abs(y - y_ls).max())
-
-        d = P @ y
+        # Products with the (k, n) row blocks V.T and P.T, once per step.
+        d = np.dot(y, P.T)
         r_old = st.r
         if float(np.linalg.norm(d)) == 0.0:
             # Degenerate least-squares step with a nonzero residual: treat
             # as an unlucky-breakdown signal and restart the window.
             if not st.restart():
                 fail_breakdown()
+            fresh = False
             continue
+        Vy = np.dot(y, V.T)
 
         step = 1.0
         pending_restart = False
@@ -266,15 +206,13 @@ def _run(st, opts, ev, trace, target, t0, diagnostics, observer):
                     st.x = st.x + d
                     st.fx = ev.f(st.x)
                     st.r = -st.fx
-                r_lin = r_old - step * (V @ y)
+                r_lin = r_old - step * Vy
             else:
                 if st.ls is not None:
-                    step, ls_steps, _ = backtrack_linearized(
-                        st.r, V @ y, float(y @ y), st.ls
-                    )
+                    step, ls_steps, _ = backtrack_linearized(st.r, Vy, float(y @ y), st.ls)
                     st.ls = update_alpha0(st.ls, ls_steps)
                 st.x = st.x + step * d
-                r_lin = r_old - step * (V @ y)
+                r_lin = r_old - step * Vy
                 st.r = r_lin
                 st.lin_steps += 1
 
@@ -309,72 +247,30 @@ def _run(st, opts, ev, trace, target, t0, diagnostics, observer):
         trace.append(
             TraceRecord(it, ev.count, resnorm, step, st.mode, time.perf_counter() - t0)
         )
-
-        r_tilde = r_old - (V @ y)
-        z = r_tilde - st.r if st.mode == "NL" else None
-        if diag is not None:
-            diag["resnorm"] = resnorm
-            diag["step_size"] = step
-            diag["item1_vt_rtilde"] = float(np.abs(V.T @ r_tilde).max())
-            diag["z_norm"] = float(np.linalg.norm(z)) if z is not None else None
-            diag["prev_resnorm"] = float(np.linalg.norm(r_old))
-            diag["theta"] = theta
-            diag["window_defect"] = st.window.orthonormality_defect()
-            rep = secant_property_check(st.window, seed=it)
-            diag["secant_max"] = rep.secant_max
-            diag["nochange_max"] = rep.nochange_max
-
-        done = resnorm <= target
-        restart_now = False
-        built = False
-        if not done:
-            prev_rtilde, prev_z = r_tilde, z
-            if switch == TO_LIN:
-                st.mode = "LIN"
-                st.lin_steps = 0
-                st.refresh_anchor()
-                restart_now = True
-            elif switch == TO_NL:
-                st.mode = "NL"
-                st.refresh_anchor()
-                restart_now = True
-            elif opts.restart_every is not None and it % opts.restart_every == 0:
-                if st.mode == "LIN":
-                    st.fx = ev.f(st.x)
-                    st.r = -st.fx
-                    st.refresh_anchor()
-                restart_now = True
-            elif pending_restart:
-                restart_now = True
-            if restart_now:
-                prev_rtilde = prev_z = None
-                st.seed_window()
-            else:
-                built = st.build_direction()
-                if not built and not st.restart():
-                    fail_breakdown()
-
-        if diag is not None:
-            if built:
-                v_new = st.window.v_matrix()[:, -1]
-                diag["item3_vr"] = abs(float(v_new @ r_tilde) - float(v_new @ r_old))
-            diagnostics.append(diag)
         if observer is not None:
-            observer(
-                {
-                    "iter": it,
-                    "x": st.x,
-                    "r": st.r,
-                    "r_tilde": r_tilde,
-                    "z": z,
-                    "y": y,
-                    "window": st.window,
-                    "mode": st.mode,
-                    "step": step,
-                    "fresh_pair": built,
-                }
-            )
-        if done:
+            r_tilde = r_old - Vy
+            z = r_tilde - st.r if st.mode == "NL" else None
+            observer(dict(iter=it, mode=st.mode, x=st.x, r=st.r, r_old=r_old, r_tilde=r_tilde,
+                          z=z, y=y, window=st.window, step=step, theta=theta,
+                          truncated=opts.truncated_update, fresh_pair=fresh))
+        if resnorm <= target:
             break
+
+        fresh = False
+        periodic_restart = opts.restart_every is not None and it % opts.restart_every == 0
+        if switch != STAY:
+            st.mode = "LIN" if switch == TO_LIN else "NL"
+            st.lin_steps = 0
+            st.refresh_anchor()
+        elif periodic_restart and st.mode == "LIN":
+            st.fx = ev.f(st.x)
+            st.r = -st.fx
+            st.refresh_anchor()
+        if switch != STAY or periodic_restart or pending_restart:
+            st.seed_window()
+        else:
+            fresh = st.build_direction()
+            if not fresh and not st.restart():
+                fail_breakdown()
 
     return st.x, trace.freeze()

@@ -143,3 +143,24 @@ def mgs_orthogonalize_pair(p, v, P, V, lo, hi, reorth_rel=1e-8):
                 v = v - b * V[:, i]
                 betas[i] += b
     return p, v, betas
+
+
+def frobenius_gap(window, seed=0, n_samples=10):
+    """Smallest ||G'||_F - ||G||_F over perturbations G' = G + Z (I - V V^T).
+
+    G = P V^T, from the window's p_matrix() and v_matrix(), is the
+    minimum-Frobenius-norm matrix satisfying G V = P, so the gap should never
+    be meaningfully negative. Forms dense n x n matrices.
+    """
+    P = window.p_matrix()
+    V = window.v_matrix()
+    G = P @ V.T
+    base = float(np.linalg.norm(G))
+    rng = np.random.default_rng(seed)
+    gap = np.inf
+    n = V.shape[0]
+    for _ in range(n_samples):
+        Z = rng.standard_normal((n, n))
+        Gp = G + Z - (Z @ V) @ V.T
+        gap = min(gap, float(np.linalg.norm(Gp)) - base)
+    return gap

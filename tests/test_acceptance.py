@@ -23,6 +23,7 @@ from nltgcr import (
     check_semiconjugacy,
     frechet_jv,
     gcr_solve,
+    identity_observer,
     induced_inverse_checks,
     lbfgs_solve,
     LinearOptions,
@@ -135,7 +136,7 @@ def test_criterion_4_secant_suites():
         bp.problem(),
         np.zeros(bp.dim),
         SolverOptions(window_m=5, tol_rel=1e-9, max_iters=250, restart_every=None),
-        diagnostics=diags,
+        observer=identity_observer(diags),
     )
     worst_secant = max(d["secant_max"] for d in diags)
     worst_nochange = max(d["nochange_max"] for d in diags)
@@ -197,7 +198,7 @@ def test_criterion_5_residual_identity_suite_on_bratu():
         bp.problem(),
         np.zeros(bp.dim),
         SolverOptions(window_m=5, tol_rel=1e-10, max_iters=500, restart_every=None),
-        diagnostics=diags,
+        observer=identity_observer(diags),
     )
     worst1 = max(d["item1_vt_rtilde"] for d in diags)
     worst3 = max((d["item3_vr"] for d in diags if "item3_vr" in d), default=0.0)

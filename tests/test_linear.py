@@ -351,8 +351,10 @@ class TestAddDirection:
         opts = SolverOptions(max_iters=20, restart_every=None)
         # r is orthogonal to J r at (1, 0), so every restarted window gives a
         # zero step and the restart budget runs out.
+        xs = []
         with pytest.raises(BreakdownError) as info:
-            nltgcr_solve(prob, np.zeros(2), opts, probe=JvProbe(mode="exact"))
+            nltgcr_solve(prob, np.zeros(2), opts, probe=JvProbe(mode="exact"),
+                         observer=lambda s: xs.append(s["x"]))
         (_, seeded, first), (before, after, out), (cleared, reseeded, again) = calls[:3]
         assert first is not None and seeded[0] == 1
         assert out is None and before[0] == 1
@@ -361,3 +363,6 @@ class TestAddDirection:
         np.testing.assert_allclose(reseeded[2][:, 0], [0.0, 1.0], atol=1e-15)
         np.testing.assert_allclose(reseeded[3][:, 0], [1.0, 0.0], atol=1e-15)
         assert info.value.trace.frozen and len(info.value.trace) >= 2
+        # The failure carries the last iterate: the first step's (1, 0).
+        assert len(xs) == 1 and info.value.x is xs[-1]
+        np.testing.assert_allclose(info.value.x, [1.0, 0.0], atol=1e-15)

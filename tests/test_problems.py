@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,14 @@ class TestBratu:
         bp = BratuProblem(grid_n=4)
         with pytest.raises(ValueError, match="overflow"):
             bp.f(np.full(bp.dim, 1e3))
+
+    def test_objective_rejects_overflow_without_a_numpy_warning(self):
+        # The range check must fire before exp(750) overflows.
+        pm = BratuProblem(grid_n=5).minimization_problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exp overflow"):
+                pm.eval_phi(np.full(25, 750.0))
 
     def test_minimization_form_gradient_is_negated_residual(self):
         bp = BratuProblem(grid_n=6)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from nltgcr import (
     adaptive_switch,
     angular_distance,
     cr_solve,
-    frobenius_gap,
+    identity_observer,
     LinearOptions,
     make_linear_problem,
     nltgcr_solve,
@@ -21,6 +23,7 @@ from nltgcr import (
 )
 from nltgcr.jacobian import descent_check
 from nltgcr.solver import STAY, TO_LIN, TO_NL
+from oracles import frobenius_gap
 
 
 def _affine_problem(n=30, seed=0, kind="spd"):
@@ -100,7 +103,7 @@ class TestBasics:
             window_m=3, tol_rel=1e-9, max_iters=300, restart_every=None,
             variant="adaptive",
         )
-        nltgcr_solve(bp.problem(), np.zeros(bp.dim), opts, diagnostics=diags)
+        nltgcr_solve(bp.problem(), np.zeros(bp.dim), opts, observer=identity_observer(diags))
         assert any(d["mode"] == "LIN" for d in diags)
         for d in diags:
             assert d["window_defect"] <= 1e-10
@@ -212,7 +215,7 @@ class TestAdaptiveSwitch:
             linesearch=LineSearchOptions(),
         )
         diags = []
-        _, tr_adapt = nltgcr_solve(prob, x0, base.with_(variant="adaptive"), diagnostics=diags)
+        _, tr_adapt = nltgcr_solve(prob, x0, base.with_(variant="adaptive"), observer=identity_observer(diags))
         _, tr_nl = nltgcr_solve(prob, x0, base)
         modes = [r.mode for r in tr_adapt.records]
         first_lin = modes.index("LIN") if "LIN" in modes else None
@@ -240,7 +243,7 @@ class TestResidualIdentities:
         bp, prob = _bratu(20)
         diags = []
         opts = SolverOptions(window_m=3, tol_rel=1e-10, max_iters=200, restart_every=None)
-        nltgcr_solve(prob, np.zeros(bp.dim), opts, diagnostics=diags)
+        nltgcr_solve(prob, np.zeros(bp.dim), opts, observer=identity_observer(diags))
         assert len(diags) > 20
         for d in diags:
             assert d["item1_vt_rtilde"] <= 1e-10
@@ -255,7 +258,7 @@ class TestResidualIdentities:
         bp, prob = _bratu(20)
         diags = []
         opts = SolverOptions(window_m=1, tol_rel=1e-10, max_iters=400, restart_every=None)
-        nltgcr_solve(prob, np.zeros(bp.dim), opts, diagnostics=diags)
+        nltgcr_solve(prob, np.zeros(bp.dim), opts, observer=identity_observer(diags))
         ratios = [d["z_norm"] / d["prev_resnorm"] for d in diags if d["z_norm"] is not None]
         assert len(ratios) > 10
         assert max(ratios[-10:]) < 1e-3
@@ -264,7 +267,7 @@ class TestResidualIdentities:
         bp, prob = _bratu(15)
         diags = []
         opts = SolverOptions(window_m=5, tol_rel=1e-9, max_iters=150, restart_every=None)
-        nltgcr_solve(prob, np.zeros(bp.dim), opts, diagnostics=diags)
+        nltgcr_solve(prob, np.zeros(bp.dim), opts, observer=identity_observer(diags))
         for d in diags:
             assert d["secant_max"] <= 1e-10
             assert d["nochange_max"] <= 1e-10
@@ -299,11 +302,16 @@ class TestResidualIdentities:
         bp, prob = _bratu(12)
         gaps = []
         signs = []
+        last = {}
 
         def watch(s):
+            # The newest pair was built along the previous step's residual
+            # r_old at the previous iterate, where the next step starts.
+            x = last.get("x")
+            last["x"] = s["x"]
             if not s["fresh_pair"]:
                 return
-            w, r, x = s["window"], s["r"], s["x"]
+            w, r = s["window"], s["r_old"]
             rnorm = float(np.linalg.norm(r))
             if rnorm == 0.0:
                 return
@@ -339,6 +347,31 @@ class TestResidualIdentities:
         assert np.all(np.diff(res) <= 1e-12 * res[0])
 
 
+class TestObserver:
+    @pytest.mark.parametrize(
+        "variant,truncated",
+        [("nonlinear", False), ("linearized", False), ("adaptive", False), ("nonlinear", True)],
+    )
+    def test_identity_observer_changes_nothing(self, variant, truncated):
+        bp, prob = _bratu(20)
+        opts = SolverOptions(
+            window_m=3, tol_rel=1e-10, max_iters=300, variant=variant,
+            truncated_update=truncated,
+        )
+
+        def untimed(trace):
+            return [{**dataclasses.asdict(r), "wallclock_s": None} for r in trace.records]
+
+        x_plain, tr_plain = nltgcr_solve(prob, np.zeros(bp.dim), opts)
+        records = []
+        x_seen, tr_seen = nltgcr_solve(
+            prob, np.zeros(bp.dim), opts, observer=identity_observer(records)
+        )
+        assert len(records) == len(tr_seen) - 1
+        assert x_seen.tobytes() == x_plain.tobytes()
+        assert untimed(tr_seen) == untimed(tr_plain)
+
+
 class TestTruncatedUpdate:
     def test_symmetric_linear_problem_reduces_to_cr(self):
         n = 20
@@ -359,13 +392,18 @@ class TestTruncatedUpdate:
         # its slope is <v, r>^2 up to Jacobian drift, hence never negative.
         bp, prob = _bratu(12)
         checks = []
+        last = {}
 
         def watch(s):
-            w = s["window"]
-            a = float(w.v_matrix()[:, -1] @ s["r"])
+            # The window steps from the previous iterate along r_old.
+            w, x, r = s["window"], last.get("x"), s["r_old"]
+            last["x"] = s["x"]
+            if x is None:
+                return
+            a = float(w.v_matrix()[:, -1] @ r)
             if len(checks) < 100 and a != 0.0:
                 d = a * w.p_matrix()[:, -1]
-                val, _ = descent_check(prob, s["x"], s["r"], d, JvProbe())
+                val, _ = descent_check(prob, x, r, d, JvProbe())
                 checks.append((val, a))
 
         opts = SolverOptions(
