@@ -3,15 +3,18 @@
 Run:  PYTHONPATH=src python benchmarks/kernel_bench.py
 Prints the median per-call time over 15 repeats of 20 calls, with the
 interquartile range of those repeats, so each row shows its own noise.
-BLAS runs on one thread, as in the solve benchmark (perfbench/run.py).
+Next to it is the median adjusted for machine speed: the machine-speed
+reference of the solve benchmark (perfbench/reference.py) runs just before
+and just after each row, and the median is scaled by REF_NOMINAL_S over the
+mean of those two reference times. BLAS runs on one thread, as in the solve
+benchmark (perfbench/run.py).
 
-Informational only: no gate reads these numbers, and they have no
-machine-speed reference, so a row drifts by up to about 40 % between runs
-on unchanged code. Compare kernels with perfbench/run.py, which adjusts for
-machine speed.
+Informational only: no gate reads these numbers.
 """
 
 import os
+import sys
+from pathlib import Path
 
 # Before numpy is first imported.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -25,11 +28,17 @@ from nltgcr import kernels  # noqa: E402
 from nltgcr.core import WindowPair  # noqa: E402
 from nltgcr.linear import orthogonalize_pair  # noqa: E402
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from reference import adjust, reference  # noqa: E402
+
 
 def _time(fn, *args, repeat=15, number=20):
+    """Raw median, IQR and adjusted median of the per-call time."""
+    before = reference()
     per_call = np.array(timeit.repeat(lambda: fn(*args), repeat=repeat, number=number)) / number
+    ref_s = 0.5 * (before + reference())
     q1, med, q3 = np.percentile(per_call, [25, 50, 75])
-    return med, q3 - q1
+    return med, q3 - q1, adjust(med, ref_s)
 
 
 def _window_args(k, n, rng):
@@ -58,13 +67,13 @@ def main():
     # The window shapes of bratu-m1, bratu-m10 and newton-krylov.
     for k in (1, 10, 50):
         cases.append((f"orthogonalize_pair k={k}", orthogonalize_pair, _window_args(k, 10**4, rng)))
-    header = f"{'kernel':<28}{'median (us)':>12}{'IQR (us)':>10}"
-    print("Informational, not gated: rows drift up to about 40 % between runs.")
+    header = f"{'kernel':<28}{'median (us)':>12}{'IQR (us)':>10}{'adjusted (us)':>15}"
+    print("Informational, not gated.")
     print(header)
     print("-" * len(header))
     for name, fn, args in cases:
-        med, iqr = _time(fn, *args)
-        print(f"{name:<28}{med * 1e6:>12.1f}{iqr * 1e6:>10.1f}")
+        med, iqr, adjusted = _time(fn, *args)
+        print(f"{name:<28}{med * 1e6:>12.1f}{iqr * 1e6:>10.1f}{adjusted * 1e6:>15.1f}")
 
 
 if __name__ == "__main__":

@@ -4,53 +4,28 @@ Nesterov's accelerated gradient, Fletcher-Reeves NCG, and L-BFGS."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from .core import (
-    SOLVE_FAILURES,
     BreakdownError,
-    ConvergenceTrace,
-    DivergenceError,
-    EvalCounter,
     LineSearchOptions,
     NonlinearProblem,
     NotDescentError,
     SolverOptions,
-    TraceRecord,
-    check_finite,
+    drive,
 )
 from .linear import LinearOperator, LinearOptions, tgcr_solve
 from .linesearch import backtrack, backtrack_phi, update_alpha0
 
-DIVERGENCE_FACTOR = 1e8
 CONDITION_BOUND = 1e12
 
-
-def _start(prob, x0):
-    ev = EvalCounter(prob)
-    x = check_finite(np.asarray(x0, dtype=float), "x0").copy()
-    if x.shape != (prob.dim,):
-        raise ValueError(f"x0 must have length {prob.dim}")
-    t0 = time.perf_counter()
-    trace = ConvergenceTrace()
-    fx = ev.f(x)
-    r0n = float(np.linalg.norm(fx))
-    trace.append(TraceRecord(0, ev.count, r0n, 0.0, "NL", time.perf_counter() - t0))
-    return ev, x, fx, r0n, trace, t0
-
-
-def _record(trace, it, ev, resnorm, step, t0):
-    trace.append(TraceRecord(it, ev.count, resnorm, step, "NL", time.perf_counter() - t0))
-
-
-def _failed(err, x, trace):
-    """Attach the solve's last x and its frozen trace to a failure after x0."""
-    err.x, err.trace = x, trace.freeze()
-    return err
+# Each solver below is its argument checks plus core.drive, which owns the
+# start, the stopping rule, the trace and the failure state; its iteration
+# body is a generator that yields (x, resnorm, step_size, "NL") per iteration.
 
 
 # ---------------------------------------------------------------------------
@@ -106,37 +81,28 @@ def aa_solve(
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    opts = opts or SolverOptions()
-    ev, x, fx, r0n, trace, t0 = _start(prob, x0)
-    if r0n == 0.0:
-        return x, trace.freeze()
+    return drive(prob, x0, opts or SolverOptions(), _aa_steps, m, beta, observer, guard=True)
+
+
+def _aa_steps(ev, x, fx, target, opts, m, beta, observer):
     state = AaState(beta_mix=beta, m=m)
-    try:
-        for it in range(1, opts.max_iters + 1):
-            if len(state.dx_cols) == 0:
-                x_new = x + beta * fx
-            else:
-                while len(state.dx_cols) > 1 and np.linalg.cond(state.F()) > CONDITION_BOUND:
-                    state.drop_oldest()
-                F = state.F()
-                X = state.X()
-                theta, *_ = np.linalg.lstsq(F, fx, rcond=None)
-                x_new = x + beta * fx - (X + beta * F) @ theta
-            f_new = ev.f(x_new)
-            if m > 0:
-                state.push(x_new - x, f_new - fx)
-            x, fx = x_new, f_new
-            resnorm = float(np.linalg.norm(fx))
-            _record(trace, it, ev, resnorm, 1.0, t0)
-            if observer is not None and state.dx_cols:
-                observer(state)
-            if resnorm <= opts.tol_rel * r0n:
-                break
-            if resnorm > DIVERGENCE_FACTOR * r0n:
-                raise DivergenceError(f"residual grew to {resnorm:.3e} from {r0n:.3e}")
-    except SOLVE_FAILURES as err:
-        raise _failed(err, x, trace)
-    return x, trace.freeze()
+    while True:
+        if len(state.dx_cols) == 0:
+            x_new = x + beta * fx
+        else:
+            while len(state.dx_cols) > 1 and np.linalg.cond(state.F()) > CONDITION_BOUND:
+                state.drop_oldest()
+            F = state.F()
+            X = state.X()
+            theta, *_ = np.linalg.lstsq(F, fx, rcond=None)
+            x_new = x + beta * fx - (X + beta * F) @ theta
+        f_new = ev.f(x_new)
+        if m > 0:
+            state.push(x_new - x, f_new - fx)
+        x, fx = x_new, f_new
+        if observer is not None and state.dx_cols:
+            observer(state)
+        yield x, float(np.linalg.norm(fx)), 1.0, "NL"
 
 
 def aa_multisecant_check(state: AaState) -> float:
@@ -179,33 +145,23 @@ def broyden2_solve(
     G_new df = dx while leaving G unchanged on the orthogonal complement
     of df. Dense storage keeps this to moderate dimensions (n <= 2000).
     """
-    opts = opts or SolverOptions()
-    ev, x, fx, r0n, trace, t0 = _start(prob, x0)
-    if r0n == 0.0:
-        return x, trace.freeze()
-    n = x.shape[0]
-    G = -beta * np.eye(n)
-    try:
-        for it in range(1, opts.max_iters + 1):
-            x_new = x - G @ fx
-            f_new = ev.f(x_new)
-            dx = x_new - x
-            df = f_new - fx
-            dfn = float(np.linalg.norm(df))
-            if dfn > 0.0:
-                G = G + np.outer(dx - G @ df, df) / (dfn * dfn)
-            x, fx = x_new, f_new
-            resnorm = float(np.linalg.norm(fx))
-            _record(trace, it, ev, resnorm, 1.0, t0)
-            if observer is not None:
-                observer({"iter": it, "G": G, "dx": dx, "df": df})
-            if resnorm <= opts.tol_rel * r0n:
-                break
-            if resnorm > DIVERGENCE_FACTOR * r0n:
-                raise DivergenceError(f"residual grew to {resnorm:.3e}")
-    except SOLVE_FAILURES as err:
-        raise _failed(err, x, trace)
-    return x, trace.freeze()
+    return drive(prob, x0, opts or SolverOptions(), _broyden2_steps, beta, observer, guard=True)
+
+
+def _broyden2_steps(ev, x, fx, target, opts, beta, observer):
+    G = -beta * np.eye(x.shape[0])
+    for it in count(1):
+        x_new = x - G @ fx
+        f_new = ev.f(x_new)
+        dx = x_new - x
+        df = f_new - fx
+        dfn = float(np.linalg.norm(df))
+        if dfn > 0.0:
+            G = G + np.outer(dx - G @ df, df) / (dfn * dfn)
+        x, fx = x_new, f_new
+        if observer is not None:
+            observer({"iter": it, "G": G, "dx": dx, "df": df})
+        yield x, float(np.linalg.norm(fx)), 1.0, "NL"
 
 
 # ---------------------------------------------------------------------------
@@ -238,66 +194,60 @@ def newton_krylov_solve(
     """
     if inner_m < 1:
         raise ValueError("inner_m must be >= 1")
-    opts = opts or SolverOptions()
-    ev, x, fx, r0n, trace, t0 = _start(prob, x0)
-    if r0n == 0.0:
-        return x, trace.freeze()
+    return drive(prob, x0, opts or SolverOptions(), _newton_krylov_steps, inner_m, eta0,
+                 observer, adapt_eta)
+
+
+def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer, adapt_eta):
     ls = opts.linesearch or LineSearchOptions()
-    eta = eta0
-    fnorm_prev = r0n
-    try:
-        for it in range(1, opts.max_iters + 1):
-            x_frozen = x
-            f_frozen = fx
-            op = LinearOperator(
-                dim=prob.dim,
-                apply=lambda v: ev.jv(x_frozen, v, f_frozen),
-                is_symmetric=False,
-            )
-            inner_opts = LinearOptions(tol_rel=eta, max_iters=inner_m)
-            try:
-                delta, ihist = tgcr_solve(op, -fx, np.zeros_like(x), m=inner_m, opts=inner_opts)
-            except BreakdownError as err:
-                delta = err.x
-                ihist = err.history
-                if delta is None or float(np.linalg.norm(delta)) == 0.0:
-                    raise
+    fnorm_prev = float(np.linalg.norm(fx))
+    for it in count(1):
+        x_frozen = x
+        f_frozen = fx
+        op = LinearOperator(
+            dim=ev.prob.dim,
+            apply=lambda v: ev.jv(x_frozen, v, f_frozen),
+            is_symmetric=False,
+        )
+        inner_opts = LinearOptions(tol_rel=eta, max_iters=inner_m)
+        try:
+            delta, ihist = tgcr_solve(op, -fx, np.zeros_like(x), m=inner_m, opts=inner_opts)
+        except BreakdownError as err:
+            delta = err.x
+            ihist = err.history
+            if delta is None or float(np.linalg.norm(delta)) == 0.0:
+                raise
+        slope = ev.slope(x, -fx, delta)
+        if slope <= 0.0:
+            delta = 0.5 * delta
             slope = ev.slope(x, -fx, delta)
             if slope <= 0.0:
-                delta = 0.5 * delta
-                slope = ev.slope(x, -fx, delta)
-                if slope <= 0.0:
-                    raise NotDescentError("inner solve produced a non-descent direction")
-            res = backtrack(ev.f, x, delta, -fx, slope, ls)
-            ls = update_alpha0(ls, res.steps)
-            x = res.x_new
-            fx = res.f_new
-            fnorm = float(np.linalg.norm(fx))
-            _record(trace, it, ev, fnorm, res.alpha, t0)
-            if observer is not None:
-                observer(
-                    {
-                        "iter": it,
-                        "eta": eta,
-                        "inner_resnorms": ihist.resnorms(),
-                        "inner_steps": ihist.iterations,
-                        "forcing_rhs": eta * fnorm_prev,
-                        "cap_hit": ihist.iterations >= inner_m and not ihist.converged,
-                        "alpha": res.alpha,
-                    }
-                )
-            if fnorm <= opts.tol_rel * r0n:
-                break
-            if adapt_eta:
-                eta_new = EW_GAMMA * (fnorm / fnorm_prev) ** 2
-                safeguard = EW_GAMMA * eta * eta
-                if safeguard > EW_SAFEGUARD_FLOOR:
-                    eta_new = max(eta_new, safeguard)
-                eta = min(eta_new, EW_ETA_MAX)
-            fnorm_prev = fnorm
-    except SOLVE_FAILURES as err:
-        raise _failed(err, x, trace)
-    return x, trace.freeze()
+                raise NotDescentError("inner solve produced a non-descent direction")
+        res = backtrack(ev.f, x, delta, -fx, slope, ls)
+        ls = update_alpha0(ls, res.steps)
+        x = res.x_new
+        fx = res.f_new
+        fnorm = float(np.linalg.norm(fx))
+        if observer is not None:
+            observer(
+                {
+                    "iter": it,
+                    "eta": eta,
+                    "inner_resnorms": ihist.resnorms(),
+                    "inner_steps": ihist.iterations,
+                    "forcing_rhs": eta * fnorm_prev,
+                    "cap_hit": ihist.iterations >= inner_m and not ihist.converged,
+                    "alpha": res.alpha,
+                }
+            )
+        yield x, fnorm, res.alpha, "NL"
+        if adapt_eta:
+            eta_new = EW_GAMMA * (fnorm / fnorm_prev) ** 2
+            safeguard = EW_GAMMA * eta * eta
+            if safeguard > EW_SAFEGUARD_FLOOR:
+                eta_new = max(eta_new, safeguard)
+            eta = min(eta_new, EW_ETA_MAX)
+        fnorm_prev = fnorm
 
 
 # ---------------------------------------------------------------------------
@@ -327,43 +277,35 @@ def nesterov_solve(prob: NonlinearProblem, x0, opts: Optional[SolverOptions] = N
     L comes from a short power iteration on the Jacobian at the starting
     point and is refreshed whenever the momentum restart triggers. The
     trace records the gradient norm at the momentum point, which is where
-    the per-iteration evaluation lands.
+    the per-iteration evaluation lands; a converged solve returns the step
+    taken from it.
     """
-    opts = opts or SolverOptions()
-    ev, x, fx, r0n, trace, t0 = _start(prob, x0)
-    if r0n == 0.0:
-        return x, trace.freeze()
+    return drive(prob, x0, opts or SolverOptions(), _nesterov_steps, guard=True)
+
+
+def _nesterov_steps(ev, x, fx, target, opts):
     L = _estimate_lipschitz(ev, x, fx)
     x_prev = x.copy()
     k = 1
-    try:
-        for it in range(1, opts.max_iters + 1):
-            y = x + ((k - 1.0) / (k + 2.0)) * (x - x_prev)
-            g = ev.f(y)
-            x_new = y - g / L
-            if float(g @ (x_new - x)) > 0.0:
-                # Momentum points uphill: restart it and refresh the stepsize.
-                x_prev = x.copy()
-                k = 1
-                fx = ev.f(x)
-                L = _estimate_lipschitz(ev, x, fx, n_iters=4, seed=it)
-            else:
-                x_prev = x
-                x = x_new
-                k += 1
-            resnorm = float(np.linalg.norm(g))
-            _record(trace, it, ev, resnorm, 1.0 / L, t0)
-            if resnorm <= opts.tol_rel * r0n:
-                x = x_new
-                break
-            if resnorm > DIVERGENCE_FACTOR * r0n:
-                raise DivergenceError(f"residual grew to {resnorm:.3e}")
-    except SOLVE_FAILURES as err:
-        raise _failed(err, x, trace)
-    return x, trace.freeze()
+    for it in count(1):
+        y = x + ((k - 1.0) / (k + 2.0)) * (x - x_prev)
+        g = ev.f(y)
+        x_new = y - g / L
+        if float(g @ (x_new - x)) > 0.0:
+            # Momentum points uphill: restart it and refresh the stepsize.
+            x_prev = x.copy()
+            k = 1
+            fx = ev.f(x)
+            L = _estimate_lipschitz(ev, x, fx, n_iters=4, seed=it)
+        else:
+            x_prev = x
+            x = x_new
+            k += 1
+        resnorm = float(np.linalg.norm(g))
+        yield (x_new if resnorm <= target else x), resnorm, 1.0 / L, "NL"
 
 
-def _gradient_step(ev, prob, x, g, d, ls, phi_x):
+def _gradient_step(ev, x, g, d, ls, phi_x):
     """One line-searched step for the gradient methods.
 
     Uses the classical Armijo condition on phi when the problem carries an
@@ -372,7 +314,7 @@ def _gradient_step(ev, prob, x, g, d, ls, phi_x):
     (x_new, g_new, phi_new, alpha, steps, direction_was_reset).
     """
     reset = False
-    if prob.eval_phi is not None:
+    if ev.prob.eval_phi is not None:
         slope_phi = float(g @ d)
         if slope_phi >= 0.0:
             d = -g
@@ -401,34 +343,27 @@ def ncg_fr_solve(prob: NonlinearProblem, x0, opts: Optional[SolverOptions] = Non
     (or dim, whichever the options give) and whenever the current direction
     fails the descent test.
     """
-    opts = opts or SolverOptions()
-    ev, x, fx, r0n, trace, t0 = _start(prob, x0)
-    if r0n == 0.0:
-        return x, trace.freeze()
+    return drive(prob, x0, opts or SolverOptions(), _ncg_fr_steps)
+
+
+def _ncg_fr_steps(ev, x, fx, target, opts):
     ls = opts.linesearch or LineSearchOptions()
-    restart_period = opts.restart_every or prob.dim
-    phi_x = ev.phi(x) if prob.eval_phi is not None else None
+    restart_period = opts.restart_every or ev.prob.dim
+    phi_x = ev.phi(x) if ev.prob.eval_phi is not None else None
     g = fx
     d = -g
     gg = float(g @ g)
-    try:
-        for it in range(1, opts.max_iters + 1):
-            x, g_new, phi_x, alpha, steps, reset = _gradient_step(ev, prob, x, g, d, ls, phi_x)
-            ls = update_alpha0(ls, steps)
-            gg_new = float(g_new @ g_new)
-            resnorm = float(np.sqrt(gg_new))
-            _record(trace, it, ev, resnorm, alpha, t0)
-            if resnorm <= opts.tol_rel * r0n:
-                break
-            if reset or it % restart_period == 0:
-                d = -g_new
-            else:
-                beta_fr = gg_new / gg
-                d = -g_new + beta_fr * d
-            g, gg = g_new, gg_new
-    except SOLVE_FAILURES as err:
-        raise _failed(err, x, trace)
-    return x, trace.freeze()
+    for it in count(1):
+        x, g_new, phi_x, alpha, steps, reset = _gradient_step(ev, x, g, d, ls, phi_x)
+        ls = update_alpha0(ls, steps)
+        gg_new = float(g_new @ g_new)
+        yield x, float(np.sqrt(gg_new)), alpha, "NL"
+        if reset or it % restart_period == 0:
+            d = -g_new
+        else:
+            beta_fr = gg_new / gg
+            d = -g_new + beta_fr * d
+        g, gg = g_new, gg_new
 
 
 def lbfgs_solve(
@@ -438,52 +373,45 @@ def lbfgs_solve(
     backtracking search. Curvature pairs with <s, y> <= 0 are skipped."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    opts = opts or SolverOptions()
-    ev, x, fx, r0n, trace, t0 = _start(prob, x0)
-    if r0n == 0.0:
-        return x, trace.freeze()
+    return drive(prob, x0, opts or SolverOptions(), _lbfgs_steps, m)
+
+
+def _lbfgs_steps(ev, x, fx, target, opts, m):
     ls = opts.linesearch or LineSearchOptions()
     s_list: List[np.ndarray] = []
     y_list: List[np.ndarray] = []
     rho_list: List[float] = []
-    phi_x = ev.phi(x) if prob.eval_phi is not None else None
+    phi_x = ev.phi(x) if ev.prob.eval_phi is not None else None
     g = fx
-    try:
-        for it in range(1, opts.max_iters + 1):
-            q = g.copy()
-            alphas = []
-            for s, yv, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
-                a = rho * float(s @ q)
-                q -= a * yv
-                alphas.append(a)
-            if s_list:
-                gamma = float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
-                q *= gamma
-            for (s, yv, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
-                b = rho * float(yv @ q)
-                q += (a - b) * s
-            d = -q
-            x_new, g_new, phi_x, alpha, steps, reset = _gradient_step(ev, prob, x, g, d, ls, phi_x)
-            if reset:
-                s_list, y_list, rho_list = [], [], []
-            ls = update_alpha0(ls, steps)
-            s = x_new - x
-            yv = g_new - g
-            sy = float(s @ yv)
-            if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
-                s_list.append(s)
-                y_list.append(yv)
-                rho_list.append(1.0 / sy)
-                if len(s_list) > m:
-                    s_list.pop(0)
-                    y_list.pop(0)
-                    rho_list.pop(0)
-            x = x_new
-            g = g_new
-            resnorm = float(np.linalg.norm(g))
-            _record(trace, it, ev, resnorm, alpha, t0)
-            if resnorm <= opts.tol_rel * r0n:
-                break
-    except SOLVE_FAILURES as err:
-        raise _failed(err, x, trace)
-    return x, trace.freeze()
+    while True:
+        q = g.copy()
+        alphas = []
+        for s, yv, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+            a = rho * float(s @ q)
+            q -= a * yv
+            alphas.append(a)
+        if s_list:
+            gamma = float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
+            q *= gamma
+        for (s, yv, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+            b = rho * float(yv @ q)
+            q += (a - b) * s
+        d = -q
+        x_new, g_new, phi_x, alpha, steps, reset = _gradient_step(ev, x, g, d, ls, phi_x)
+        if reset:
+            s_list, y_list, rho_list = [], [], []
+        ls = update_alpha0(ls, steps)
+        s = x_new - x
+        yv = g_new - g
+        sy = float(s @ yv)
+        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+            s_list.append(s)
+            y_list.append(yv)
+            rho_list.append(1.0 / sy)
+            if len(s_list) > m:
+                s_list.pop(0)
+                y_list.pop(0)
+                rho_list.pop(0)
+        x = x_new
+        g = g_new
+        yield x, float(np.linalg.norm(g)), alpha, "NL"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import time
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
@@ -32,7 +33,7 @@ class BreakdownError(RuntimeError):
 class DivergenceError(RuntimeError):
     """Iteration diverged (residual norm grew past the divergence bound).
 
-    The solver that raises it attaches its last x and frozen trace.
+    Raised by drive for guarded solves, with the last x and frozen trace.
     """
 
 
@@ -50,8 +51,10 @@ class NonFiniteError(RuntimeError):
 
 
 # Every way a solve can fail after x0; ValueError covers evaluations outside a
-# problem's domain (exp overflow). The solvers attach their frozen trace.
+# problem's domain (exp overflow). drive attaches the last x and frozen trace.
 SOLVE_FAILURES = (BreakdownError, DivergenceError, NonFiniteError, NotDescentError, ValueError)
+# A guarded solve gives up once ||f(x)|| exceeds this multiple of ||f(x0)||.
+DIVERGENCE_FACTOR = 1e8
 
 
 def check_finite(v, what="vector"):
@@ -365,3 +368,52 @@ class EvalCounter:
         if not np.isfinite(val):
             raise NonFiniteError("phi(x) is not finite", x=x)
         return val
+
+
+def drive(prob, x0, opts, steps, *args, probe=None, guard=False, start_mode="NL"):
+    """Run one solve: its start, stopping rule, trace and failure state.
+
+    Checks x0, evaluates f(x0) and records it as iteration 0 (in start_mode),
+    returning at once when it is zero. Then pulls iterations from the
+    generator steps(ev, x0, f(x0), target, opts, *args), which yields
+    (x, resnorm, step_size, mode) once per iteration, and records each.
+    Stops at resnorm <= target = opts.tol_rel * ||f(x0)|| or after
+    opts.max_iters iterations, and never resumes the generator after its
+    last record. With guard, a resnorm above DIVERGENCE_FACTOR * ||f(x0)||
+    raises DivergenceError.
+
+    Every SOLVE_FAILURES error raised after x0 is checked leaves with the
+    last yielded x (x0 before the first) and the frozen trace. Returns
+    (x, trace).
+    """
+    x = check_finite(np.asarray(x0, dtype=float), "x0").copy()
+    if x.shape != (prob.dim,):
+        raise ValueError(f"x0 must have length {prob.dim}")
+    ev = EvalCounter(prob, probe)
+    trace = ConvergenceTrace()
+    t0 = time.perf_counter()
+
+    def record(it, resnorm, step, mode):
+        trace.append(TraceRecord(it, ev.count, resnorm, step, mode, time.perf_counter() - t0))
+
+    try:
+        fx = ev.f(x)
+        r0n = float(np.linalg.norm(fx))
+        record(0, r0n, 0.0, start_mode)
+        if r0n == 0.0:
+            return x, trace.freeze()
+        target = opts.tol_rel * r0n
+        iterations = steps(ev, x, fx, target, opts, *args)
+        del fx  # f(x0) lives only as long as the solver's generator keeps it
+        for it, (x, resnorm, step, mode) in enumerate(iterations, 1):
+            record(it, resnorm, step, mode)
+            if resnorm <= target:
+                break
+            if guard and resnorm > DIVERGENCE_FACTOR * r0n:
+                raise DivergenceError(f"residual grew to {resnorm:.3e} from {r0n:.3e}")
+            if it == opts.max_iters:
+                break
+    except SOLVE_FAILURES as err:
+        err.x, err.trace = x, trace.freeze()
+        raise
+    return x, trace.freeze()

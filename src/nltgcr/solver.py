@@ -3,24 +3,11 @@ variants (nonlinear, linearized, adaptive)."""
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    SOLVE_FAILURES,
-    BreakdownError,
-    ConvergenceTrace,
-    EvalCounter,
-    JvProbe,
-    NonFiniteError,
-    NonlinearProblem,
-    SolverOptions,
-    TraceRecord,
-    WindowPair,
-    check_finite,
-)
+from .core import BreakdownError, JvProbe, NonlinearProblem, SolverOptions, WindowPair, drive
 # orthogonalize_pair stays importable here: perfbench/tracing.py wraps it by this name.
 from .linear import add_direction, orthogonalize_pair  # noqa: F401
 from .linesearch import backtrack, backtrack_linearized, update_alpha0
@@ -60,14 +47,14 @@ def adaptive_switch(
 class _Loop:
     """Mutable solve state shared by the step helpers."""
 
-    def __init__(self, x, fx, opts, ev):
+    def __init__(self, x, fx, opts, ev, mode):
         self.opts = opts
         self.ev = ev
         self.x = x
         self.fx = fx
         self.r = -fx
         self.window = WindowPair(opts.window_m)
-        self.mode = "LIN" if opts.variant == "linearized" else "NL"
+        self.mode = mode
         self.anchor_x = x
         self.anchor_f = fx
         self.lin_steps = 0
@@ -93,13 +80,16 @@ class _Loop:
                 resnorm=float(np.linalg.norm(self.r)),
             )
 
-    def restart(self) -> bool:
-        """Clear and reseed the window; False when the retry budget is spent."""
+    def restart(self):
+        """Clear and reseed the window; raises once the retry budget is spent."""
         if self.breakdown_budget <= 0:
-            return False
+            raise BreakdownError(
+                "window restarts exhausted",
+                residual=self.r.copy(),
+                resnorm=float(np.linalg.norm(self.r)),
+            )
         self.breakdown_budget -= 1
         self.seed_window()
-        return True
 
     def build_direction(self) -> bool:
         """Add the pair probed along the current residual; False on collapse."""
@@ -122,7 +112,10 @@ def nltgcr_solve(
     iterate, or the sweep origin for linearized updates).
 
     Returns (x, trace). Stops when ||f(x)|| / ||f(x0)|| <= opts.tol_rel or
-    after max_iters iterations.
+    after max_iters iterations (core.drive). A zero step (||P y|| = 0)
+    restarts the window without using up an iteration, so iterations are
+    numbered as in the trace, for the observer's iter and the restart_every
+    period alike; MAX_BREAKDOWN_RESTARTS bounds such restarts.
 
     `observer`, if given, is called once per iteration after the step and
     before the window takes its new pair, with a dict of live state it must
@@ -134,42 +127,16 @@ def nltgcr_solve(
     the residual identities from it.
     """
     opts = opts or SolverOptions()
-    ev = EvalCounter(prob, probe)
-    t0 = time.perf_counter()
-    trace = ConvergenceTrace()
-
-    x = check_finite(np.asarray(x0, dtype=float), "x0").copy()
-    if x.shape != (prob.dim,):
-        raise ValueError(f"x0 must have length {prob.dim}")
-    try:
-        fx = ev.f(x)
-        st = _Loop(x, fx, opts, ev)
-        r0n = float(np.linalg.norm(st.r))
-        trace.append(TraceRecord(0, ev.count, r0n, 0.0, st.mode, time.perf_counter() - t0))
-        if r0n == 0.0:
-            return st.x, trace.freeze()
-        st.seed_window()
-        return _run(st, opts, ev, trace, opts.tol_rel * r0n, t0, observer)
-    except SOLVE_FAILURES as err:
-        if getattr(err, "trace", None) is None:
-            err.trace = trace.freeze()
-        raise
+    mode = "LIN" if opts.variant == "linearized" else "NL"
+    return drive(prob, x0, opts, _steps, mode, observer, probe=probe, start_mode=mode)
 
 
-def _run(st, opts, ev, trace, target, t0, observer):
-    def fail_breakdown():
-        raise BreakdownError(
-            "window restarts exhausted",
-            residual=st.r.copy(),
-            resnorm=float(np.linalg.norm(st.r)),
-            x=st.x,
-        )
-
+def _steps(ev, x, fx, target, opts, mode, observer):
+    st = _Loop(x, fx, opts, ev, mode)
+    st.seed_window()
     fresh = False  # the window's newest pair extends the previous step
     it = 0
-    while it < opts.max_iters:
-        it += 1
-        x_good = st.x
+    while True:
         V = st.window.v_matrix()
         P = st.window.p_matrix()
         if opts.truncated_update:
@@ -184,77 +151,69 @@ def _run(st, opts, ev, trace, target, t0, observer):
         if float(np.linalg.norm(d)) == 0.0:
             # Degenerate least-squares step with a nonzero residual: treat
             # as an unlucky-breakdown signal and restart the window.
-            if not st.restart():
-                fail_breakdown()
+            st.restart()
             fresh = False
             continue
+        it += 1
         Vy = np.dot(y, V.T)
 
         step = 1.0
         pending_restart = False
-        try:
-            if st.mode == "NL":
-                if st.ls is not None:
-                    res = backtrack(ev.f, st.x, d, st.r, float(y @ y), st.ls)
-                    st.ls = update_alpha0(st.ls, res.steps)
-                    step = res.alpha
-                    st.x = res.x_new
-                    st.fx = res.f_new
-                    st.r = -st.fx
-                    pending_restart = not res.satisfied
-                else:
-                    st.x = st.x + d
-                    st.fx = ev.f(st.x)
-                    st.r = -st.fx
-                r_lin = r_old - step * Vy
+        if st.mode == "NL":
+            if st.ls is not None:
+                res = backtrack(ev.f, st.x, d, st.r, float(y @ y), st.ls)
+                st.ls = update_alpha0(st.ls, res.steps)
+                step = res.alpha
+                st.x = res.x_new
+                st.fx = res.f_new
+                st.r = -st.fx
+                pending_restart = not res.satisfied
             else:
-                if st.ls is not None:
-                    step, ls_steps, _ = backtrack_linearized(st.r, Vy, float(y @ y), st.ls)
-                    st.ls = update_alpha0(st.ls, ls_steps)
-                st.x = st.x + step * d
-                r_lin = r_old - step * Vy
-                st.r = r_lin
-                st.lin_steps += 1
+                st.x = st.x + d
+                st.fx = ev.f(st.x)
+                st.r = -st.fx
+            r_lin = r_old - step * Vy
+        else:
+            if st.ls is not None:
+                step, ls_steps, _ = backtrack_linearized(st.r, Vy, float(y @ y), st.ls)
+                st.ls = update_alpha0(st.ls, ls_steps)
+            st.x = st.x + step * d
+            r_lin = r_old - step * Vy
+            st.r = r_lin
+            st.lin_steps += 1
 
-            switch = STAY
-            resnorm = float(np.linalg.norm(st.r))
-            theta = None
-            if st.mode == "NL":
-                if opts.variant == "adaptive" and resnorm > 0.0:
-                    if float(np.linalg.norm(r_lin)) > 0.0:
-                        theta = angular_distance(st.r, r_lin)
-                        switch = adaptive_switch(st.r, r_lin, opts, mode="NL")
-            else:
-                periodic = (
-                    opts.variant == "adaptive"
-                    and st.lin_steps % opts.adaptive_check_period == 0
-                )
-                if periodic or resnorm <= target:
-                    # One charged evaluation refreshes the true residual; the
-                    # adaptive variant also uses it for the switch decision.
-                    st.fx = ev.f(st.x)
-                    r_true = -st.fx
-                    rtn = float(np.linalg.norm(r_true))
-                    if opts.variant == "adaptive" and rtn > 0.0 and resnorm > 0.0:
-                        theta = angular_distance(r_true, st.r)
-                        switch = adaptive_switch(r_true, st.r, opts, mode="LIN")
-                    st.r = r_true
-                    resnorm = rtn
-        except (NonFiniteError, ValueError) as err:
-            err.x = x_good
-            raise
+        switch = STAY
+        resnorm = float(np.linalg.norm(st.r))
+        theta = None
+        if st.mode == "NL":
+            if opts.variant == "adaptive" and resnorm > 0.0:
+                if float(np.linalg.norm(r_lin)) > 0.0:
+                    theta = angular_distance(st.r, r_lin)
+                    switch = adaptive_switch(st.r, r_lin, opts, mode="NL")
+        else:
+            periodic = (
+                opts.variant == "adaptive"
+                and st.lin_steps % opts.adaptive_check_period == 0
+            )
+            if periodic or resnorm <= target:
+                # One charged evaluation refreshes the true residual; the
+                # adaptive variant also uses it for the switch decision.
+                st.fx = ev.f(st.x)
+                r_true = -st.fx
+                rtn = float(np.linalg.norm(r_true))
+                if opts.variant == "adaptive" and rtn > 0.0 and resnorm > 0.0:
+                    theta = angular_distance(r_true, st.r)
+                    switch = adaptive_switch(r_true, st.r, opts, mode="LIN")
+                st.r = r_true
+                resnorm = rtn
 
-        trace.append(
-            TraceRecord(it, ev.count, resnorm, step, st.mode, time.perf_counter() - t0)
-        )
         if observer is not None:
             r_tilde = r_old - Vy
             z = r_tilde - st.r if st.mode == "NL" else None
             observer(dict(iter=it, mode=st.mode, x=st.x, r=st.r, r_old=r_old, r_tilde=r_tilde,
                           z=z, y=y, window=st.window, step=step, theta=theta,
                           truncated=opts.truncated_update, fresh_pair=fresh))
-        if resnorm <= target:
-            break
+        yield st.x, resnorm, step, st.mode
 
         fresh = False
         periodic_restart = opts.restart_every is not None and it % opts.restart_every == 0
@@ -270,7 +229,5 @@ def _run(st, opts, ev, trace, target, t0, observer):
             st.seed_window()
         else:
             fresh = st.build_direction()
-            if not fresh and not st.restart():
-                fail_breakdown()
-
-    return st.x, trace.freeze()
+            if not fresh:
+                st.restart()

@@ -5,6 +5,7 @@ from nltgcr import (
     AaState,
     BratuProblem,
     LineSearchOptions,
+    NonFiniteError,
     NonlinearProblem,
     SolverOptions,
     aa_multisecant_check,
@@ -16,6 +17,7 @@ from nltgcr import (
     ncg_fr_solve,
     nesterov_solve,
     newton_krylov_solve,
+    nltgcr_solve,
 )
 from oracles import central_diff_gradient
 
@@ -291,50 +293,102 @@ class TestGradientMethods:
         np.testing.assert_allclose(prob.eval_f(z), fd, rtol=1e-6, atol=1e-8)
 
 
+# The seven solvers as runner(prob, x0, opts) -> (x, trace), with small windows.
+RUNNERS = {
+    "aa": lambda p, x0, o: aa_solve(p, x0, m=3, beta=0.4, opts=o),
+    "broyden2": lambda p, x0, o: broyden2_solve(p, x0, opts=o, beta=0.4),
+    "newton-krylov": lambda p, x0, o: newton_krylov_solve(p, x0, inner_m=10, eta0=0.5, opts=o),
+    "nesterov": lambda p, x0, o: nesterov_solve(p, x0, o),
+    "ncg": lambda p, x0, o: ncg_fr_solve(p, x0, o),
+    "lbfgs": lambda p, x0, o: lbfgs_solve(p, x0, m=3, opts=o),
+    "nltgcr": lambda p, x0, o: nltgcr_solve(p, x0, o),
+}
+BASELINES = [name for name in RUNNERS if name != "nltgcr"]
+
+
+def _counted(base):
+    """base with eval_f and eval_phi counting raw oracle calls into calls["n"]."""
+    calls = {"n": 0}
+
+    def counted_f(x):
+        calls["n"] += 1
+        return base.eval_f(x)
+
+    def counted_phi(x):
+        calls["n"] += 1
+        return base.eval_phi(x)
+
+    phi = counted_phi if base.eval_phi is not None else None
+    return NonlinearProblem(dim=base.dim, eval_f=counted_f, eval_phi=phi), calls
+
+
 class TestAccountingContract:
-    @pytest.mark.parametrize(
-        "runner",
-        [
-            lambda p, x0, o: aa_solve(p, x0, m=3, beta=0.4, opts=o),
-            lambda p, x0, o: broyden2_solve(p, x0, opts=o, beta=0.4),
-            lambda p, x0, o: newton_krylov_solve(p, x0, inner_m=10, eta0=0.5, opts=o),
-            lambda p, x0, o: nesterov_solve(p, x0, o),
-            lambda p, x0, o: ncg_fr_solve(p, x0, o),
-            lambda p, x0, o: lbfgs_solve(p, x0, m=3, opts=o),
-        ],
-        ids=["aa", "broyden2", "newton-krylov", "nesterov", "ncg", "lbfgs"],
-    )
-    def test_trace_fevals_equal_raw_oracle_calls(self, runner):
-        calls = {"n": 0}
-        base = _quadratic_bowl(5)
-
-        def counted_f(x):
-            calls["n"] += 1
-            return base.eval_f(x)
-
-        def counted_phi(x):
-            calls["n"] += 1
-            return base.eval_phi(x)
-
-        prob = NonlinearProblem(dim=5, eval_f=counted_f, eval_phi=counted_phi)
+    @pytest.mark.parametrize("name", BASELINES)
+    def test_trace_fevals_equal_raw_oracle_calls(self, name):
+        prob, calls = _counted(_quadratic_bowl(5))
         opts = SolverOptions(tol_rel=1e-8, max_iters=40)
-        _, trace = runner(prob, np.full(5, 0.7), opts)
+        _, trace = RUNNERS[name](prob, np.full(5, 0.7), opts)
         assert trace.final().fevals == calls["n"]
 
     def test_nltgcr_trace_fevals_equal_raw_oracle_calls(self):
-        from nltgcr import nltgcr_solve
-
-        calls = {"n": 0}
         bp = BratuProblem(grid_n=10)
-
-        def counted_f(x):
-            calls["n"] += 1
-            return bp.f(x)
-
-        prob = NonlinearProblem(dim=bp.dim, eval_f=counted_f)
+        prob, calls = _counted(NonlinearProblem(dim=bp.dim, eval_f=bp.f))
         opts = SolverOptions(
             window_m=2, tol_rel=1e-9, max_iters=100, restart_every=None,
             variant="adaptive", linesearch=LineSearchOptions(),
         )
         _, trace = nltgcr_solve(prob, np.zeros(bp.dim), opts)
         assert trace.final().fevals == calls["n"]
+
+    @pytest.mark.parametrize("max_iters", [1, 3])
+    @pytest.mark.parametrize(
+        "name, kw",
+        [(name, {}) for name in RUNNERS]
+        + [
+            ("nltgcr", dict(window_m=2, restart_every=None, variant="adaptive",
+                            linesearch=LineSearchOptions())),
+            # Every iteration, the last included, is a LIN-mode restart
+            # boundary, where a refresh and a reseed would follow the step.
+            ("nltgcr", dict(window_m=2, restart_every=1, variant="linearized")),
+        ],
+        ids=list(RUNNERS) + ["nltgcr-adaptive", "nltgcr-lin-restart"],
+    )
+    def test_max_iters_exit_charges_every_oracle_call(self, name, kw, max_iters):
+        # No solver may spend an evaluation after the record that ends it.
+        bp = BratuProblem(grid_n=10)
+        prob, calls = _counted(bp.minimization_problem())
+        opts = SolverOptions(tol_rel=1e-8, max_iters=max_iters, **kw)
+        _, trace = RUNNERS[name](prob, np.zeros(bp.dim), opts)
+        assert trace.final().iter == max_iters and trace.frozen
+        assert trace.final().fevals == calls["n"]
+
+
+class TestSetupFailures:
+    """A failure before the first iteration carries x0 and the x0 record."""
+
+    @staticmethod
+    def _check(info, x0):
+        trace = info.value.trace
+        assert trace.frozen and len(trace) == 1 and trace.final().iter == 0
+        np.testing.assert_array_equal(info.value.x, x0)
+
+    @pytest.mark.parametrize("name", ["ncg", "lbfgs"])
+    def test_objective_out_of_domain_at_x0(self, name):
+        def phi(x):
+            raise ValueError("objective out of domain")
+
+        prob = NonlinearProblem(dim=3, eval_f=lambda x: x - 1.0, eval_phi=phi)
+        x0 = np.array([0.5, -0.5, 2.0])
+        with pytest.raises(ValueError, match="objective out of domain") as info:
+            RUNNERS[name](prob, x0, SolverOptions())
+        self._check(info, x0)
+
+    def test_nesterov_non_finite_lipschitz_probe(self):
+        x0 = np.array([0.5, -0.5, 2.0])
+        # Finite at x0 only: the first power-iteration probe sees NaN.
+        prob = NonlinearProblem(
+            dim=3, eval_f=lambda x: x - 1.0 if np.array_equal(x, x0) else np.full(3, np.nan)
+        )
+        with pytest.raises(NonFiniteError) as info:
+            nesterov_solve(prob, x0)
+        self._check(info, x0)
