@@ -40,38 +40,54 @@ def bratu_jv(u: np.ndarray, p: np.ndarray, lam: float, h: float) -> np.ndarray:
 # pos is (n_atoms, 3); the gradient is dE/dpos.
 # ---------------------------------------------------------------------------
 
-def _pairs(pos: np.ndarray, guard: bool = True):
-    """One pass over all pairs: diff[i, j] = pos[i] - pos[j] and r2 = |diff|^2.
+def _pair_r2(pos: np.ndarray, guard: bool = True) -> np.ndarray:
+    """r2[i, j] = |pos[i] - pos[j]|^2, summed over three per-axis difference
+    planes in two (n, n) buffers. Not expanded as |x|^2 + |y|^2 - 2 x.y:
+    that cancels, and its rounding would swamp the guard's r2 of 1e-16.
 
-    The diagonal of r2 is +inf, so self-pairs have zero force and never set
-    the minimum. With `guard`, a pair closer than MIN_PAIR_DISTANCE raises.
+    The diagonal is +inf, so self-pairs have zero force and never set the
+    minimum. With `guard`, a pair closer than MIN_PAIR_DISTANCE raises.
     """
-    diff = pos[:, None, :] - pos[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
+    r2 = np.subtract.outer(pos[:, 0], pos[:, 0])
+    r2 *= r2
+    plane = np.empty_like(r2)
+    for k in (1, 2):
+        np.subtract.outer(pos[:, k], pos[:, k], out=plane)
+        plane *= plane
+        r2 += plane
     np.fill_diagonal(r2, np.inf)
     if guard and r2.min() < MIN_PAIR_DISTANCE**2:
         raise ValueError("coincident atoms: pair distance below 1e-8")
-    return diff, r2
+    return r2
 
 
 def lj_energy(pos: np.ndarray) -> float:
-    _, r2 = _pairs(pos)
-    iu = np.triu_indices(pos.shape[0], 1)
-    inv6 = 1.0 / r2[iu] ** 3
-    return float(np.sum(4.0 * (inv6 * inv6 - inv6)))
+    inv2 = _pair_r2(pos)
+    np.reciprocal(inv2, out=inv2)
+    inv6 = inv2 * inv2
+    inv6 *= inv2
+    pair = inv6 - 1.0
+    pair *= inv6
+    # Each pair appears twice in the symmetric matrix: 4 / 2 per entry.
+    return 2.0 * float(pair.sum())
 
 
 def lj_gradient(pos: np.ndarray) -> np.ndarray:
-    diff, r2 = _pairs(pos)
-    inv2 = 1.0 / r2
-    inv6 = inv2 * inv2 * inv2
-    coef = (24.0 * inv6 - 48.0 * inv6 * inv6) * inv2
-    return np.einsum("ij,ijk->ik", coef, diff)
+    """sum_j c_ij (x_i - x_j) = x_i sum_j c_ij - (C x)_i, one matrix product,
+    with c_ij = 24 r^-8 - 48 r^-14 (zero on the diagonal, where r2 is inf)."""
+    c = _pair_r2(pos)
+    np.reciprocal(c, out=c)
+    inv6 = c * c
+    inv6 *= c
+    c *= inv6
+    inv6 *= -48.0
+    inv6 += 24.0
+    c *= inv6
+    return c.sum(1)[:, None] * pos - c @ pos
 
 
 def lj_min_pair_distance(pos: np.ndarray) -> float:
-    _, r2 = _pairs(pos, guard=False)
-    return float(np.sqrt(r2.min()))
+    return float(np.sqrt(_pair_r2(pos, guard=False).min()))
 
 
 def active_backend() -> str:

@@ -1,10 +1,11 @@
 """Independent oracles used to freeze expected values in the tests.
 
 Everything here is deliberately implemented from scratch (dense algebra,
-Arnoldi bases, finite differences, bisection) so it shares no code path
-with the solvers it checks.
+Arnoldi bases, finite differences, bisection, loops over atom pairs) so
+it shares no code path with the solvers and kernels it checks.
 """
 
+import math
 from typing import List, NamedTuple
 
 import numpy as np
@@ -164,3 +165,42 @@ def frobenius_gap(window, seed=0, n_samples=10):
         Gp = G + Z - (Z @ V) @ V.T
         gap = min(gap, float(np.linalg.norm(Gp)) - base)
     return gap
+
+
+def _pair_diff(pos, i, j):
+    """pos[i] - pos[j] as three floats, and its squared length."""
+    d = [float(pos[i][k]) - float(pos[j][k]) for k in range(3)]
+    return d, d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+
+
+def lj_energy_pairs(pos):
+    """Lennard-Jones energy sum_{i<j} 4 (r^-12 - r^-6) by a double loop over
+    the pairs i < j of the (n, 3) positions."""
+    energy = 0.0
+    for i in range(len(pos)):
+        for j in range(i + 1, len(pos)):
+            inv6 = 1.0 / _pair_diff(pos, i, j)[1] ** 3
+            energy += 4.0 * (inv6 * inv6 - inv6)
+    return energy
+
+
+def lj_gradient_pairs(pos):
+    """dE/dpos of lj_energy_pairs, pair by pair: the pair's force along
+    pos[i] - pos[j] is added to atom i and subtracted from atom j."""
+    grad = np.zeros((len(pos), 3))
+    for i in range(len(pos)):
+        for j in range(i + 1, len(pos)):
+            d, r2 = _pair_diff(pos, i, j)
+            inv2 = 1.0 / r2
+            inv6 = inv2 * inv2 * inv2
+            coef = (24.0 * inv6 - 48.0 * inv6 * inv6) * inv2
+            for k in range(3):
+                grad[i, k] += coef * d[k]
+                grad[j, k] -= coef * d[k]
+    return grad
+
+
+def min_pair_distance_pairs(pos):
+    """Smallest |pos[i] - pos[j]| over the pairs i < j, by a double loop."""
+    n = len(pos)
+    return math.sqrt(min(_pair_diff(pos, i, j)[1] for i in range(n) for j in range(i + 1, n)))

@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nltgcr import kernels
+from nltgcr.problems import LennardJonesProblem
+from oracles import lj_energy_pairs, lj_gradient_pairs, min_pair_distance_pairs
 
 
 @pytest.fixture
@@ -9,7 +15,7 @@ def rng():
     return np.random.default_rng(0)
 
 
-class TestBackendAgreement:
+class TestMinPairDistanceReference:
     def test_min_pair_distance_paths_agree(self, rng):
         pos = rng.standard_normal((20, 3))
         diffs = pos[:, None, :] - pos[None, :, :]
@@ -18,6 +24,89 @@ class TestBackendAgreement:
         assert kernels.lj_min_pair_distance(pos) == pytest.approx(float(d.min()), rel=1e-14)
 
 
-class TestEnvFlag:
+class TestActiveBackend:
     def test_default_backend_reported(self):
         assert kernels.active_backend() == "numpy"
+
+
+@st.composite
+def clusters(draw):
+    """2 to 40 atoms on distinct sites of a 4x4x4 cubic lattice with spacing
+    at least 1.2, each moved by under 0.19 per axis, so every pair distance
+    is above 0.8; the whole cluster is shifted by up to 1e3 per axis."""
+    n = draw(st.integers(2, 40))
+    sites = np.array(draw(st.permutations(range(64)))[:n])
+    spacing = draw(st.floats(1.2, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = np.array(draw(st.tuples(*[st.floats(-1e3, 1e3)] * 3)))
+    lattice = np.stack([sites // 16, sites // 4 % 4, sites % 4], axis=1) * spacing
+    return lattice + rng.uniform(-0.19, 0.19, (n, 3)) + offset
+
+
+def _pair_magnitudes(pos):
+    """Sum over pairs of |pair energy|, and the largest per-atom sum of
+    |pair force|: the sizes that any summation order's rounding scales with."""
+    d = pos[:, None, :] - pos[None, :, :]
+    r2 = (d * d).sum(-1)
+    np.fill_diagonal(r2, np.inf)
+    inv6 = 1.0 / r2**3
+    energy = 0.5 * np.abs(4.0 * (inv6 * inv6 - inv6)).sum()
+    force = np.abs(24.0 * inv6 - 48.0 * inv6 * inv6) / np.sqrt(r2)
+    return energy, force.sum(1).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(pos=clusters())
+def test_lj_kernels_match_the_pair_loop_oracle(pos):
+    energy_scale, force_scale = _pair_magnitudes(pos)
+    assert abs(kernels.lj_energy(pos) - lj_energy_pairs(pos)) <= 1e-12 * energy_scale
+    g = kernels.lj_gradient(pos)
+    assert np.abs(g - lj_gradient_pairs(pos)).max() <= 1e-12 * force_scale
+    assert np.abs(g.sum(axis=0)).max() <= 1e-12 * force_scale
+    d_min = min_pair_distance_pairs(pos)
+    assert kernels.lj_min_pair_distance(pos) == pytest.approx(d_min, rel=1e-15)
+
+
+class TestGuardAtLargeCoordinates:
+    """The pair distances come from coordinate differences, so the 1e-8
+    guard keeps its meaning 1e3 from the origin. There the expansion
+    |x|^2 + |y|^2 - 2 x.y is off in r2 by up to about 1e-9, far above the
+    guard's r2 of 1e-16."""
+
+    @staticmethod
+    def _cluster(gap):
+        pos = LennardJonesProblem(cells_per_side=1).initial_positions().reshape(-1, 3) + 1e3
+        pos[1] = pos[0]
+        pos[1, 0] += gap
+        return pos
+
+    @pytest.mark.parametrize("kernel", ["lj_energy", "lj_gradient"])
+    @pytest.mark.parametrize("gap", [0.0, 0.5e-8])
+    def test_coincident_atoms_rejected(self, kernel, gap):
+        with pytest.raises(ValueError, match="^coincident "):
+            getattr(kernels, kernel)(self._cluster(gap))
+
+    @pytest.mark.parametrize("kernel", ["lj_energy", "lj_gradient"])
+    def test_gap_above_limit_accepted(self, kernel):
+        assert np.all(np.isfinite(getattr(kernels, kernel)(self._cluster(2e-8))))
+
+    def test_min_pair_distance_of_coincident_atoms_is_zero(self):
+        assert kernels.lj_min_pair_distance(self._cluster(0.0)) == 0.0
+
+
+def test_gradient_peak_memory_below_five_pair_matrices():
+    # One (n, n, 3) difference tensor alone is 3 n^2 doubles. The pair pass
+    # peaks at two n x n buffers plus numpy's 128 KiB of ufunc buffers,
+    # 3.4 n^2 at n = 108.
+    pos = LennardJonesProblem(
+        cells_per_side=3, perturbation_scale=0.05, rng_seed=7
+    ).initial_positions().reshape(-1, 3)
+    n = pos.shape[0]
+    kernels.lj_gradient(pos)
+    tracemalloc.start()
+    try:
+        kernels.lj_gradient(pos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n * n * 8
