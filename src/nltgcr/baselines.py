@@ -16,6 +16,7 @@ from .core import (
     NonlinearProblem,
     NotDescentError,
     SolverOptions,
+    WindowPair,
     drive,
 )
 from .linear import LinearOperator, LinearOptions, tgcr_solve
@@ -188,12 +189,15 @@ def newton_krylov_solve(
 
     With adapt_eta, eta follows the quadratic Eisenstat-Walker choice
     eta_j = 0.9 (||f_j|| / ||f_{j-1}||)^2 with the usual safeguard and a
-    0.9 cap; otherwise it stays fixed at eta0 (eta0 ~ 0 forces full-depth
-    inner solves). Inner matrix-vector products are Frechet probes charged
-    one feval each.
+    0.9 cap; otherwise it stays fixed at eta0, which must lie in (0, 1)
+    (eta0 ~ 0 forces full-depth inner solves). Inner matrix-vector products
+    are Frechet probes charged one feval each. Every inner solve runs in one
+    window allocated per call and keeps only scalars in its history.
     """
     if inner_m < 1:
         raise ValueError("inner_m must be >= 1")
+    if not 0.0 < eta0 < 1.0:
+        raise ValueError("eta0 must be in (0, 1)")
     return drive(prob, x0, opts or SolverOptions(), _newton_krylov_steps, inner_m, eta0,
                  observer, adapt_eta)
 
@@ -201,6 +205,9 @@ def newton_krylov_solve(
 def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer, adapt_eta):
     ls = opts.linesearch or LineSearchOptions()
     fnorm_prev = float(np.linalg.norm(fx))
+    # One window for every inner solve: a fresh one per outer step would be
+    # freed and faulted back in each time.
+    window = WindowPair(inner_m)
     for it in count(1):
         x_frozen = x
         f_frozen = fx
@@ -211,7 +218,8 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer, adapt_
         )
         inner_opts = LinearOptions(tol_rel=eta, max_iters=inner_m)
         try:
-            delta, ihist = tgcr_solve(op, -fx, np.zeros_like(x), m=inner_m, opts=inner_opts)
+            delta, ihist = tgcr_solve(op, -fx, np.zeros_like(x), m=inner_m, opts=inner_opts,
+                                      workspace=window)
         except BreakdownError as err:
             delta = err.x
             ihist = err.history

@@ -55,6 +55,12 @@ class LinearOptions:
     tol_rel: float = 1e-10
     max_iters: int = 500
 
+    def __post_init__(self):
+        if self.tol_rel <= 0.0:
+            raise ValueError("tol_rel must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+
 
 # A new direction collapses when its orthogonalized ||v|| is at most
 # BREAKDOWN_TOL * max(1, ||p||) for the raw p; Gram-Schmidt takes a second
@@ -66,6 +72,15 @@ REORTH_REL = 1e-8
 class KrylovHistory:
     """Everything the solvers record, kept in the normalized basis.
 
+    Every history keeps the residual norm of each iterate (`norms`, the
+    values the convergence test computed), the step lengths, the scales,
+    the orthogonalization coefficients and the converged/truncated flags.
+    A full history also keeps every residual and iterate (R, xs) and, for
+    GCR and TGCR, the solve's window. tgcr_solve with a workspace returns
+    one that keeps neither (keep_vectors=False, no window). R_matrix needs
+    the vectors, and P_matrix, V_matrix and the *_unnormalized matrices
+    need the window; each raises ValueError on a history without them.
+
     The algorithms store p_i and v_i = A p_i scaled so that the v columns
     are unit vectors; `scales[i]` is the norm removed at step i. The
     directions are read from the solve's window, so a truncated history
@@ -75,9 +90,12 @@ class KrylovHistory:
     p_i, alpha_un = alpha / scales[j], beta_un(i, j) = beta(i, j) / scales[i].
     """
 
-    def __init__(self, kind: str = "gcr", window: Optional[WindowPair] = None):
+    def __init__(self, kind: str = "gcr", window: Optional[WindowPair] = None,
+                 keep_vectors: bool = True):
         self.kind = kind
         self.window = window
+        self.keep_vectors = keep_vectors
+        self.norms: List[float] = []
         self.R: List[np.ndarray] = []
         self.xs: List[np.ndarray] = []
         self.scales: List[float] = []
@@ -86,26 +104,40 @@ class KrylovHistory:
         self.truncated = False
         self.converged = False
 
+    def record(self, r: np.ndarray, x: np.ndarray, resnorm: float) -> None:
+        """Append iterate k: its residual norm, and r and x if kept."""
+        self.norms.append(resnorm)
+        if self.keep_vectors:
+            self.R.append(r)
+            self.xs.append(x)
+
     @property
     def iterations(self) -> int:
-        return len(self.R) - 1
+        return len(self.norms) - 1
 
     def resnorms(self) -> np.ndarray:
-        return np.array([float(np.linalg.norm(r)) for r in self.R])
+        return np.array(self.norms)
 
     @property
     def complete_beta_table(self) -> bool:
         return self.kind == "gcr" and not self.truncated
 
     def R_matrix(self, k: Optional[int] = None) -> np.ndarray:
+        if not self.keep_vectors:
+            raise ValueError("this history keeps no residual vectors")
         cols = self.R if k is None else self.R[: k + 1]
         return np.stack(cols, axis=1)
 
+    def _window(self) -> WindowPair:
+        if self.window is None:
+            raise ValueError(f"this {self.kind} history keeps no direction window")
+        return self.window
+
     def P_matrix(self, k: Optional[int] = None) -> np.ndarray:
-        return self.window.p_matrix()[:, : None if k is None else k + 1]
+        return self._window().p_matrix()[:, : None if k is None else k + 1]
 
     def V_matrix(self, k: Optional[int] = None) -> np.ndarray:
-        return self.window.v_matrix()[:, : None if k is None else k + 1]
+        return self._window().v_matrix()[:, : None if k is None else k + 1]
 
     def _unnormalized(self, M: np.ndarray) -> np.ndarray:
         lo = self.window.oldest_index
@@ -126,8 +158,8 @@ class KrylovHistory:
     def to_csv(self, path=None) -> str:
         buf = io.StringIO()
         buf.write("iter,resnorm\n")
-        for k, r in enumerate(self.R):
-            buf.write(f"{k},{float(np.linalg.norm(r)):.16e}\n")
+        for k, resnorm in enumerate(self.norms):
+            buf.write(f"{k},{resnorm:.16e}\n")
         text = buf.getvalue()
         if path is not None:
             with open(path, "w") as fh:
@@ -178,40 +210,50 @@ def add_direction(window: WindowPair, p, v):
     return s, betas
 
 
-def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions, kind: str):
+def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions, kind: str,
+                 workspace: Optional[WindowPair] = None):
     b = check_finite(np.asarray(b, dtype=float), "b")
     x = check_finite(np.asarray(x0, dtype=float), "x0").copy()
     if b.shape[0] != A.dim or x.shape[0] != A.dim:
         raise ValueError("dimension mismatch between operator, b, and x0")
     # At most max_iters directions are built; gcr_solve explains the dim bound.
-    window = WindowPair(min(m or A.dim, max(opts.max_iters, 1)))
-    hist = KrylovHistory(kind=kind, window=window)
+    capacity = min(m or A.dim, opts.max_iters)
+    if workspace is None:
+        window = WindowPair(capacity)
+        hist = KrylovHistory(kind=kind, window=window)
+    else:
+        if workspace.capacity != capacity:
+            raise ValueError(
+                f"workspace capacity {workspace.capacity} != min(m, max_iters) = {capacity}"
+            )
+        window = workspace
+        window.clear()
+        hist = KrylovHistory(kind=kind, keep_vectors=False)
+    # Directions are numbered from this solve's first one.
+    base = window.oldest_index
     # A @ 0 = 0 by linearity; skipping the apply also spares matrix-free
     # operators a probe along the zero vector.
     r = b.copy() if not np.any(x) else b - A.apply(x)
-    hist.R.append(r)
-    hist.xs.append(x)
     ref = float(np.linalg.norm(b))
+    rnorm = float(np.linalg.norm(r))
+    hist.record(r, x, rnorm)
     if ref == 0.0:
-        ref = max(float(np.linalg.norm(r)), 1.0)
+        ref = max(rnorm, 1.0)
 
-    def _converged(res):
-        return float(np.linalg.norm(res)) <= opts.tol_rel * ref
-
-    if _converged(r):
+    if rnorm <= opts.tol_rel * ref:
         hist.converged = True
         return x, hist
 
     def _new_direction(t: int):
         """Build direction t from the current residual; raises on breakdown."""
-        first = window.oldest_index
+        first = window.oldest_index - base
         hist.truncated |= first > 0
         built = add_direction(window, r, A.apply(r))
         if built is None:
             raise BreakdownError(
                 f"direction collapsed at step {t}",
                 residual=r.copy(),
-                resnorm=float(np.linalg.norm(r)),
+                resnorm=rnorm,
                 x=x.copy(),
                 history=hist,
             )
@@ -225,10 +267,10 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
         alpha = float(r @ v_j)
         x = x + alpha * p_j
         r = r - alpha * v_j
+        rnorm = float(np.linalg.norm(r))
         hist.alphas.append(alpha)
-        hist.R.append(r)
-        hist.xs.append(x)
-        if _converged(r):
+        hist.record(r, x, rnorm)
+        if rnorm <= opts.tol_rel * ref:
             hist.converged = True
             break
         if j + 1 >= opts.max_iters:
@@ -250,14 +292,22 @@ def gcr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
     return _tgcr_engine(A, b, x0, None, opts or LinearOptions(), kind="gcr")
 
 
-def tgcr_solve(A: LinearOperator, b, x0, m: int, opts: Optional[LinearOptions] = None):
+def tgcr_solve(A: LinearOperator, b, x0, m: int, opts: Optional[LinearOptions] = None,
+               workspace: Optional[WindowPair] = None):
     """Truncated GCR: orthogonalizes only against the last m directions.
 
-    The window is allocated up front for min(m, max_iters) directions.
+    The window is allocated up front for min(m, max_iters) directions, and
+    the history keeps every residual, iterate and direction. A caller that
+    solves many systems of one size can pass a WindowPair of exactly that
+    capacity as `workspace` (any other capacity raises ValueError): the
+    solve clears it and runs in it, numbering its directions from 0, and
+    returns a history of scalars only, the residual norms, alphas, scales,
+    betas and flags, with no vectors and no reference to the workspace.
+    The iterates are the same floats either way.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _tgcr_engine(A, b, x0, m, opts or LinearOptions(), kind="tgcr")
+    return _tgcr_engine(A, b, x0, m, opts or LinearOptions(), kind="tgcr", workspace=workspace)
 
 
 def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
@@ -274,12 +324,12 @@ def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
     x = check_finite(np.asarray(x0, dtype=float), "x0").copy()
     hist = KrylovHistory(kind="cr")
     r = b - A.apply(x)
-    hist.R.append(r)
-    hist.xs.append(x)
+    rnorm = float(np.linalg.norm(r))
+    hist.record(r, x, rnorm)
     ref = float(np.linalg.norm(b))
     if ref == 0.0:
-        ref = max(float(np.linalg.norm(r)), 1.0)
-    if float(np.linalg.norm(r)) <= opts.tol_rel * ref:
+        ref = max(rnorm, 1.0)
+    if rnorm <= opts.tol_rel * ref:
         hist.converged = True
         return x, hist
     p = r.copy()
@@ -292,15 +342,15 @@ def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
             raise BreakdownError(
                 f"CR direction collapsed at step {j}",
                 residual=r.copy(),
-                resnorm=float(np.linalg.norm(r)),
+                resnorm=rnorm,
             )
         alpha = rAr / denom
         x = x + alpha * p
         r = r - alpha * Ap
+        rnorm = float(np.linalg.norm(r))
         hist.alphas.append(alpha)
-        hist.R.append(r)
-        hist.xs.append(x)
-        if float(np.linalg.norm(r)) <= opts.tol_rel * ref:
+        hist.record(r, x, rnorm)
+        if rnorm <= opts.tol_rel * ref:
             hist.converged = True
             break
         Ar = A.apply(r)

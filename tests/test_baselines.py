@@ -248,6 +248,33 @@ class TestNewtonKrylov:
         print(f"newton-krylov on cluster: forcing {fe_forcing} fevals "
               f"vs fixed-eta {fe_fixed}")
 
+    @pytest.mark.parametrize("eta0", [0.0, -0.5, 1.0, 1.5])
+    def test_eta0_outside_unit_interval_rejected(self, eta0):
+        prob, _, _ = _affine(n=4, seed=0)
+        with pytest.raises(ValueError, match="eta0"):
+            newton_krylov_solve(prob, np.zeros(4), eta0=eta0)
+
+    def test_peak_memory_is_about_one_inner_window(self):
+        # Every inner solve runs in one window of 2 * inner_m * n doubles and
+        # keeps no residuals or iterates, so no outer step holds a second one.
+        # The rest of the peak is a few vectors and the inner betas dict
+        # (up to inner_m^2 / 2 entries), about a third of a window here.
+        import tracemalloc
+
+        bp = BratuProblem(grid_n=40, lam=0.5, scaled=True)
+        prob = bp.minimization_problem()
+        x0 = np.zeros(bp.dim)
+        opts = SolverOptions(tol_rel=1e-8, max_iters=40)
+        tracemalloc.start()
+        try:
+            _, trace = newton_krylov_solve(prob, x0, inner_m=50, eta0=0.9, opts=opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.final().resnorm <= 1e-8 * trace.records[0].resnorm
+        window_bytes = 2 * 50 * bp.dim * 8
+        assert peak < 1.5 * window_bytes
+
     def test_eta_floor_keeps_inner_solves_shallow_early(self):
         bp = BratuProblem(grid_n=20)
         prob = bp.problem()

@@ -366,3 +366,111 @@ class TestAddDirection:
         # The failure carries the last iterate: the first step's (1, 0).
         assert len(xs) == 1 and info.value.x is xs[-1]
         np.testing.assert_allclose(info.value.x, [1.0, 0.0], atol=1e-15)
+
+
+class TestLinearOptions:
+    @pytest.mark.parametrize(
+        "kw", [dict(max_iters=0), dict(max_iters=-1), dict(tol_rel=0.0), dict(tol_rel=-1.0)]
+    )
+    def test_rejects_out_of_range(self, kw):
+        # max_iters=0 would spend an operator apply on a direction nobody
+        # uses; tol_rel=-1 can never be met and runs into breakdown.
+        with pytest.raises(ValueError):
+            LinearOptions(**kw)
+
+
+def _scalars(x, h):
+    return (x.tobytes(), h.resnorms().tobytes(), h.iterations, h.alphas, h.scales, h.betas,
+            h.converged, h.truncated)
+
+
+def _run(op, b, m, opts, workspace=None):
+    """(x, history) of a tgcr solve, or of its BreakdownError."""
+    try:
+        return tgcr_solve(op, b, np.zeros(op.dim), m=m, opts=opts, workspace=workspace)
+    except BreakdownError as err:
+        return err.x, err.history
+
+
+class TestWorkspace:
+    """tgcr_solve in a caller's window gives today's iterates and scalars."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["nonsymmetric", "spd", "few-eigenvalues"]),
+        n=st.integers(3, 30),
+        m=st.integers(1, 8),
+        max_iters=st.integers(1, 40),
+        tol=st.sampled_from([1e-4, 1e-10, 1e-30]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_floats_as_full_history(self, kind, n, m, max_iters, tol, seed):
+        # "few-eigenvalues" with tol 1e-30 collapses a direction, so the
+        # comparison covers BreakdownError histories too.
+        if kind == "few-eigenvalues":
+            rng = np.random.default_rng(seed)
+            op = LinearOperator.from_matrix(np.diag(rng.choice([1.0, 2.0, 3.0], n)))
+            b = rng.standard_normal(n)
+        else:
+            op, b = make_linear_problem(kind, n, seed=seed)
+        opts = LinearOptions(tol_rel=tol, max_iters=max_iters)
+        w = WindowPair(min(m, max_iters))
+        # Two consecutive solves in one window: the second starts from a
+        # window that has numbered directions already.
+        for rhs in (b, b[::-1].copy()):
+            x_full, h_full = _run(op, rhs, m, opts)
+            x_ws, h_ws = _run(op, rhs, m, opts, workspace=w)
+            assert _scalars(x_ws, h_ws) == _scalars(x_full, h_full)
+            assert h_ws.window is None and h_ws.R == [] and h_ws.xs == []
+            assert h_ws.to_csv() == h_full.to_csv()
+
+    def test_evicting_solve_matches(self):
+        op, b = make_linear_problem("nonsymmetric", 40, seed=3)
+        opts = LinearOptions(tol_rel=1e-12, max_iters=60)
+        x_full, h_full = tgcr_solve(op, b, np.zeros(40), m=3, opts=opts)
+        x_ws, h_ws = tgcr_solve(op, b, np.zeros(40), m=3, opts=opts, workspace=WindowPair(3))
+        assert h_full.truncated and h_full.iterations > 3
+        assert _scalars(x_ws, h_ws) == _scalars(x_full, h_full)
+
+    def test_breakdown_history_from_workspace(self):
+        op = LinearOperator.from_matrix(np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]))
+        b = np.random.default_rng(0).standard_normal(6)
+        opts = LinearOptions(tol_rel=1e-30, max_iters=20)
+        errs = []
+        for workspace in (None, WindowPair(2)):
+            with pytest.raises(BreakdownError) as info:
+                tgcr_solve(op, b, np.zeros(6), m=2, opts=opts, workspace=workspace)
+            errs.append(info.value)
+        full, ws = errs
+        assert ws.history.window is None and not ws.history.keep_vectors
+        assert _scalars(ws.x, ws.history) == _scalars(full.x, full.history)
+        assert ws.resnorm == full.resnorm
+        np.testing.assert_array_equal(ws.residual, full.residual)
+
+    @pytest.mark.parametrize("capacity", [1, 4, 6])
+    def test_wrong_capacity_rejected(self, capacity):
+        op, b = make_linear_problem("spd", 10, seed=0)
+        # min(m, max_iters) = 5.
+        with pytest.raises(ValueError, match="capacity"):
+            tgcr_solve(op, b, np.zeros(10), m=8, opts=LinearOptions(max_iters=5),
+                       workspace=WindowPair(capacity))
+
+
+class TestHistoryWithoutVectors:
+    ACCESSORS = ["R_matrix", "P_matrix", "V_matrix", "P_unnormalized", "AP_unnormalized"]
+
+    @pytest.mark.parametrize("accessor", ACCESSORS[1:])
+    def test_cr_history_has_no_window(self, accessor):
+        op, b = make_linear_problem("spd", 10, seed=0)
+        _, h = cr_solve(op, b, np.zeros(10))
+        with pytest.raises(ValueError, match="no direction window"):
+            getattr(h, accessor)()
+
+    @pytest.mark.parametrize("accessor", ACCESSORS)
+    def test_workspace_history_has_no_vectors(self, accessor):
+        op, b = make_linear_problem("spd", 10, seed=0)
+        _, h = tgcr_solve(op, b, np.zeros(10), m=2, opts=LinearOptions(max_iters=30),
+                          workspace=WindowPair(2))
+        assert h.iterations > 2
+        with pytest.raises(ValueError, match="keeps no"):
+            getattr(h, accessor)()
