@@ -1,4 +1,5 @@
-"""Time each numpy kernel and the window Gram-Schmidt step on the benchmark sizes.
+"""Time each numpy kernel, the window Gram-Schmidt step and a window push
+at capacity on the benchmark sizes.
 
 Run:  PYTHONPATH=src python benchmarks/kernel_bench.py
 Prints the median per-call time over 15 repeats of 20 calls, with the
@@ -52,6 +53,17 @@ def _window_args(k, n, rng):
     return rng.standard_normal(n), rng.standard_normal(n), w.p_matrix(), w.v_matrix(), 0, k
 
 
+def _full_window(k, n, rng):
+    """WindowPair.push's arguments against a full k-pair window: every timed
+    push evicts the oldest pair."""
+    w = WindowPair(k)
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    for _ in range(k):
+        w.push(rng.standard_normal(n), v)
+    return w, rng.standard_normal(n), v
+
+
 def main():
     rng = np.random.default_rng(0)
     u = rng.standard_normal((100, 100))
@@ -71,6 +83,10 @@ def main():
     # The window shapes of bratu-m1, bratu-m10 and newton-krylov.
     for k in (1, 10, 50):
         cases.append((f"orthogonalize_pair k={k}", orthogonalize_pair, _window_args(k, 10**4, rng)))
+    # The eviction cost of bratu-m10 / lj-cluster (m = 10) and newton-krylov (m = 50).
+    for k in (10, 50):
+        w, p_new, v_new = _full_window(k, 10**4, rng)
+        cases.append((f"WindowPair.push full m={k}", w.push, (p_new, v_new)))
     header = f"{'kernel':<28}{'median (us)':>12}{'IQR (us)':>10}{'adjusted (us)':>15}"
     print("Informational, not gated.")
     print(header)

@@ -95,6 +95,8 @@ class LineSearchOptions:
             raise ValueError("tau must be in (0, 1)")
         if not 0.0 < self.alpha0 <= 1.0:
             raise ValueError("alpha0 must be in (0, 1]")
+        if self.max_backtracks < 1:
+            raise ValueError("max_backtracks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -141,12 +143,17 @@ class SolverOptions:
 class WindowPair:
     """Sliding window of paired directions (p_i, v_i), v_i = J(x_i) p_i.
 
-    The pairs are rows of two preallocated (capacity, n) buffers, oldest to
-    newest; pushing at capacity evicts the oldest pair by moving the others
-    up one row. p_matrix() and v_matrix() return the window as n x k views
-    with one column per pair. The views alias the buffers, so no caller may
-    hold P or V across a push. The v columns are expected orthonormal (the
-    caller orthogonalizes; push divides by the scale it is given).
+    The pairs are rows of two preallocated (capacity, n) buffers used as a
+    ring: at capacity, push overwrites the oldest pair's rows in place and
+    advances `head`, the storage row of the oldest pair, so eviction moves
+    no rows. p_matrix() and v_matrix() return the window oldest to newest as
+    n x k matrices with one column per pair: views of the buffers until the
+    ring wraps, copies after. rows() hands the hot path the (k, n) row
+    blocks in storage order, where sums over the window (V^T r, P y,
+    Gram-Schmidt) need no reordering; logical() puts a per-pair array back
+    in window order. No caller may hold a view across a push. The v rows
+    are expected orthonormal (the caller orthogonalizes; push divides by
+    the scale it is given).
     """
 
     NORMALIZATION_TOL = 1e-10
@@ -159,6 +166,7 @@ class WindowPair:
         self._p = np.empty((capacity, 0))
         self._v = np.empty((capacity, 0))
         self._len = 0
+        self.head = 0
         self.oldest_index = 0
 
     def __len__(self):
@@ -175,35 +183,49 @@ class WindowPair:
             self._p = np.empty((self.capacity, n))
             self._v = np.empty((self.capacity, n))
         nv = float(np.linalg.norm(v)) / scale
-        if abs(nv - 1.0) > self.NORMALIZATION_TOL:
+        # Written so that a NaN norm fails too.
+        if not abs(nv - 1.0) <= self.NORMALIZATION_TOL:
             raise ValueError(f"v is not normalized: ||v|| = {nv!r}")
         if self._len == self.capacity:
-            # Flat 1-D views let numpy move the overlapping rows in place.
-            for buf in (self._p, self._v):
-                flat = buf.reshape(-1)
-                flat[:-n] = flat[n:]
+            row = self.head
+            self.head = (row + 1) % self.capacity
             self.oldest_index += 1
         else:
+            row = self._len
             self._len += 1
-        np.divide(p, scale, out=self._p[self._len - 1])
-        np.divide(v, scale, out=self._v[self._len - 1])
+        np.divide(p, scale, out=self._p[row])
+        np.divide(v, scale, out=self._v[row])
 
     def clear(self) -> None:
         self.oldest_index += self._len
         self._len = 0
+        self.head = 0
+
+    @property
+    def newest_slot(self) -> int:
+        """Storage row of the newest pair."""
+        return (self.head + self._len - 1) % self.capacity
+
+    def rows(self):
+        """(P, V): the pairs as (k, n) row blocks, in storage order."""
+        return self._p[: self._len], self._v[: self._len]
+
+    def logical(self, a: np.ndarray) -> np.ndarray:
+        """A per-pair array in storage order, reordered oldest to newest."""
+        return np.roll(a, -self.head, axis=0) if self.head else a
 
     def p_matrix(self) -> np.ndarray:
-        return self._p[: self._len].T
+        return self.logical(self._p[: self._len]).T
 
     def v_matrix(self) -> np.ndarray:
-        return self._v[: self._len].T
+        return self.logical(self._v[: self._len]).T
 
     def orthonormality_defect(self) -> float:
         """Max-norm deviation of V^T V from the identity."""
         if not self._len:
             return 0.0
-        V = self.v_matrix()
-        G = V.T @ V - np.eye(V.shape[1])
+        V = self.rows()[1]
+        G = V @ V.T - np.eye(self._len)
         return float(np.abs(G).max())
 
 

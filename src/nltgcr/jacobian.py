@@ -30,7 +30,10 @@ def frechet_jv(
     if probe.mode == "exact":
         if prob.exact_jv is None:
             raise ValueError("problem has no exact_jv but probe mode is 'exact'")
-        return prob.exact_jv(x, p), 0
+        jv = prob.exact_jv(x, p)
+        if not np.all(np.isfinite(jv)):
+            raise NonFiniteError("J(x) p is not finite", x=x)
+        return jv, 0
     p_norm = float(np.linalg.norm(p))
     if p_norm == 0.0:
         raise ValueError("cannot probe along a zero direction")

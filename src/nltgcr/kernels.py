@@ -13,26 +13,40 @@ MIN_PAIR_DISTANCE = 1e-8
 # zero Dirichlet boundary. u is the (n, n) interior grid, spacing h.
 # ---------------------------------------------------------------------------
 
-def bratu_residual(u: np.ndarray, lam: float, h: float) -> np.ndarray:
-    out = -4.0 * u
-    out[1:, :] += u[:-1, :]
-    out[:-1, :] += u[1:, :]
-    out[:, 1:] += u[:, :-1]
-    out[:, :-1] += u[:, 1:]
+def _stencil(v: np.ndarray, h: float) -> np.ndarray:
+    """The 5-point Laplacian of the (n, n) grid v, flat.
+
+    All four shifts run on the flat contiguous arrays, in the order -4 v,
+    up, down, left, right. The flat left and right shifts also carry a value
+    across each row end; those edge cells are saved before the add and put
+    back after it, so every cell gets exactly the 2-D stencil's sums.
+    """
+    n = v.shape[0]
+    flat = v.reshape(-1)
+    out = -4.0 * flat
+    out[n:] += flat[:-n]
+    out[:-n] += flat[n:]
+    grid = out.reshape(n, n)
+    edge = grid[1:, 0].copy()
+    out[1:] += flat[:-1]
+    grid[1:, 0] = edge
+    edge = grid[:-1, -1].copy()
+    out[:-1] += flat[1:]
+    grid[:-1, -1] = edge
     out /= h * h
-    out += lam * np.exp(u)
     return out
+
+
+def bratu_residual(u: np.ndarray, lam: float, h: float) -> np.ndarray:
+    out = _stencil(u, h)
+    out += lam * np.exp(u.reshape(-1))
+    return out.reshape(u.shape)
 
 
 def bratu_jv(u: np.ndarray, p: np.ndarray, lam: float, h: float) -> np.ndarray:
-    out = -4.0 * p
-    out[1:, :] += p[:-1, :]
-    out[:-1, :] += p[1:, :]
-    out[:, 1:] += p[:, :-1]
-    out[:, :-1] += p[:, 1:]
-    out /= h * h
-    out += lam * np.exp(u) * p
-    return out
+    out = _stencil(p, h)
+    out += lam * np.exp(u.reshape(-1)) * p.reshape(-1)
+    return out.reshape(p.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -170,8 +170,8 @@ class KrylovHistory:
 def orthogonalize_pair(p, v, P, V, lo, hi):
     """Classical Gram-Schmidt of (p, v) against window columns lo..hi-1.
 
-    P and V hold the window pairs as columns, oldest first. As WindowPair
-    views, V[:, lo:hi].T is a contiguous row block, so each pass is two
+    P and V hold the window pairs as columns, in any order. As transposed
+    WindowPair row blocks, V[:, lo:hi].T is contiguous, so each pass is two
     BLAS-2 products. The same combination applied to v is applied to p so
     v = A p is preserved. Runs a second pass when the first leaves a
     projection above REORTH_REL * ||v||. Never writes to p or v. Returns
@@ -198,14 +198,18 @@ def add_direction(window: WindowPair, p, v):
     Orthogonalizes the raw pair (p, v = A p) against the window and pushes
     it divided by ||v|| unless v collapses (BREAKDOWN_TOL). Returns None on
     collapse, with the window unchanged; otherwise (||v||, the Gram-Schmidt
-    coefficients keyed by window column).
+    coefficients keyed by window column, oldest first).
     """
     p_norm = float(np.linalg.norm(p))
-    P, V = window.p_matrix(), window.v_matrix()
-    p, v, betas = orthogonalize_pair(p, v, P, V, 0, len(window))
+    P, V = window.rows()
+    k, head = len(window), window.head
+    p, v, betas = orthogonalize_pair(p, v, P.T, V.T, 0, k)
     s = float(np.linalg.norm(v))
     if s <= BREAKDOWN_TOL * max(1.0, p_norm):
         return None
+    if head:
+        # Gram-Schmidt ran on the rows in storage order.
+        betas = {j: betas[(head + j) % k] for j in range(k)}
     window.push(p, v, scale=s)
     return s, betas
 
@@ -262,8 +266,8 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
 
     _new_direction(0)
     for j in range(opts.max_iters):
-        p_j = window.p_matrix()[:, -1]
-        v_j = window.v_matrix()[:, -1]
+        P, V = window.rows()
+        p_j, v_j = P[window.newest_slot], V[window.newest_slot]
         alpha = float(r @ v_j)
         x = x + alpha * p_j
         r = r - alpha * v_j

@@ -78,7 +78,9 @@ def backtrack_linearized(
 ):
     """Line search against the linear residual model ||r - a V y||^2.
 
-    Costs no function evaluations. Returns (alpha, steps, satisfied).
+    Costs no function evaluations. Returns (alpha, steps, satisfied,
+    r - alpha V y, ||r - alpha V y||^2) for the returned alpha, so the
+    caller need not form or measure that residual again.
     """
     if slope <= 0.0:
         raise NotDescentError(f"line search needs a positive slope, got {slope!r}")
@@ -91,11 +93,12 @@ def backtrack_linearized(
         res = r - alpha * Vy
         n2 = float(res @ res)
         if best is None or n2 < best[0]:
-            best = (n2, alpha)
+            best = (n2, alpha, res)
         if sufficient_decrease(n2, rnorm2, alpha, slope, opts.c1):
-            return alpha, steps, True
+            return alpha, steps, True, res, n2
         alpha *= opts.tau
-    return best[1], steps, False
+    n2, alpha, res = best
+    return alpha, steps, False, res, n2
 
 
 def backtrack_phi(
@@ -149,4 +152,5 @@ def update_alpha0(opts: LineSearchOptions, steps_taken: int) -> LineSearchOption
         a = min(1.0, opts.alpha0 / opts.tau)
     else:
         a = opts.tau * opts.alpha0
-    return replace(opts, alpha0=a)
+    # Rebuilding the frozen options costs more than a vector pass at n = 10^4.
+    return opts if a == opts.alpha0 else replace(opts, alpha0=a)

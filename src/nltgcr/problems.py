@@ -58,18 +58,24 @@ class BratuProblem:
             raise ValueError(f"expected length {self.dim}, got {u.shape}")
         return u.reshape(self.grid_n, self.grid_n)
 
+    def _scaled(self, out: np.ndarray) -> np.ndarray:
+        out = out.ravel()
+        if self.scaled:
+            out *= self._row_scale
+        return out
+
     def f(self, u: np.ndarray) -> np.ndarray:
         u2 = self._grid(u)
         if float(u2.max()) > _EXP_OVERFLOW:
             raise ValueError("exp overflow: u is out of physical range")
-        return self._row_scale * kernels.bratu_residual(u2, self.lam, self.h).ravel()
+        return self._scaled(kernels.bratu_residual(u2, self.lam, self.h))
 
     def jv(self, u: np.ndarray, p: np.ndarray) -> np.ndarray:
         u2 = self._grid(u)
         p2 = self._grid(np.asarray(p, dtype=float))
         if float(u2.max()) > _EXP_OVERFLOW:
             raise ValueError("exp overflow: u is out of physical range")
-        return self._row_scale * kernels.bratu_jv(u2, p2, self.lam, self.h).ravel()
+        return self._scaled(kernels.bratu_jv(u2, p2, self.lam, self.h))
 
     def laplacian_quadratic(self, u: np.ndarray) -> float:
         """0.5 * u^T L u for the (possibly scaled) discrete Laplacian part."""

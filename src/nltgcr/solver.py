@@ -3,6 +3,7 @@ variants (nonlinear, linearized, adaptive)."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -137,16 +138,17 @@ def _steps(ev, x, fx, target, opts, mode, observer):
     fresh = False  # the window's newest pair extends the previous step
     it = 0
     while True:
-        V = st.window.v_matrix()
-        P = st.window.p_matrix()
+        # The window's (k, n) row blocks in storage order, one product each
+        # per step; y is in that order too.
+        P, V = st.window.rows()
         if opts.truncated_update:
-            y = np.zeros(V.shape[1])
-            y[-1] = float(V[:, -1] @ st.r)
+            y = np.zeros(len(V))
+            newest = st.window.newest_slot
+            y[newest] = float(V[newest] @ st.r)
         else:
-            y = V.T @ st.r
+            y = V @ st.r
 
-        # Products with the (k, n) row blocks V.T and P.T, once per step.
-        d = np.dot(y, P.T)
+        d = np.dot(y, P)
         r_old = st.r
         if float(np.linalg.norm(d)) == 0.0:
             # Degenerate least-squares step with a nonzero residual: treat
@@ -155,7 +157,7 @@ def _steps(ev, x, fx, target, opts, mode, observer):
             fresh = False
             continue
         it += 1
-        Vy = np.dot(y, V.T)
+        Vy = np.dot(y, V)
 
         step = 1.0
         pending_restart = False
@@ -173,17 +175,23 @@ def _steps(ev, x, fx, target, opts, mode, observer):
                 st.fx = ev.f(st.x)
                 st.r = -st.fx
             r_lin = r_old - step * Vy
+            resnorm = float(np.linalg.norm(st.r))
         else:
+            # r_lin = r_old - step * Vy, measured once: np.linalg.norm is the
+            # square root of this same dot product.
             if st.ls is not None:
-                step, ls_steps, _ = backtrack_linearized(st.r, Vy, float(y @ y), st.ls)
+                step, ls_steps, _, r_lin, n2 = backtrack_linearized(
+                    st.r, Vy, float(y @ y), st.ls)
                 st.ls = update_alpha0(st.ls, ls_steps)
+            else:
+                r_lin = r_old - Vy
+                n2 = float(r_lin @ r_lin)
+            resnorm = math.sqrt(n2)
             st.x = st.x + step * d
-            r_lin = r_old - step * Vy
             st.r = r_lin
             st.lin_steps += 1
 
         switch = STAY
-        resnorm = float(np.linalg.norm(st.r))
         theta = None
         if st.mode == "NL":
             if opts.variant == "adaptive" and resnorm > 0.0:
@@ -211,7 +219,7 @@ def _steps(ev, x, fx, target, opts, mode, observer):
             r_tilde = r_old - Vy
             z = r_tilde - st.r if st.mode == "NL" else None
             observer(dict(iter=it, mode=st.mode, x=st.x, r=st.r, r_old=r_old, r_tilde=r_tilde,
-                          z=z, y=y, window=st.window, step=step, theta=theta,
+                          z=z, y=st.window.logical(y), window=st.window, step=step, theta=theta,
                           truncated=opts.truncated_update, fresh_pair=fresh))
         yield st.x, resnorm, step, st.mode
 

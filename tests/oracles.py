@@ -167,6 +167,31 @@ def frobenius_gap(window, seed=0, n_samples=10):
     return gap
 
 
+def bratu_residual_2d(u, lam, h):
+    """Bratu residual on the (n, n) grid with the 2-D shifted-slice stencil,
+    the additions in the order -4 u, up, down, left, right."""
+    out = -4.0 * u
+    out[1:, :] += u[:-1, :]
+    out[:-1, :] += u[1:, :]
+    out[:, 1:] += u[:, :-1]
+    out[:, :-1] += u[:, 1:]
+    out /= h * h
+    out += lam * np.exp(u)
+    return out
+
+
+def bratu_jv_2d(u, p, lam, h):
+    """J(u) p of bratu_residual_2d, the same stencil applied to p."""
+    out = -4.0 * p
+    out[1:, :] += p[:-1, :]
+    out[:-1, :] += p[1:, :]
+    out[:, 1:] += p[:, :-1]
+    out[:, :-1] += p[:, 1:]
+    out /= h * h
+    out += lam * np.exp(u) * p
+    return out
+
+
 def _pair_diff(pos, i, j):
     """pos[i] - pos[j] as three floats, and its squared length."""
     d = [float(pos[i][k]) - float(pos[j][k]) for k in range(3)]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nltgcr import (
     ConvergenceTrace,
@@ -12,6 +14,7 @@ from nltgcr import (
     TraceRecord,
     WindowPair,
 )
+from nltgcr.linear import add_direction
 
 
 def _orthonormal_columns(n, k, seed=0):
@@ -64,6 +67,13 @@ class TestWindowPair:
         with pytest.raises(ValueError, match="not normalized"):
             w.push(np.ones(3), np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_v_rejected(self, bad):
+        w = WindowPair(2)
+        with pytest.raises(ValueError, match="not normalized"):
+            w.push(np.zeros(3), np.array([bad, 0.0, 0.0]), scale=1.0)
+        assert len(w) == 0
+
     def test_orthonormality_defect_small_for_orthonormal_pushes(self):
         w = WindowPair(capacity=5)
         for v in _orthonormal_columns(40, 5, seed=3):
@@ -95,6 +105,70 @@ class TestWindowPair:
             for slot in range(len(w)):
                 origin = int(w.p_matrix()[0, slot])
                 np.testing.assert_array_equal(w.v_matrix()[:, slot], vs[origin])
+
+
+class TestWindowRing:
+    """The ring layout against a Python list of (p, v) pairs, oldest first."""
+
+    N = 40  # room for 4 x 8 orthonormal v columns, one per push
+
+    @settings(max_examples=150, deadline=None)
+    @given(cap=st.integers(1, 8), data=st.data())
+    def test_ring_matches_list_model(self, cap, data):
+        ops = data.draw(st.lists(st.sampled_from(["push", "add", "clear"]), max_size=4 * cap))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        Q, _ = np.linalg.qr(rng.standard_normal((self.N, 4 * cap)))
+        w = WindowPair(cap)
+        model, oldest = [], 0
+        for step, op in enumerate(ops):
+            if op == "clear":
+                w.clear()
+                oldest += len(model)
+                model = []
+                continue
+            q = Q[:, step]
+            p = rng.standard_normal(self.N)
+            if op == "push":
+                w.push(p, q)
+                pair = (p, q)
+            else:
+                # Raw v = q plus known multiples c of the window's v columns:
+                # Gram-Schmidt must report c keyed by window column.
+                c = rng.standard_normal(len(model))
+                v_raw = q + sum((cj * vj for cj, (_, vj) in zip(c, model)), np.zeros(self.N))
+                p_raw = p + sum((cj * pj for cj, (pj, _) in zip(c, model)), np.zeros(self.N))
+                s, betas = add_direction(w, p_raw, v_raw)
+                assert list(betas) == list(range(len(model)))
+                np.testing.assert_allclose([betas[j] for j in range(len(model))], c, rtol=0, atol=1e-12)
+                assert s == pytest.approx(1.0, abs=1e-12)
+                newest_p, newest_v = w.p_matrix()[:, -1], w.v_matrix()[:, -1]
+                np.testing.assert_allclose(newest_v, q, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(newest_p, p, rtol=0, atol=1e-12 * np.abs(p_raw).max())
+                pair = (newest_p.copy(), newest_v.copy())
+            model.append(pair)
+            if len(model) > cap:
+                model.pop(0)
+                oldest += 1
+            self._check(w, model, oldest, rng)
+
+    def _check(self, w, model, oldest, rng):
+        assert len(w) == len(model) and w.oldest_index == oldest
+        P_log = np.stack([p for p, _ in model], axis=1)
+        V_log = np.stack([v for _, v in model], axis=1)
+        np.testing.assert_array_equal(w.p_matrix(), P_log)
+        np.testing.assert_array_equal(w.v_matrix(), V_log)
+        P_rows, V_rows = w.rows()
+        np.testing.assert_array_equal(V_rows[w.newest_slot], V_log[:, -1])
+        # The storage-order products are the logical-order ones, summed in
+        # another order.
+        r = rng.standard_normal(self.N)
+        y = V_rows @ r
+        y_log = V_log.T @ r
+        np.testing.assert_allclose(w.logical(y), y_log, rtol=0, atol=1e-14 * (np.abs(V_log).T @ np.abs(r)).max())
+        scale = (np.abs(P_log) @ np.abs(y_log)).max()
+        np.testing.assert_allclose(np.dot(y, P_rows), P_log @ y_log, rtol=0, atol=1e-14 * scale)
+        scale = (np.abs(V_log) @ np.abs(y_log)).max()
+        np.testing.assert_allclose(np.dot(y, V_rows), V_log @ y_log, rtol=0, atol=1e-14 * scale)
 
 
 class TestConvergenceTrace:
@@ -187,6 +261,13 @@ class TestSolverOptions:
             LineSearchOptions(tau=1.0)
         with pytest.raises(ValueError):
             LineSearchOptions(c1=0.0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_linesearch_needs_one_trial(self, n):
+        # With no trial allowed, both searches had nothing to return.
+        with pytest.raises(ValueError, match="max_backtracks"):
+            LineSearchOptions(max_backtracks=n)
+        LineSearchOptions(max_backtracks=1)
 
 
 class TestEvalCounter:

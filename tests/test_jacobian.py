@@ -58,6 +58,14 @@ class TestFrechetJv:
         assert fev == 0
         np.testing.assert_allclose(jv, A @ np.ones(8), atol=1e-14)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_exact_mode_non_finite_product_rejected(self, bad):
+        from nltgcr import NonFiniteError
+
+        prob = NonlinearProblem(dim=2, eval_f=lambda x: x, exact_jv=lambda x, p: np.array([1.0, bad]))
+        with pytest.raises(NonFiniteError, match="not finite"):
+            frechet_jv(prob, np.ones(2), np.ones(2), np.ones(2), JvProbe(mode="exact"))
+
     def test_zero_direction_rejected(self):
         prob = NonlinearProblem(dim=2, eval_f=lambda x: x)
         with pytest.raises(ValueError, match="zero direction"):

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from nltgcr import kernels
 from nltgcr.problems import LennardJonesProblem
-from oracles import lj_energy_pairs, lj_gradient_pairs, min_pair_distance_pairs
+from oracles import (
+    bratu_jv_2d,
+    bratu_residual_2d,
+    lj_energy_pairs,
+    lj_gradient_pairs,
+    min_pair_distance_pairs,
+)
 
 
 @pytest.fixture
@@ -22,6 +28,61 @@ class TestMinPairDistanceReference:
         d = np.sqrt((diffs**2).sum(-1))
         np.fill_diagonal(d, np.inf)
         assert kernels.lj_min_pair_distance(pos) == pytest.approx(float(d.min()), rel=1e-14)
+
+
+def _sprinkle_signed_zeros(a, rng, frac):
+    a[rng.random(a.shape) < frac] = 0.0
+    a[rng.random(a.shape) < frac] = -0.0
+    return a
+
+
+@st.composite
+def bratu_grids(draw):
+    """An (n, n) grid u and direction p for n in 1..40, with lam and h.
+
+    u is all +0.0, or normal, or normal with +-0.0 sprinkled in (p too), or
+    u and p are all +-0.0 at random: there the sign of a zero sum depends on
+    which additions a cell gets, so an added 0.0 at a row end shows.
+    """
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["zeros", "normal", "sprinkled", "signed-zeros"]))
+    u = draw(st.floats(1e-3, 5.0)) * rng.standard_normal((n, n))
+    p = rng.standard_normal((n, n))
+    if kind == "zeros":
+        u = np.zeros((n, n))
+    elif kind == "sprinkled":
+        u, p = (_sprinkle_signed_zeros(a, rng, 0.3) for a in (u, p))
+    elif kind == "signed-zeros":
+        u, p = (np.where(rng.random((n, n)) < 0.5, -0.0, 0.0) for _ in range(2))
+    lam = draw(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-10.0, 10.0)))
+    h = draw(st.floats(1e-3, 1.0))
+    return u, p, lam, h
+
+
+class TestBratuStencil:
+    """The flat-array stencil against the 2-D shifted-slice reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=bratu_grids())
+    def test_matches_2d_reference_byte_for_byte(self, case):
+        u, p, lam, h = case
+        out = kernels.bratu_residual(u, lam, h)
+        assert out.shape == u.shape
+        assert out.tobytes() == bratu_residual_2d(u, lam, h).tobytes()
+        jv = kernels.bratu_jv(u, p, lam, h)
+        assert jv.shape == u.shape
+        assert jv.tobytes() == bratu_jv_2d(u, p, lam, h).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_small_grids_and_inputs_untouched(self, n, rng):
+        u = rng.standard_normal((n, n))
+        p = rng.standard_normal((n, n))
+        saved = u.copy(), p.copy()
+        assert kernels.bratu_residual(u, 0.5, 0.1).tobytes() == bratu_residual_2d(u, 0.5, 0.1).tobytes()
+        assert kernels.bratu_jv(u, p, 0.5, 0.1).tobytes() == bratu_jv_2d(u, p, 0.5, 0.1).tobytes()
+        np.testing.assert_array_equal(u, saved[0])
+        np.testing.assert_array_equal(p, saved[1])
 
 
 class TestActiveBackend:

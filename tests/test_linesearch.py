@@ -104,8 +104,25 @@ class TestBacktrackLinearized:
         r = rng.standard_normal(6)
         V, _ = np.linalg.qr(rng.standard_normal((6, 2)))
         y = V.T @ r
-        alpha, steps, ok = backtrack_linearized(r, V @ y, float(y @ y), LineSearchOptions())
+        alpha, steps, ok, res, n2 = backtrack_linearized(r, V @ y, float(y @ y), LineSearchOptions())
         assert ok and steps == 1 and alpha == 1.0
+        assert res.tobytes() == (r - alpha * (V @ y)).tobytes()
+        assert n2 == float(res @ res)
+
+    def test_exhausted_search_returns_best_trial_residual(self):
+        # Vy points away from r: every trial grows the model residual, so
+        # the smallest trial alpha wins, with its residual and squared norm.
+        r = np.array([1.0, 0.0])
+        Vy = np.array([-1.0, 0.0])
+        opts = LineSearchOptions(max_backtracks=4)
+        alpha, steps, ok, res, n2 = backtrack_linearized(r, Vy, 1.0, opts)
+        assert not ok and steps == 4
+        smallest = opts.alpha0
+        for _ in range(3):
+            smallest *= opts.tau
+        assert alpha == smallest
+        assert res.tobytes() == (r - alpha * Vy).tobytes()
+        assert n2 == float(res @ res)
 
 
 class TestBacktrackPhi:
