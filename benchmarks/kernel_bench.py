@@ -1,5 +1,6 @@
-"""Time each numpy kernel, the window Gram-Schmidt step and a window push
-at capacity on the benchmark sizes.
+"""Time each numpy kernel, the window Gram-Schmidt step with its explicit
+re-orthogonalization test, the direction step on windows it built (where
+one pass is trusted) and a window push at capacity on the benchmark sizes.
 
 Run:  PYTHONPATH=src python benchmarks/kernel_bench.py
 Prints the median per-call time over 15 repeats of 20 calls, with the
@@ -21,13 +22,14 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import itertools  # noqa: E402
 import timeit  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from nltgcr import kernels  # noqa: E402
 from nltgcr.core import WindowPair  # noqa: E402
-from nltgcr.linear import orthogonalize_pair  # noqa: E402
+from nltgcr.linear import add_direction, orthogonalize_pair  # noqa: E402
 from nltgcr.problems import LennardJonesProblem  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -51,6 +53,20 @@ def _window_args(k, n, rng):
     for v in Q.T:
         w.push(rng.standard_normal(n), v)
     return rng.standard_normal(n), rng.standard_normal(n), w.p_matrix(), w.v_matrix(), 0, k
+
+
+def _add_direction_case(k, n, rng):
+    """add_direction against a full k-pair window that add_direction built.
+
+    Each call takes the next of 2k + 1 random v rows, so every call keeps
+    most of ||v||, skips the test, pushes and evicts the oldest pair.
+    """
+    w = WindowPair(k)
+    pool = itertools.cycle(rng.standard_normal((2 * k + 1, n)))
+    p = rng.standard_normal(n)
+    for _ in range(k):
+        add_direction(w, p, next(pool))
+    return lambda: add_direction(w, p, next(pool)), ()
 
 
 def _full_window(k, n, rng):
@@ -83,6 +99,9 @@ def main():
     # The window shapes of bratu-m1, bratu-m10 and newton-krylov.
     for k in (1, 10, 50):
         cases.append((f"orthogonalize_pair k={k}", orthogonalize_pair, _window_args(k, 10**4, rng)))
+    # The whole direction step of bratu-m10 (k = 10) and newton-krylov (k = 50).
+    for k in (10, 50):
+        cases.append((f"add_direction k={k}", *_add_direction_case(k, 10**4, rng)))
     # The eviction cost of bratu-m10 / lj-cluster (m = 10) and newton-krylov (m = 50).
     for k in (10, 50):
         w, p_new, v_new = _full_window(k, 10**4, rng)

@@ -367,10 +367,11 @@ class EvalCounter:
             raise NonFiniteError("f(x) is not finite", x=x)
         return fx
 
-    def jv(self, x: np.ndarray, p: np.ndarray, f_x: np.ndarray) -> np.ndarray:
+    def jv(self, x: np.ndarray, p: np.ndarray, f_x: np.ndarray, *,
+           p_norm: Optional[float] = None) -> np.ndarray:
         from .jacobian import frechet_jv
 
-        out, cost = frechet_jv(self.prob, x, p, f_x, self.probe)
+        out, cost = frechet_jv(self.prob, x, p, f_x, self.probe, p_norm=p_norm)
         self.count += cost
         return out
 

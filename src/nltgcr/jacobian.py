@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -18,12 +18,15 @@ def frechet_jv(
     p: np.ndarray,
     f_x: np.ndarray,
     probe: JvProbe,
+    *,
+    p_norm: Optional[float] = None,
 ) -> Tuple[np.ndarray, int]:
     """Approximate J(x) @ p, reusing the already computed f_x.
 
     Frechet mode takes one forward difference with
     eps = FRECHET_EPS_SCALE * (1 + ||x||_inf) / ||p||_2 and costs 1 feval; exact
-    mode delegates to the problem's exact_jv and costs 0.
+    mode delegates to the problem's exact_jv and costs 0. `p_norm` is
+    ||p||_2 when the caller has measured it already.
 
     Returns (J(x) @ p, fevals_spent).
     """
@@ -34,7 +37,8 @@ def frechet_jv(
         if not np.all(np.isfinite(jv)):
             raise NonFiniteError("J(x) p is not finite", x=x)
         return jv, 0
-    p_norm = float(np.linalg.norm(p))
+    if p_norm is None:
+        p_norm = float(np.linalg.norm(p))
     if p_norm == 0.0:
         raise ValueError("cannot probe along a zero direction")
     eps = FRECHET_EPS_SCALE * (1.0 + float(np.abs(x).max())) / p_norm

@@ -1,11 +1,15 @@
 """Residual-minimizing linear solvers: full GCR, truncated GCR, and CR.
 
 The truncated and full solvers share one direction step, add_direction,
-with the nonlinear solver: classical Gram-Schmidt, with a second pass
-when the first leaves a projection, against a WindowPair that keeps the
-stored A p_i columns orthonormal. The classical conjugate residual
-recurrence is implemented separately so the two can cross-check each other
-on symmetric operators.
+with the nonlinear solver: classical Gram-Schmidt against a WindowPair
+that keeps the stored A p_i columns orthonormal. A first pass that kept
+||v'|| >= skip_eta(k, n) ||v|| cannot have left a projection above
+REORTH_REL on such a window, so the step makes three passes over it
+(project, subtract, update p); below skip_eta it takes a second pass
+without testing for one. Other callers of orthogonalize_pair keep the
+explicit test of the projection. The classical conjugate residual
+recurrence is implemented separately so the two can cross-check each
+other on symmetric operators.
 """
 
 from __future__ import annotations
@@ -64,9 +68,36 @@ class LinearOptions:
 
 # A new direction collapses when its orthogonalized ||v|| is at most
 # BREAKDOWN_TOL * max(1, ||p||) for the raw p; Gram-Schmidt takes a second
-# pass when the first leaves a projection above REORTH_REL * ||v||.
+# pass when the first leaves a projection above REORTH_REL * ||v|| (on
+# windows add_direction built, when it kept less than skip_eta of ||v||).
 BREAKDOWN_TOL = 1e-14
 REORTH_REL = 1e-8
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# On windows add_direction built, a first pass that keeps less than this
+# share of ||v|| is always followed by a second one (skip_eta).
+KEPT_FLOOR = 0.2
+
+
+def skip_eta(k: int, n: int) -> float:
+    """The ||v'|| / ||v|| below which add_direction takes a second pass.
+
+    After one classical Gram-Schmidt pass v' = v - V^T (V v) against k rows
+    V, in floating point with unit roundoff u,
+        |V v'| <= |(I - V V^T) V v| + c(k, n) u ||v||.
+    The second term is the rounding of the pass (Giraud, Langou & Rozloznik,
+    Comput. Math. Appl. 50, 2005); with c = k n it stays below
+    REORTH_REL ||v'|| once ||v'|| >= k n u / REORTH_REL ||v||, 5.5e-3 at
+    k = 50, n = 10^4. The first term is the window's own loss of
+    orthonormality, multiplied by up to ||V v|| / ||v'||. So the rule assumes
+    rows orthonormal to working precision, and keeps them so: below eta
+    the second pass runs without a test (a test would let rows in with
+    projections up to REORTH_REL, which later single passes multiply), and
+    eta >= KEPT_FLOOR caps that factor at about 5. On windows add_direction
+    built from random nonsymmetric and near-singular operators (k <= 50),
+    a floor of 0.1 (Rutishauser's factor 10) let a few runs end with
+    projections up to 3e-7; 0.2 kept all of them below 1e-11.
+    """
+    return max(k * n * UNIT_ROUNDOFF / REORTH_REL, KEPT_FLOOR)
 
 
 class KrylovHistory:
@@ -167,15 +198,18 @@ class KrylovHistory:
         return text
 
 
-def orthogonalize_pair(p, v, P, V, lo, hi):
+def orthogonalize_pair(p, v, P, V, lo, hi, *, orthonormal=False):
     """Classical Gram-Schmidt of (p, v) against window columns lo..hi-1.
 
     P and V hold the window pairs as columns, in any order. As transposed
     WindowPair row blocks, V[:, lo:hi].T is contiguous, so each pass is two
     BLAS-2 products. The same combination applied to v is applied to p so
     v = A p is preserved. Runs a second pass when the first leaves a
-    projection above REORTH_REL * ||v||. Never writes to p or v. Returns
-    (p, v, betas dict by column index).
+    projection above REORTH_REL * ||v||. A caller that states `orthonormal`
+    (the columns are orthonormal to working precision, as in a window that
+    add_direction built) gets no test: the second pass runs exactly when
+    the first kept less than skip_eta(k, n) of ||v||. Never writes to p or
+    v. Returns (p, v, betas dict by column index).
     """
     if hi == lo:
         return p, v, {}
@@ -183,27 +217,40 @@ def orthogonalize_pair(p, v, P, V, lo, hi):
     b = Vr @ v
     v = v - np.dot(b, Vr)
     nv = float(np.linalg.norm(v))
-    if nv > 0.0:
+    proj = None
+    if orthonormal:
+        # On orthonormal rows ||v||^2 = ||v'||^2 + ||b||^2 to rounding, so the
+        # ratio costs O(k) instead of a pass over the window.
+        if nv * nv < skip_eta(hi - lo, v.shape[0]) ** 2 * (nv * nv + float(b @ b)):
+            proj = Vr @ v
+    elif nv > 0.0:
         proj = Vr @ v
-        if float(np.abs(proj).max()) > REORTH_REL * nv:
-            v = v - np.dot(proj, Vr)
-            b = b + proj
+        if float(np.abs(proj).max()) <= REORTH_REL * nv:
+            proj = None
+    if proj is not None:
+        v = v - np.dot(proj, Vr)
+        b = b + proj
     p = p - np.dot(b, P[:, lo:hi].T)
     return p, v, dict(zip(range(lo, hi), b.tolist()))
 
 
-def add_direction(window: WindowPair, p, v):
+def add_direction(window: WindowPair, p, v, *, p_norm: Optional[float] = None):
     """The direction step of TGCR, nlTGCR and the Newton-Krylov inner solve.
 
     Orthogonalizes the raw pair (p, v = A p) against the window and pushes
-    it divided by ||v|| unless v collapses (BREAKDOWN_TOL). Returns None on
-    collapse, with the window unchanged; otherwise (||v||, the Gram-Schmidt
-    coefficients keyed by window column, oldest first).
+    it divided by ||v|| unless v collapses (BREAKDOWN_TOL). The window's v
+    rows must be orthonormal to working precision, as they are when this
+    step built them: the norm-drop rule of skip_eta alone decides the
+    second Gram-Schmidt pass. `p_norm` is ||p|| when the caller has
+    measured it already. Returns None on collapse, with the window
+    unchanged; otherwise (||v||, the Gram-Schmidt coefficients keyed by
+    window column, oldest first).
     """
-    p_norm = float(np.linalg.norm(p))
+    if p_norm is None:
+        p_norm = float(np.linalg.norm(p))
     P, V = window.rows()
     k, head = len(window), window.head
-    p, v, betas = orthogonalize_pair(p, v, P.T, V.T, 0, k)
+    p, v, betas = orthogonalize_pair(p, v, P.T, V.T, 0, k, orthonormal=True)
     s = float(np.linalg.norm(v))
     if s <= BREAKDOWN_TOL * max(1.0, p_norm):
         return None
@@ -252,7 +299,7 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
         """Build direction t from the current residual; raises on breakdown."""
         first = window.oldest_index - base
         hist.truncated |= first > 0
-        built = add_direction(window, r, A.apply(r))
+        built = add_direction(window, r, A.apply(r), p_norm=rnorm)
         if built is None:
             raise BreakdownError(
                 f"direction collapsed at step {t}",

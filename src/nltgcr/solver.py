@@ -29,17 +29,15 @@ def angular_distance(r_nl: np.ndarray, r_lin: np.ndarray) -> float:
     return 1.0 - float(r_nl @ r_lin) / (na * nb)
 
 
-def adaptive_switch(
-    r_nl: np.ndarray, r_lin: np.ndarray, opts: SolverOptions, mode: str = "NL"
-) -> str:
-    """Decide a residual-update mode switch from the residual angle.
+def adaptive_switch(theta: float, opts: SolverOptions, mode: str = "NL") -> str:
+    """Decide a residual-update mode switch from the residual angle theta,
+    the angular_distance of the nonlinear and linear residuals.
 
     In NL mode, switch to linear updates once the two residuals nearly
     coincide (theta below the threshold). In LIN mode (called every
     adaptive_check_period iterations against a fresh nonlinear residual),
     switch back once they drift apart. Switching back clears the window.
     """
-    theta = angular_distance(r_nl, r_lin)
     if mode == "NL":
         return TO_LIN if theta < opts.adaptive_threshold else STAY
     return TO_NL if theta >= opts.adaptive_threshold else STAY
@@ -62,10 +60,10 @@ class _Loop:
         self.breakdown_budget = MAX_BREAKDOWN_RESTARTS
         self.ls = opts.linesearch
 
-    def jv_at_anchor(self, p):
+    def jv_at_anchor(self, p, p_norm=None):
         if self.mode == "LIN":
-            return self.ev.jv(self.anchor_x, p, self.anchor_f)
-        return self.ev.jv(self.x, p, self.fx)
+            return self.ev.jv(self.anchor_x, p, self.anchor_f, p_norm=p_norm)
+        return self.ev.jv(self.x, p, self.fx, p_norm=p_norm)
 
     def refresh_anchor(self):
         self.anchor_x = self.x
@@ -92,9 +90,11 @@ class _Loop:
         self.breakdown_budget -= 1
         self.seed_window()
 
-    def build_direction(self) -> bool:
-        """Add the pair probed along the current residual; False on collapse."""
-        return add_direction(self.window, self.r, self.jv_at_anchor(self.r)) is not None
+    def build_direction(self, r_norm: Optional[float] = None) -> bool:
+        """Add the pair probed along the current residual, whose norm is
+        r_norm if the caller has measured it; False on collapse."""
+        v = self.jv_at_anchor(self.r, r_norm)
+        return add_direction(self.window, self.r, v, p_norm=r_norm) is not None
 
 
 def nltgcr_solve(
@@ -174,7 +174,6 @@ def _steps(ev, x, fx, target, opts, mode, observer):
                 st.x = st.x + d
                 st.fx = ev.f(st.x)
                 st.r = -st.fx
-            r_lin = r_old - step * Vy
             resnorm = float(np.linalg.norm(st.r))
         else:
             # r_lin = r_old - step * Vy, measured once: np.linalg.norm is the
@@ -195,9 +194,10 @@ def _steps(ev, x, fx, target, opts, mode, observer):
         theta = None
         if st.mode == "NL":
             if opts.variant == "adaptive" and resnorm > 0.0:
+                r_lin = r_old - step * Vy
                 if float(np.linalg.norm(r_lin)) > 0.0:
                     theta = angular_distance(st.r, r_lin)
-                    switch = adaptive_switch(st.r, r_lin, opts, mode="NL")
+                    switch = adaptive_switch(theta, opts, mode="NL")
         else:
             periodic = (
                 opts.variant == "adaptive"
@@ -211,7 +211,7 @@ def _steps(ev, x, fx, target, opts, mode, observer):
                 rtn = float(np.linalg.norm(r_true))
                 if opts.variant == "adaptive" and rtn > 0.0 and resnorm > 0.0:
                     theta = angular_distance(r_true, st.r)
-                    switch = adaptive_switch(r_true, st.r, opts, mode="LIN")
+                    switch = adaptive_switch(theta, opts, mode="LIN")
                 st.r = r_true
                 resnorm = rtn
 
@@ -236,6 +236,7 @@ def _steps(ev, x, fx, target, opts, mode, observer):
         if switch != STAY or periodic_restart or pending_restart:
             st.seed_window()
         else:
-            fresh = st.build_direction()
+            # st.r is the residual that resnorm measured.
+            fresh = st.build_direction(resnorm)
             if not fresh:
                 st.restart()

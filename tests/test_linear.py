@@ -245,6 +245,128 @@ class TestOrthogonalizePair:
         self._check(A, w, p, v)
 
 
+def _operator(kind, n, rng):
+    if kind == "nonsymmetric":
+        return np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    # Near-singular: singular values spread from 1 down to 1e-12.
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    W, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (U * np.logspace(0, -12, n)) @ W.T
+
+
+def _add_direction_run(kind, n, m, steps, seed):
+    """Fill a WindowPair(m) by add_direction alone on a random operator.
+
+    Yields (window, p, v = A p, eps) before each step; the caller takes the
+    step. p is random (eps = 1) or lies within eps, relative, of the span of
+    the window's p rows, so the first Gram-Schmidt pass keeps anything from
+    all of v to rounding noise of it.
+    """
+    rng = np.random.default_rng(seed)
+    A = _operator(kind, n, rng)
+    w = WindowPair(m)
+    for _ in range(steps):
+        eps = float(rng.choice([1.0, 0.1, 1e-3, 1e-6, 1e-9, 1e-12])) if len(w) else 1.0
+        p = rng.standard_normal(n)
+        if eps < 1.0:
+            base = rng.standard_normal(len(w)) @ w.rows()[0]
+            p = base + eps * np.linalg.norm(base) * p / np.linalg.norm(p)
+        yield w, p, A @ p, eps
+
+
+class TestTrustedFirstPass:
+    """On windows add_direction built, one pass that kept ||v'|| >= eta ||v||
+    skips the re-orthogonalization test and one below eta is always followed
+    by a second; every other window keeps the test."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["nonsymmetric", "near-singular"]),
+        m=st.integers(1, 12),
+        extra=st.integers(1, 48),
+        steps=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_built_windows_stay_orthonormal(self, kind, m, extra, steps, seed):
+        for w, p, v, _ in _add_direction_run(kind, m + extra, m, steps, seed):
+            if linear.add_direction(w, p, v) is None:
+                continue
+            V = w.rows()[1]
+            others = np.delete(V, w.newest_slot, axis=0)
+            # The pushed v has unit norm.
+            assert np.abs(others @ V[w.newest_slot]).max(initial=0.0) <= linear.REORTH_REL
+            assert w.orthonormality_defect() <= linear.REORTH_REL
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["nonsymmetric", "near-singular"]),
+        m=st.integers(1, 12),
+        extra=st.integers(1, 48),
+        steps=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_skip_returns_the_tested_paths_bytes(self, kind, m, extra, steps, seed):
+        # Wherever the first pass keeps skip_eta of ||v||, the explicit test
+        # would not have fired: skipping it changes no byte of (p, v, b).
+        n = m + extra
+        for w, p, v, eps in _add_direction_run(kind, n, m, steps, seed):
+            P, V = w.rows()
+            k = len(w)
+            if k:
+                b = V @ v
+                once = v - np.dot(b, V)
+                nv2 = float(once @ once)
+                skipped = nv2 >= linear.skip_eta(k, n) ** 2 * (nv2 + float(b @ b))
+                if kind == "nonsymmetric" and eps == 1.0 and n - k >= 30:
+                    # A random direction with 30 or more free dimensions
+                    # keeps most of its norm, so the comparison below runs.
+                    assert skipped
+                if skipped:
+                    outs = [linear.orthogonalize_pair(p, v, P.T, V.T, 0, k, orthonormal=flag)
+                            for flag in (True, False)]
+                    (p1, v1, b1), (p2, v2, b2) = outs
+                    assert p1.tobytes() == p2.tobytes() and v1.tobytes() == v2.tobytes()
+                    assert np.array(list(b1.values())).tobytes() == np.array(list(b2.values())).tobytes()
+            linear.add_direction(w, p, v)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_span_pair_takes_second_pass(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = 40, 8
+        A = _operator("nonsymmetric", n, rng)
+        w = WindowPair(k + 1)
+        for _ in range(k):
+            p = rng.standard_normal(n)
+            linear.add_direction(w, p, A @ p)
+        P, V = w.rows()
+        base = rng.standard_normal(k) @ P
+        p = rng.standard_normal(n)
+        p = base + 1e-10 * np.linalg.norm(base) * p / np.linalg.norm(p)
+        v = A @ p
+        once = v - (V @ v) @ V
+        assert np.linalg.norm(once) < linear.skip_eta(k, n) * np.linalg.norm(v)
+        assert np.abs(V @ once).max() > linear.REORTH_REL * np.linalg.norm(once)
+        assert linear.add_direction(w, p, v) is not None
+        V = w.rows()[1]
+        assert np.abs(V[:k] @ V[k]).max() <= linear.REORTH_REL
+        assert w.orthonormality_defect() <= linear.REORTH_REL
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_skip_rests_on_the_orthonormal_precondition(self, seed):
+        # The drifted window of test_second_pass_runs_and_ends_orthogonal:
+        # one pass of a random pair keeps most of ||v|| but leaves ~1e-7 of
+        # it in the window. Stating `orthonormal` skips the test and keeps
+        # that projection; the default tests and removes it.
+        A, w, _, _ = _window_instance(8, 40, seed, drift=1e-7)
+        p = np.random.default_rng(seed).standard_normal(40)
+        v = A @ p
+        P, V = w.p_matrix(), w.v_matrix()
+        for orthonormal, left in ((True, True), (False, False)):
+            _, v_out, _ = linear.orthogonalize_pair(p, v, P, V, 0, 8, orthonormal=orthonormal)
+            proj = np.abs(V.T @ v_out).max()
+            assert (proj > linear.REORTH_REL * np.linalg.norm(v_out)) == left
+
+
 class TestLinearOperator:
     def test_linearity_defect_small(self):
         op, _ = make_linear_problem("nonsymmetric", 15, seed=6)
@@ -288,9 +410,9 @@ class TestAddDirection:
         calls = []
         step = linear.add_direction
 
-        def spy(window, p, v):
+        def spy(window, p, v, **kw):
             before = _snapshot(window)
-            out = step(window, p, v)
+            out = step(window, p, v, **kw)
             calls.append((before, _snapshot(window), out))
             return out
 

@@ -194,14 +194,16 @@ class TestLinearEquivalence:
 class TestAdaptiveSwitch:
     def test_identical_residuals_switch_to_linear(self):
         r = np.array([1.0, 2.0])
-        assert adaptive_switch(r, r.copy(), SolverOptions(variant="adaptive")) == TO_LIN
+        theta = angular_distance(r, r.copy())
+        assert adaptive_switch(theta, SolverOptions(variant="adaptive")) == TO_LIN
 
     def test_orthogonal_residuals_stay_nonlinear(self):
         r1 = np.array([1.0, 0.0])
         r2 = np.array([0.0, 1.0])
         opts = SolverOptions(variant="adaptive")
-        assert adaptive_switch(r1, r2, opts, mode="NL") == STAY
-        assert adaptive_switch(r1, r2, opts, mode="LIN") == TO_NL
+        theta = angular_distance(r1, r2)
+        assert adaptive_switch(theta, opts, mode="NL") == STAY
+        assert adaptive_switch(theta, opts, mode="LIN") == TO_NL
 
     def test_zero_residual_rejected(self):
         with pytest.raises(ValueError):
