@@ -1,6 +1,7 @@
 """Time each numpy kernel, the window Gram-Schmidt step with its explicit
 re-orthogonalization test, the direction step on windows it built (where
-one pass is trusted) and a window push at capacity on the benchmark sizes.
+one pass is trusted), the same step in the residual basis (no p update)
+and a window push at capacity on the benchmark sizes.
 
 Run:  PYTHONPATH=src python benchmarks/kernel_bench.py
 Prints the median per-call time over 15 repeats of 20 calls, with the
@@ -55,18 +56,20 @@ def _window_args(k, n, rng):
     return rng.standard_normal(n), rng.standard_normal(n), w.p_matrix(), w.v_matrix(), 0, k
 
 
-def _add_direction_case(k, n, rng):
+def _add_direction_case(k, n, rng, residual_basis=False):
     """add_direction against a full k-pair window that add_direction built.
 
     Each call takes the next of 2k + 1 random v rows, so every call keeps
-    most of ||v||, skips the test, pushes and evicts the oldest pair.
+    most of ||v||, skips the test, pushes and evicts the oldest pair. With
+    residual_basis the step skips its p update, as in a Newton-Krylov inner
+    solve (which never evicts; a push costs the same either way).
     """
     w = WindowPair(k)
     pool = itertools.cycle(rng.standard_normal((2 * k + 1, n)))
     p = rng.standard_normal(n)
     for _ in range(k):
-        add_direction(w, p, next(pool))
-    return lambda: add_direction(w, p, next(pool)), ()
+        add_direction(w, p, next(pool), residual_basis=residual_basis)
+    return lambda: add_direction(w, p, next(pool), residual_basis=residual_basis), ()
 
 
 def _full_window(k, n, rng):
@@ -102,6 +105,10 @@ def main():
     # The whole direction step of bratu-m10 (k = 10) and newton-krylov (k = 50).
     for k in (10, 50):
         cases.append((f"add_direction k={k}", *_add_direction_case(k, 10**4, rng)))
+    # The same step in the residual basis of the Newton-Krylov inner solve.
+    for k in (10, 50):
+        cases.append((f"add_direction residual k={k}",
+                      *_add_direction_case(k, 10**4, rng, residual_basis=True)))
     # The eviction cost of bratu-m10 / lj-cluster (m = 10) and newton-krylov (m = 50).
     for k in (10, 50):
         w, p_new, v_new = _full_window(k, 10**4, rng)

@@ -211,9 +211,11 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer, adapt_
     for it in count(1):
         x_frozen = x
         f_frozen = fx
+        # Every inner probe at this x scales by the same ||x||_inf.
+        x_inf = float(np.abs(x).max())
         op = LinearOperator(
             dim=ev.prob.dim,
-            apply=lambda v: ev.jv(x_frozen, v, f_frozen),
+            apply=lambda v: ev.jv(x_frozen, v, f_frozen, x_inf=x_inf),
             is_symmetric=False,
         )
         inner_opts = LinearOptions(tol_rel=eta, max_iters=inner_m)

@@ -153,7 +153,9 @@ class WindowPair:
     Gram-Schmidt) need no reordering; logical() puts a per-pair array back
     in window order. No caller may hold a view across a push. The v rows
     are expected orthonormal (the caller orthogonalizes; push divides by
-    the scale it is given).
+    the scale it is given). `orthogonalized` says whether every pair since
+    the last clear was pushed with orthogonalized=True, as
+    linear.add_direction pushes its Gram-Schmidt output.
     """
 
     NORMALIZATION_TOL = 1e-10
@@ -168,11 +170,13 @@ class WindowPair:
         self._len = 0
         self.head = 0
         self.oldest_index = 0
+        self.orthogonalized = True
 
     def __len__(self):
         return self._len
 
-    def push(self, p: np.ndarray, v: np.ndarray, scale: float = 1.0) -> None:
+    def push(self, p: np.ndarray, v: np.ndarray, scale: float = 1.0, *,
+             orthogonalized: bool = False) -> None:
         """Append the pair (p / scale, v / scale); ||v|| / scale must be 1."""
         if p.shape != v.shape:
             raise ValueError("p and v must have the same length")
@@ -195,11 +199,13 @@ class WindowPair:
             self._len += 1
         np.divide(p, scale, out=self._p[row])
         np.divide(v, scale, out=self._v[row])
+        self.orthogonalized &= orthogonalized
 
     def clear(self) -> None:
         self.oldest_index += self._len
         self._len = 0
         self.head = 0
+        self.orthogonalized = True
 
     @property
     def newest_slot(self) -> int:
@@ -368,10 +374,10 @@ class EvalCounter:
         return fx
 
     def jv(self, x: np.ndarray, p: np.ndarray, f_x: np.ndarray, *,
-           p_norm: Optional[float] = None) -> np.ndarray:
+           p_norm: Optional[float] = None, x_inf: Optional[float] = None) -> np.ndarray:
         from .jacobian import frechet_jv
 
-        out, cost = frechet_jv(self.prob, x, p, f_x, self.probe, p_norm=p_norm)
+        out, cost = frechet_jv(self.prob, x, p, f_x, self.probe, p_norm=p_norm, x_inf=x_inf)
         self.count += cost
         return out
 

@@ -20,13 +20,15 @@ def frechet_jv(
     probe: JvProbe,
     *,
     p_norm: Optional[float] = None,
+    x_inf: Optional[float] = None,
 ) -> Tuple[np.ndarray, int]:
     """Approximate J(x) @ p, reusing the already computed f_x.
 
     Frechet mode takes one forward difference with
     eps = FRECHET_EPS_SCALE * (1 + ||x||_inf) / ||p||_2 and costs 1 feval; exact
     mode delegates to the problem's exact_jv and costs 0. `p_norm` is
-    ||p||_2 when the caller has measured it already.
+    ||p||_2 and `x_inf` is ||x||_inf when the caller has measured them
+    already.
 
     Returns (J(x) @ p, fevals_spent).
     """
@@ -41,7 +43,9 @@ def frechet_jv(
         p_norm = float(np.linalg.norm(p))
     if p_norm == 0.0:
         raise ValueError("cannot probe along a zero direction")
-    eps = FRECHET_EPS_SCALE * (1.0 + float(np.abs(x).max())) / p_norm
+    if x_inf is None:
+        x_inf = float(np.abs(x).max())
+    eps = FRECHET_EPS_SCALE * (1.0 + x_inf) / p_norm
     f_shift = prob.eval_f(x + eps * p)
     if not np.all(np.isfinite(f_shift)):
         raise NonFiniteError("f(x + eps*p) is not finite", x=x + eps * p)

@@ -6,10 +6,21 @@ that keeps the stored A p_i columns orthonormal. A first pass that kept
 ||v'|| >= skip_eta(k, n) ||v|| cannot have left a projection above
 REORTH_REL on such a window, so the step makes three passes over it
 (project, subtract, update p); below skip_eta it takes a second pass
-without testing for one. Other callers of orthogonalize_pair keep the
-explicit test of the projection. The classical conjugate residual
-recurrence is implemented separately so the two can cross-check each
-other on symmetric operators.
+without testing for one. Windows that took a raw push since their last
+clear (WindowPair.orthogonalized is False) and other callers of
+orthogonalize_pair keep the explicit test of the projection. The
+classical conjugate residual recurrence is implemented separately so the
+two can cross-check each other on symmetric operators.
+
+A workspace solve that cannot evict keeps residuals instead of
+directions (tgcr_solve): A R_k = A P_k B^(k) gives R_k = P_k B^(k), so
+x_k = x_0 + R_k (B^(k))^{-1} alpha is formed once, at exit, and its
+direction step skips the p update, two passes in all (the residual basis
+of Walker & Zhou, "A simpler GMRES", NLAA 1, 1994; its stability:
+Jiranek, Rozloznik & Gutknecht, SIMAX 30, 2008). Near stagnation
+successive residuals are almost parallel and B^(k) ill-conditioned, so a
+step that keeps more than STALL_RATIO of ||r|| turns the rows into
+directions, and the rest of the solve updates p and x at every step.
 """
 
 from __future__ import annotations
@@ -76,6 +87,11 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # On windows add_direction built, a first pass that keeps less than this
 # share of ||v|| is always followed by a second one (skip_eta).
 KEPT_FLOOR = 0.2
+# A residual-basis solve (tgcr_solve) goes back to directions once a step
+# leaves ||r_{t+1}|| above this share of ||r_t||. The Newton-Krylov inner
+# solves on scaled Bratu keep at most 0.994 of ||r|| per step, so they stay
+# in the residual basis.
+STALL_RATIO = 0.999
 
 
 def skip_eta(k: int, n: int) -> float:
@@ -204,7 +220,8 @@ def orthogonalize_pair(p, v, P, V, lo, hi, *, orthonormal=False):
     P and V hold the window pairs as columns, in any order. As transposed
     WindowPair row blocks, V[:, lo:hi].T is contiguous, so each pass is two
     BLAS-2 products. The same combination applied to v is applied to p so
-    v = A p is preserved. Runs a second pass when the first leaves a
+    v = A p is preserved; with P None, p is handed back as given and no
+    pass over P runs. Runs a second pass when the first leaves a
     projection above REORTH_REL * ||v||. A caller that states `orthonormal`
     (the columns are orthonormal to working precision, as in a window that
     add_direction built) gets no test: the second pass runs exactly when
@@ -230,34 +247,40 @@ def orthogonalize_pair(p, v, P, V, lo, hi, *, orthonormal=False):
     if proj is not None:
         v = v - np.dot(proj, Vr)
         b = b + proj
-    p = p - np.dot(b, P[:, lo:hi].T)
+    if P is not None:
+        p = p - np.dot(b, P[:, lo:hi].T)
     return p, v, dict(zip(range(lo, hi), b.tolist()))
 
 
-def add_direction(window: WindowPair, p, v, *, p_norm: Optional[float] = None):
+def add_direction(window: WindowPair, p, v, *, p_norm: Optional[float] = None,
+                  residual_basis: bool = False):
     """The direction step of TGCR, nlTGCR and the Newton-Krylov inner solve.
 
     Orthogonalizes the raw pair (p, v = A p) against the window and pushes
-    it divided by ||v|| unless v collapses (BREAKDOWN_TOL). The window's v
-    rows must be orthonormal to working precision, as they are when this
-    step built them: the norm-drop rule of skip_eta alone decides the
-    second Gram-Schmidt pass. `p_norm` is ||p|| when the caller has
-    measured it already. Returns None on collapse, with the window
-    unchanged; otherwise (||v||, the Gram-Schmidt coefficients keyed by
-    window column, oldest first).
+    it divided by ||v|| unless v collapses (BREAKDOWN_TOL). On a window
+    whose every pair since its last clear came through this step
+    (window.orthogonalized), the norm-drop rule of skip_eta alone decides
+    the second Gram-Schmidt pass; on any other window the projection is
+    tested. `p_norm` is ||p|| when the caller has measured it already.
+    With `residual_basis`, p is pushed as given (the P row holds p / ||v||)
+    and Gram-Schmidt skips its p update; the caller forms its iterate from
+    those rows and the coefficients (tgcr_solve). Returns None on collapse,
+    with the window unchanged; otherwise (||v||, the Gram-Schmidt
+    coefficients keyed by window column, oldest first).
     """
     if p_norm is None:
         p_norm = float(np.linalg.norm(p))
     P, V = window.rows()
     k, head = len(window), window.head
-    p, v, betas = orthogonalize_pair(p, v, P.T, V.T, 0, k, orthonormal=True)
+    p, v, betas = orthogonalize_pair(p, v, None if residual_basis else P.T, V.T, 0, k,
+                                     orthonormal=window.orthogonalized)
     s = float(np.linalg.norm(v))
     if s <= BREAKDOWN_TOL * max(1.0, p_norm):
         return None
     if head:
         # Gram-Schmidt ran on the rows in storage order.
         betas = {j: betas[(head + j) % k] for j in range(k)}
-    window.push(p, v, scale=s)
+    window.push(p, v, scale=s, orthogonalized=True)
     return s, betas
 
 
@@ -282,6 +305,10 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
         hist = KrylovHistory(kind=kind, keep_vectors=False)
     # Directions are numbered from this solve's first one.
     base = window.oldest_index
+    # A workspace that cannot evict keeps the residual basis: the P row of
+    # pair t holds r_t / s_t = P_t + sum_i U[i, t] P_i, U[i, t] = b_it / s_t,
+    # so x0 + alpha @ P rows = x0 + z @ those rows with U z = alpha.
+    U = np.eye(capacity) if workspace is not None and capacity == opts.max_iters else None
     # A @ 0 = 0 by linearity; skipping the apply also spares matrix-free
     # operators a probe along the zero vector.
     r = b.copy() if not np.any(x) else b - A.apply(x)
@@ -295,39 +322,70 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
         hist.converged = True
         return x, hist
 
+    def _iterate():
+        """x0 plus the steps taken so far. In the residual basis the window
+        holds one row per alpha, in window order (nothing was evicted). On
+        a triangular U, LU with partial pivoting never swaps a row, so the
+        solve is a back substitution."""
+        k = len(hist.alphas)
+        if U is None or not k:
+            return x
+        return x + np.dot(np.linalg.solve(U[:k, :k], hist.alphas), window.rows()[0])
+
+    def _leave_residual_basis():
+        """Turn the rows into the directions P_t = r_t / s_t - sum_i U[i, t] P_i
+        (forward substitution, as the direction basis builds them) and return
+        x0 plus the steps taken so far."""
+        P = window.rows()[0]
+        for t in range(1, len(P)):
+            P[t] -= np.dot(U[:t, t], P[:t])
+        return x + np.dot(hist.alphas, P)
+
     def _new_direction(t: int):
         """Build direction t from the current residual; raises on breakdown."""
         first = window.oldest_index - base
         hist.truncated |= first > 0
-        built = add_direction(window, r, A.apply(r), p_norm=rnorm)
+        built = add_direction(window, r, A.apply(r), p_norm=rnorm, residual_basis=U is not None)
         if built is None:
             raise BreakdownError(
                 f"direction collapsed at step {t}",
                 residual=r.copy(),
                 resnorm=rnorm,
-                x=x.copy(),
+                x=_iterate().copy(),
                 history=hist,
             )
         hist.scales.append(built[0])
         hist.betas.update({(first + i, t): val for i, val in built[1].items()})
+        if U is not None and t:
+            U[:t, t] = np.fromiter(built[1].values(), float, t) / built[0]
 
     _new_direction(0)
     for j in range(opts.max_iters):
         P, V = window.rows()
-        p_j, v_j = P[window.newest_slot], V[window.newest_slot]
+        v_j = V[window.newest_slot]
         alpha = float(r @ v_j)
-        x = x + alpha * p_j
+        if U is None:
+            x = x + alpha * P[window.newest_slot]
         r = r - alpha * v_j
         rnorm = float(np.linalg.norm(r))
         hist.alphas.append(alpha)
+        # In the residual basis x stays x0; a workspace history does not keep it.
         hist.record(r, x, rnorm)
         if rnorm <= opts.tol_rel * ref:
             hist.converged = True
             break
         if j + 1 >= opts.max_iters:
             break
+        if U is not None and rnorm > STALL_RATIO * hist.norms[-2]:
+            # Near stagnation r_{t+1} and r_t are almost parallel and U
+            # ill-conditioned, so back substitution would lose the accuracy
+            # the direction basis keeps: the rest of the solve builds
+            # directions (the adaptive rule of Jiranek & Rozloznik, Numer.
+            # Algorithms 53, 2010).
+            x = _leave_residual_basis()
+            U = None
         _new_direction(j + 1)
-    return x, hist
+    return _iterate(), hist
 
 
 def gcr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
@@ -354,7 +412,11 @@ def tgcr_solve(A: LinearOperator, b, x0, m: int, opts: Optional[LinearOptions] =
     solve clears it and runs in it, numbering its directions from 0, and
     returns a history of scalars only, the residual norms, alphas, scales,
     betas and flags, with no vectors and no reference to the workspace.
-    The iterates are the same floats either way.
+    The scalars are the same floats either way, and so is the iterate when
+    the workspace can evict (m < max_iters). When it cannot, it keeps the
+    residual basis until a step stalls (module docstring), and the iterate,
+    returned or carried by BreakdownError, equals the full history's up to
+    rounding. The workspace's rows are scratch after the solve.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

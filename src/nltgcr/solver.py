@@ -54,20 +54,22 @@ class _Loop:
         self.r = -fx
         self.window = WindowPair(opts.window_m)
         self.mode = mode
-        self.anchor_x = x
-        self.anchor_f = fx
+        self.refresh_anchor()
         self.lin_steps = 0
         self.breakdown_budget = MAX_BREAKDOWN_RESTARTS
         self.ls = opts.linesearch
 
     def jv_at_anchor(self, p, p_norm=None):
         if self.mode == "LIN":
-            return self.ev.jv(self.anchor_x, p, self.anchor_f, p_norm=p_norm)
+            return self.ev.jv(self.anchor_x, p, self.anchor_f, p_norm=p_norm,
+                              x_inf=self.anchor_inf)
         return self.ev.jv(self.x, p, self.fx, p_norm=p_norm)
 
     def refresh_anchor(self):
         self.anchor_x = self.x
         self.anchor_f = self.fx
+        # Every LIN-mode probe until the next refresh scales by this norm.
+        self.anchor_inf = float(np.abs(self.x).max())
 
     def seed_window(self):
         """(Re)build the window from the current residual: one probe."""

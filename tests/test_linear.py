@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nltgcr.linear as linear
@@ -366,6 +366,21 @@ class TestTrustedFirstPass:
             proj = np.abs(V.T @ v_out).max()
             assert (proj > linear.REORTH_REL * np.linalg.norm(v_out)) == left
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pushed_rows_keep_the_explicit_test(self, seed):
+        # The same drifted window, filled by push: add_direction does not
+        # trust it, tests the projection and removes it with a second pass.
+        A, w, _, _ = _window_instance(8, 40, seed, drift=1e-7)
+        assert not w.orthogonalized
+        p = np.random.default_rng(seed).standard_normal(40)
+        assert linear.add_direction(w, p, A @ p) is not None
+        V = w.rows()[1]
+        others = np.delete(V, w.newest_slot, axis=0)
+        assert np.abs(others @ V[w.newest_slot]).max() <= linear.REORTH_REL
+        assert not w.orthogonalized
+        w.clear()
+        assert w.orthogonalized
+
 
 class TestLinearOperator:
     def test_linearity_defect_small(self):
@@ -430,6 +445,16 @@ class TestAddDirection:
         np.testing.assert_allclose(w.p_matrix()[:, 1], e[2] - e[0], atol=1e-15)
         np.testing.assert_allclose(w.v_matrix(), e[:, 1:], atol=1e-15)
         assert (len(w), w.oldest_index) == (2, 1)
+
+    def test_residual_basis_pushes_p_as_given(self):
+        w = WindowPair(capacity=3)
+        e = np.eye(3)
+        linear.add_direction(w, e[0], e[0], residual_basis=True)
+        s, betas = linear.add_direction(w, e[0] + e[1], 2.0 * (e[0] + e[1]), residual_basis=True)
+        # v loses its v_0 part; p keeps it and is only divided by ||v'||.
+        assert s == 2.0 and betas == {0: 2.0}
+        np.testing.assert_array_equal(w.p_matrix()[:, 1], (e[0] + e[1]) / 2.0)
+        np.testing.assert_array_equal(w.v_matrix()[:, 1], e[1])
 
     def test_collapse_at_capacity_leaves_window_unchanged(self):
         w = WindowPair(capacity=2)
@@ -514,12 +539,55 @@ def _run(op, b, m, opts, workspace=None):
         return err.x, err.history
 
 
+# make_linear_problem's kinds and three more: "few-eigenvalues" (GCR ends
+# in a collapse at tol 1e-30), "cyclic-shift" and "late-stall". A cyclic
+# shift S has r^T S r = 0 for r = e_1, so GCR on a slightly perturbed S with
+# b near e_1 barely moves from its first step and nearly collapses;
+# "late-stall" puts S beside a diagonal block in [1, 10], which GCR reduces
+# before it stalls on S.
+WORKSPACE_KINDS = ["nonsymmetric", "spd", "indefinite", "few-eigenvalues", "cyclic-shift",
+                   "late-stall"]
+
+
+def _workspace_problem(kind, n, seed):
+    if kind == "few-eigenvalues":
+        rng = np.random.default_rng(seed)
+        op = LinearOperator.from_matrix(np.diag(rng.choice([1.0, 2.0, 3.0], n)))
+        return op, rng.standard_normal(n)
+    if kind in ("cyclic-shift", "late-stall"):
+        rng = np.random.default_rng(seed)
+        h = n // 2 if kind == "late-stall" else 0
+        A = np.zeros((n, n))
+        A[:h, :h] = np.diag(rng.uniform(1.0, 10.0, h))
+        A[h:, h:] = np.roll(np.eye(n - h), 1, axis=0)
+        A += 10 ** rng.uniform(-8, -2) * rng.standard_normal((n, n))
+        b = 1e-3 * rng.standard_normal(n)
+        b[:h] = rng.standard_normal(h)
+        b[h] += 10 ** rng.uniform(-3, 3) if h else 1.0
+        return LinearOperator.from_matrix(A), b
+    return make_linear_problem(kind, n, seed=seed)
+
+
+def _residual_basis_scale(h_ws, h_full):
+    """(k, S) of a solve from x0 = 0 whose window could not evict, with
+    S = || |P|^T |U| |z| ||: P the full history's direction columns, U the
+    unit upper-triangular U[i, t] = b_it / s_t, U z = alpha."""
+    k = len(h_ws.alphas)
+    U = np.eye(k)
+    for (i, t), val in h_ws.betas.items():
+        U[i, t] = val / h_ws.scales[t]
+    z = np.linalg.solve(U, h_ws.alphas)
+    return k, float(np.linalg.norm(np.abs(h_full.P_matrix()[:, :k]) @ (np.abs(U) @ np.abs(z))))
+
+
 class TestWorkspace:
-    """tgcr_solve in a caller's window gives today's iterates and scalars."""
+    """tgcr_solve in a caller's window gives today's scalars; its iterate is
+    the same floats where the window can evict and the residual-basis
+    iterate, equal to rounding, where it cannot."""
 
     @settings(max_examples=100, deadline=None)
     @given(
-        kind=st.sampled_from(["nonsymmetric", "spd", "few-eigenvalues"]),
+        kind=st.sampled_from(WORKSPACE_KINDS),
         n=st.integers(3, 30),
         m=st.integers(1, 8),
         max_iters=st.integers(1, 40),
@@ -529,12 +597,7 @@ class TestWorkspace:
     def test_same_floats_as_full_history(self, kind, n, m, max_iters, tol, seed):
         # "few-eigenvalues" with tol 1e-30 collapses a direction, so the
         # comparison covers BreakdownError histories too.
-        if kind == "few-eigenvalues":
-            rng = np.random.default_rng(seed)
-            op = LinearOperator.from_matrix(np.diag(rng.choice([1.0, 2.0, 3.0], n)))
-            b = rng.standard_normal(n)
-        else:
-            op, b = make_linear_problem(kind, n, seed=seed)
+        op, b = _workspace_problem(kind, n, seed)
         opts = LinearOptions(tol_rel=tol, max_iters=max_iters)
         w = WindowPair(min(m, max_iters))
         # Two consecutive solves in one window: the second starts from a
@@ -542,9 +605,96 @@ class TestWorkspace:
         for rhs in (b, b[::-1].copy()):
             x_full, h_full = _run(op, rhs, m, opts)
             x_ws, h_ws = _run(op, rhs, m, opts, workspace=w)
-            assert _scalars(x_ws, h_ws) == _scalars(x_full, h_full)
+            assert _scalars(x_ws, h_ws)[1:] == _scalars(x_full, h_full)[1:]
+            if m < max_iters:
+                assert x_ws.tobytes() == x_full.tobytes()
+            else:
+                # Every scalar above is the same float on both paths, so both
+                # evaluate x0 + alpha @ P with P = U^{-T} Q, Q the residual
+                # rows r_t / s_t: the full path by forward substitution for
+                # the rows of P, then a (k + 1)-term sum; the residual basis
+                # by back substitution for z = U^{-1} alpha, then x0 + z @ Q.
+                # A triangular solve has backward error |dU| <= gamma_k |U|
+                # (Higham, Accuracy and Stability, Thm 8.5), which puts at
+                # most gamma_k |P|^T |U| |z| into x on either path; each sum
+                # adds gamma_{k+1} (|x0| + |P|^T |alpha|) or
+                # gamma_{k+1} (|x0| + |Q|^T |z|), and rounding Q adds
+                # u |Q|^T |z|. With |alpha| <= |U| |z|, |Q|^T <= |P|^T |U|
+                # and x0 = 0, all of it is at most (4k + 3) u S to first
+                # order; 4k + 4 covers the second. A solve that stalls leaves
+                # the residual basis and forms the rows of P by forward
+                # substitution as well, which the same bound covers.
+                k, S = _residual_basis_scale(h_ws, h_full)
+                diff = float(np.linalg.norm(x_ws - x_full))
+                assert diff <= (4 * k + 4) * linear.UNIT_ROUNDOFF * S
             assert h_ws.window is None and h_ws.R == [] and h_ws.xs == []
             assert h_ws.to_csv() == h_full.to_csv()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(WORKSPACE_KINDS),
+        n=st.integers(3, 30),
+        max_iters=st.integers(1, 40),
+        tol=st.sampled_from([1e-4, 1e-10, 1e-30]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="cyclic-shift", n=10, max_iters=10, tol=1e-10, seed=67)
+    def test_residual_basis_reports_the_true_residual(self, kind, n, max_iters, tol, seed):
+        # m = max_iters: the workspace keeps the residual basis until a step
+        # stalls. The last recorded norm stays as close to ||b - A x|| as on
+        # the full path. A maps the iterates' difference, at most
+        # (4k + 4) u S (above), to at most (4k + 4) u ||A|| S; these
+        # operators have ||A|| and ||A^-1|| of order 1 to 10, and over 600
+        # draws of each kind the excess stayed below 4 (4k + 4) u ||b||, so
+        # c = 16 (4k + 4). Kept in the residual basis through its stall, the
+        # explicit example exceeds that bound 350 times over.
+        op, b = _workspace_problem(kind, n, seed)
+        opts = LinearOptions(tol_rel=tol, max_iters=max_iters)
+        x_full, h_full = _run(op, b, max_iters, opts)
+        x_ws, h_ws = _run(op, b, max_iters, opts, workspace=WindowPair(max_iters))
+        gap_ws, gap_full = (abs(float(np.linalg.norm(b - op.mat @ x)) - h.norms[-1])
+                            for x, h in ((x_ws, h_ws), (x_full, h_full)))
+        c = 16 * (4 * len(h_ws.alphas) + 4)
+        assert gap_ws <= gap_full + c * linear.UNIT_ROUNDOFF * float(np.linalg.norm(b))
+
+    @staticmethod
+    def _spy_p_pass(monkeypatch):
+        """A list that gets, per orthogonalize_pair call, whether P was None."""
+        seen = []
+        gs = linear.orthogonalize_pair
+
+        def spy(p, v, P, V, lo, hi, **kw):
+            seen.append(P is None)
+            return gs(p, v, P, V, lo, hi, **kw)
+
+        monkeypatch.setattr(linear, "orthogonalize_pair", spy)
+        return seen
+
+    def test_only_a_workspace_that_cannot_evict_skips_the_p_pass(self, monkeypatch):
+        seen = self._spy_p_pass(monkeypatch)
+        op, b = make_linear_problem("nonsymmetric", 30, seed=0)
+        opts = LinearOptions(tol_rel=1e-12, max_iters=20)
+        for m, workspace, skipped in ((20, None, False), (5, WindowPair(5), False),
+                                      (20, WindowPair(20), True)):
+            seen.clear()
+            tgcr_solve(op, b, np.zeros(30), m=m, opts=opts, workspace=workspace)
+            assert seen and set(seen) == {skipped}
+
+    @pytest.mark.parametrize("kind, n, seed", [("cyclic-shift", 10, 67), ("late-stall", 20, 11)])
+    def test_a_stall_goes_back_to_directions(self, monkeypatch, kind, n, seed):
+        # Directions 0..t are built in the residual basis, t the first step
+        # with ||r_{t+1}|| > STALL_RATIO ||r_t||; every later one updates p.
+        seen = self._spy_p_pass(monkeypatch)
+        op, b = _workspace_problem(kind, n, seed)
+        opts = LinearOptions(tol_rel=1e-10, max_iters=n)
+        x, h = _run(op, b, n, opts, workspace=WindowPair(n))
+        ratios = h.resnorms()[1:] / h.resnorms()[:-1]
+        t = int(np.argmax(ratios > linear.STALL_RATIO))
+        assert ratios[t] > linear.STALL_RATIO and len(seen) > t + 1
+        assert seen == [True] * (t + 1) + [False] * (len(seen) - t - 1)
+        x_full, h_full = _run(op, b, n, opts)
+        assert h.resnorms().tobytes() == h_full.resnorms().tobytes()
+        np.testing.assert_allclose(x, x_full, rtol=0, atol=1e-12 * np.linalg.norm(x_full))
 
     def test_evicting_solve_matches(self):
         op, b = make_linear_problem("nonsymmetric", 40, seed=3)
