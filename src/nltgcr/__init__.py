@@ -10,7 +10,6 @@ from .baselines import (
     AaState,
     aa_multisecant_check,
     aa_solve,
-    broyden1_update,
     broyden2_solve,
     lbfgs_solve,
     ncg_fr_solve,

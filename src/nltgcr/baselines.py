@@ -125,14 +125,6 @@ def aa_multisecant_check(state: AaState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def broyden1_update(J: np.ndarray, dx: np.ndarray, df: np.ndarray) -> np.ndarray:
-    """Rank-one Jacobian update enforcing J_new dx = df."""
-    denom = float(dx @ dx)
-    if denom == 0.0:
-        raise ValueError("zero step in Jacobian update")
-    return J + np.outer(df - J @ dx, dx) / denom
-
-
 def broyden2_solve(
     prob: NonlinearProblem,
     x0,

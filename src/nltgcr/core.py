@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
@@ -61,6 +62,13 @@ def check_finite(v, what="vector"):
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{what} contains non-finite entries")
     return v
+
+
+def all_finite(v: np.ndarray) -> bool:
+    """Whether every entry of the vector v is finite. Its sum of squares is
+    finite unless an entry is NaN or inf or the sum overflows (numpy warns
+    then), so the entries are scanned only when it is not."""
+    return math.isfinite(v @ v) or bool(np.all(np.isfinite(v)))
 
 
 @dataclass
@@ -176,8 +184,9 @@ class WindowPair:
         return self._len
 
     def push(self, p: np.ndarray, v: np.ndarray, scale: float = 1.0, *,
-             orthogonalized: bool = False) -> None:
-        """Append the pair (p / scale, v / scale); ||v|| / scale must be 1."""
+             orthogonalized: bool = False, v_norm: Optional[float] = None) -> None:
+        """Append the pair (p / scale, v / scale); ||v|| / scale must be 1.
+        `v_norm` is ||v|| when the caller has measured it already."""
         if p.shape != v.shape:
             raise ValueError("p and v must have the same length")
         n = p.shape[0]
@@ -186,7 +195,7 @@ class WindowPair:
                 raise ValueError("dimension mismatch with existing window columns")
             self._p = np.empty((self.capacity, n))
             self._v = np.empty((self.capacity, n))
-        nv = float(np.linalg.norm(v)) / scale
+        nv = (float(np.linalg.norm(v)) if v_norm is None else v_norm) / scale
         # Written so that a NaN norm fails too.
         if not abs(nv - 1.0) <= self.NORMALIZATION_TOL:
             raise ValueError(f"v is not normalized: ||v|| = {nv!r}")
@@ -218,7 +227,8 @@ class WindowPair:
 
     def logical(self, a: np.ndarray) -> np.ndarray:
         """A per-pair array in storage order, reordered oldest to newest."""
-        return np.roll(a, -self.head, axis=0) if self.head else a
+        h = self.head
+        return np.concatenate((a[h:], a[:h])) if h else a
 
     def p_matrix(self) -> np.ndarray:
         return self.logical(self._p[: self._len]).T
@@ -369,7 +379,7 @@ class EvalCounter:
     def f(self, x: np.ndarray) -> np.ndarray:
         self.count += 1
         fx = self.prob.eval_f(x)
-        if not np.all(np.isfinite(fx)):
+        if not all_finite(fx):
             raise NonFiniteError("f(x) is not finite", x=x)
         return fx
 

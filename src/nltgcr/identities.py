@@ -33,11 +33,10 @@ def build_B_matrix(hist: KrylovHistory) -> np.ndarray:
     """
     if not hist.complete_beta_table:
         raise ValueError("B reconstruction needs a full (untruncated) history")
-    k = len(hist.scales) - 1
-    B = np.eye(k + 1)
-    for (i, t), val in hist.betas.items():
-        if t <= k:
-            B[i, t] = val / hist.scales[i]
+    scales = np.array(hist.scales)
+    B = np.eye(len(scales))
+    for t, b in enumerate(hist.betas):
+        B[:t, t] = b / scales[:t]
     return B
 
 

@@ -6,7 +6,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import JvProbe, NonFiniteError, NonlinearProblem
+from .core import JvProbe, NonFiniteError, NonlinearProblem, all_finite
 
 # Relative step of the forward-difference probe (scaled by 1 + ||x||_inf).
 FRECHET_EPS_SCALE = 1e-7
@@ -46,10 +46,14 @@ def frechet_jv(
     if x_inf is None:
         x_inf = float(np.abs(x).max())
     eps = FRECHET_EPS_SCALE * (1.0 + x_inf) / p_norm
-    f_shift = prob.eval_f(x + eps * p)
-    if not np.all(np.isfinite(f_shift)):
-        raise NonFiniteError("f(x + eps*p) is not finite", x=x + eps * p)
-    return (f_shift - f_x) / eps, 1
+    shifted = eps * p
+    shifted += x
+    f_shift = prob.eval_f(shifted)
+    if not all_finite(f_shift):
+        raise NonFiniteError("f(x + eps*p) is not finite", x=shifted)
+    jv = f_shift - f_x
+    jv /= eps
+    return jv, 1
 
 
 def descent_check(

@@ -39,7 +39,9 @@ def _stencil(v: np.ndarray, h: float) -> np.ndarray:
 
 def bratu_residual(u: np.ndarray, lam: float, h: float) -> np.ndarray:
     out = _stencil(u, h)
-    out += lam * np.exp(u.reshape(-1))
+    e = np.exp(u.reshape(-1))
+    e *= lam
+    out += e
     return out.reshape(u.shape)
 
 

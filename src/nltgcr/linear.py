@@ -26,8 +26,9 @@ directions, and the rest of the solve updates p and x at every step.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -49,20 +50,6 @@ class LinearOperator:
         if is_symmetric is None:
             is_symmetric = bool(np.allclose(A, A.T, atol=1e-13 * max(1.0, np.abs(A).max())))
         return cls(dim=A.shape[0], apply=lambda v: A @ v, is_symmetric=is_symmetric, mat=A)
-
-    def linearity_defect(self, n_probes: int = 5, seed: int = 0) -> float:
-        """Max violation of A(ax + by) = a Ax + b Ay on random probes."""
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n_probes):
-            x = rng.standard_normal(self.dim)
-            y = rng.standard_normal(self.dim)
-            a, b = rng.standard_normal(2)
-            lhs = self.apply(a * x + b * y)
-            rhs = a * self.apply(x) + b * self.apply(y)
-            scale = max(1.0, float(np.linalg.norm(lhs)))
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
-        return worst
 
 
 @dataclass(frozen=True)
@@ -121,7 +108,9 @@ class KrylovHistory:
 
     Every history keeps the residual norm of each iterate (`norms`, the
     values the convergence test computed), the step lengths, the scales,
-    the orthogonalization coefficients and the converged/truncated flags.
+    the orthogonalization coefficients and the converged/truncated flags:
+    `betas[t]` holds direction t's Gram-Schmidt coefficients against
+    directions t - len(betas[t]) .. t - 1 (CR: its recurrence's scalar).
     A full history also keeps every residual and iterate (R, xs) and, for
     GCR and TGCR, the solve's window. tgcr_solve with a workspace returns
     one that keeps neither (keep_vectors=False, no window). R_matrix needs
@@ -133,8 +122,8 @@ class KrylovHistory:
     directions are read from the solve's window, so a truncated history
     holds only the last m of them (column j is direction
     window.oldest_index + j). The classical unnormalized quantities are
-    recovered through the *_unnormalized accessors: p_i_un = scales[i] *
-    p_i, alpha_un = alpha / scales[j], beta_un(i, j) = beta(i, j) / scales[i].
+    p_i_un = scales[i] * p_i, alpha_un = alpha / scales[j] (the
+    *_unnormalized accessors) and beta_un(i, j) = beta(i, j) / scales[i].
     """
 
     def __init__(self, kind: str = "gcr", window: Optional[WindowPair] = None,
@@ -147,7 +136,7 @@ class KrylovHistory:
         self.xs: List[np.ndarray] = []
         self.scales: List[float] = []
         self.alphas: List[float] = []
-        self.betas: Dict[Tuple[int, int], float] = {}
+        self.betas: List[np.ndarray] = []
         self.truncated = False
         self.converged = False
 
@@ -199,9 +188,6 @@ class KrylovHistory:
     def alpha_unnormalized(self, j: int) -> float:
         return self.alphas[j] / self.scales[j]
 
-    def beta_unnormalized(self, i: int, j: int) -> float:
-        return self.betas[(i, j)] / self.scales[i]
-
     def to_csv(self, path=None) -> str:
         buf = io.StringIO()
         buf.write("iter,resnorm\n")
@@ -226,14 +212,18 @@ def orthogonalize_pair(p, v, P, V, lo, hi, *, orthonormal=False):
     (the columns are orthonormal to working precision, as in a window that
     add_direction built) gets no test: the second pass runs exactly when
     the first kept less than skip_eta(k, n) of ||v||. Never writes to p or
-    v. Returns (p, v, betas dict by column index).
+    v. Returns (p, v, b, ||v||): b holds the coefficients in column order,
+    and ||v|| is measured once more only after a second pass.
     """
+    # math.sqrt(v @ v) is np.linalg.norm(v) to the bit, without its overhead.
     if hi == lo:
-        return p, v, {}
+        return p, v, np.empty(0), math.sqrt(v @ v)
     Vr = V[:, lo:hi].T
     b = Vr @ v
-    v = v - np.dot(b, Vr)
-    nv = float(np.linalg.norm(v))
+    # Each subtraction overwrites the product it subtracts: one temporary.
+    t = np.dot(b, Vr)
+    v = np.subtract(v, t, out=t)
+    nv = math.sqrt(v @ v)
     proj = None
     if orthonormal:
         # On orthonormal rows ||v||^2 = ||v'||^2 + ||b||^2 to rounding, so the
@@ -245,11 +235,13 @@ def orthogonalize_pair(p, v, P, V, lo, hi, *, orthonormal=False):
         if float(np.abs(proj).max()) <= REORTH_REL * nv:
             proj = None
     if proj is not None:
-        v = v - np.dot(proj, Vr)
-        b = b + proj
+        v -= np.dot(proj, Vr)
+        b += proj
+        nv = math.sqrt(v @ v)
     if P is not None:
-        p = p - np.dot(b, P[:, lo:hi].T)
-    return p, v, dict(zip(range(lo, hi), b.tolist()))
+        t = np.dot(b, P[:, lo:hi].T)
+        p = np.subtract(p, t, out=t)
+    return p, v, b, nv
 
 
 def add_direction(window: WindowPair, p, v, *, p_norm: Optional[float] = None,
@@ -265,23 +257,20 @@ def add_direction(window: WindowPair, p, v, *, p_norm: Optional[float] = None,
     With `residual_basis`, p is pushed as given (the P row holds p / ||v||)
     and Gram-Schmidt skips its p update; the caller forms its iterate from
     those rows and the coefficients (tgcr_solve). Returns None on collapse,
-    with the window unchanged; otherwise (||v||, the Gram-Schmidt
-    coefficients keyed by window column, oldest first).
+    with the window unchanged; otherwise (||v||, the array of Gram-Schmidt
+    coefficients in window order, oldest first).
     """
     if p_norm is None:
         p_norm = float(np.linalg.norm(p))
     P, V = window.rows()
-    k, head = len(window), window.head
-    p, v, betas = orthogonalize_pair(p, v, None if residual_basis else P.T, V.T, 0, k,
-                                     orthonormal=window.orthogonalized)
-    s = float(np.linalg.norm(v))
+    p, v, b, s = orthogonalize_pair(p, v, None if residual_basis else P.T, V.T, 0, len(window),
+                                    orthonormal=window.orthogonalized)
     if s <= BREAKDOWN_TOL * max(1.0, p_norm):
         return None
-    if head:
-        # Gram-Schmidt ran on the rows in storage order.
-        betas = {j: betas[(head + j) % k] for j in range(k)}
-    window.push(p, v, scale=s, orthogonalized=True)
-    return s, betas
+    # Gram-Schmidt ran on the rows in storage order; the push moves the head.
+    b = window.logical(b)
+    window.push(p, v, scale=s, orthogonalized=True, v_norm=s)
+    return s, b
 
 
 def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions, kind: str,
@@ -343,8 +332,7 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
 
     def _new_direction(t: int):
         """Build direction t from the current residual; raises on breakdown."""
-        first = window.oldest_index - base
-        hist.truncated |= first > 0
+        hist.truncated |= window.oldest_index > base
         built = add_direction(window, r, A.apply(r), p_norm=rnorm, residual_basis=U is not None)
         if built is None:
             raise BreakdownError(
@@ -354,10 +342,11 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
                 x=_iterate().copy(),
                 history=hist,
             )
-        hist.scales.append(built[0])
-        hist.betas.update({(first + i, t): val for i, val in built[1].items()})
-        if U is not None and t:
-            U[:t, t] = np.fromiter(built[1].values(), float, t) / built[0]
+        s, coeffs = built
+        hist.scales.append(s)
+        hist.betas.append(coeffs)
+        if U is not None:
+            U[:t, t] = coeffs / s
 
     _new_direction(0)
     for j in range(opts.max_iters):
@@ -367,7 +356,7 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
         if U is None:
             x = x + alpha * P[window.newest_slot]
         r = r - alpha * v_j
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(r @ r)
         hist.alphas.append(alpha)
         # In the residual basis x stays x0; a workspace history does not keep it.
         hist.record(r, x, rnorm)
@@ -469,7 +458,7 @@ def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
         Ar = A.apply(r)
         rAr_new = float(r @ Ar)
         beta = rAr_new / rAr
-        hist.betas[(j, j)] = beta
+        hist.betas.append(beta)
         p = r + beta * p
         Ap = Ar + beta * Ap
         rAr = rAr_new

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,7 +39,8 @@ def backtrack(
     (descent for 0.5 ||f||^2). Costs one function evaluation per trial; the
     evaluation at the returned point is handed back for reuse. When
     max_backtracks is exhausted the best trial seen is returned with
-    satisfied=False so the caller can restart.
+    satisfied=False so the caller can restart. A trial at alpha = 1 adds d
+    itself (the same bytes as 1.0 * d).
     """
     if slope <= 0.0:
         raise NotDescentError(f"line search needs a positive slope, got {slope!r}")
@@ -50,7 +51,7 @@ def backtrack(
     last_err = None
     while steps < opts.max_backtracks:
         steps += 1
-        x_t = x + alpha * d
+        x_t = x + d if alpha == 1.0 else x + alpha * d
         try:
             f_t = eval_f(x_t)
         except (ValueError, ArithmeticError, NonFiniteError) as err:
@@ -75,22 +76,24 @@ def backtrack_linearized(
     Vy: np.ndarray,
     slope: float,
     opts: LineSearchOptions,
+    *, rnorm2: Optional[float] = None,
 ):
     """Line search against the linear residual model ||r - a V y||^2.
 
-    Costs no function evaluations. Returns (alpha, steps, satisfied,
-    r - alpha V y, ||r - alpha V y||^2) for the returned alpha, so the
-    caller need not form or measure that residual again.
+    Costs no function evaluations. `rnorm2` is r @ r when the caller has
+    it. Returns (alpha, steps, satisfied, r - alpha V y,
+    ||r - alpha V y||^2) for the returned alpha, so the caller need not
+    form or measure that residual again.
     """
     if slope <= 0.0:
         raise NotDescentError(f"line search needs a positive slope, got {slope!r}")
-    rnorm2 = float(r @ r)
+    rnorm2 = float(r @ r) if rnorm2 is None else rnorm2
     alpha = opts.alpha0
     best = None
     steps = 0
     while steps < opts.max_backtracks:
         steps += 1
-        res = r - alpha * Vy
+        res = r - Vy if alpha == 1.0 else r - alpha * Vy
         n2 = float(res @ res)
         if best is None or n2 < best[0]:
             best = (n2, alpha, res)

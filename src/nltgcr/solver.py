@@ -20,10 +20,12 @@ STAY = "stay"
 MAX_BREAKDOWN_RESTARTS = 3
 
 
-def angular_distance(r_nl: np.ndarray, r_lin: np.ndarray) -> float:
-    """1 - cos of the angle between the nonlinear and linear residuals."""
-    na = float(np.linalg.norm(r_nl))
-    nb = float(np.linalg.norm(r_lin))
+def angular_distance(r_nl: np.ndarray, r_lin: np.ndarray, na: Optional[float] = None,
+                     nb: Optional[float] = None) -> float:
+    """1 - cos of the angle between the nonlinear and linear residuals;
+    na and nb are their norms when the caller has measured them."""
+    na = float(np.linalg.norm(r_nl)) if na is None else na
+    nb = float(np.linalg.norm(r_lin)) if nb is None else nb
     if na == 0.0 or nb == 0.0:
         raise ValueError("angular distance undefined for a zero residual")
     return 1.0 - float(r_nl @ r_lin) / (na * nb)
@@ -51,7 +53,7 @@ class _Loop:
         self.ev = ev
         self.x = x
         self.fx = fx
-        self.r = -fx
+        self.set_residual(-fx)
         self.window = WindowPair(opts.window_m)
         self.mode = mode
         self.refresh_anchor()
@@ -59,11 +61,12 @@ class _Loop:
         self.breakdown_budget = MAX_BREAKDOWN_RESTARTS
         self.ls = opts.linesearch
 
-    def jv_at_anchor(self, p, p_norm=None):
-        if self.mode == "LIN":
-            return self.ev.jv(self.anchor_x, p, self.anchor_f, p_norm=p_norm,
-                              x_inf=self.anchor_inf)
-        return self.ev.jv(self.x, p, self.fx, p_norm=p_norm)
+    def set_residual(self, r, r2=None) -> float:
+        """Make r the current residual and r2 = r @ r (given or formed), so
+        the two never disagree; returns ||r||, as np.linalg.norm rounds it."""
+        self.r = r
+        self.r2 = float(r @ r) if r2 is None else r2
+        return math.sqrt(self.r2)
 
     def refresh_anchor(self):
         self.anchor_x = self.x
@@ -78,7 +81,7 @@ class _Loop:
             raise BreakdownError(
                 "seed direction collapsed",
                 residual=self.r.copy(),
-                resnorm=float(np.linalg.norm(self.r)),
+                resnorm=math.sqrt(self.r2),
             )
 
     def restart(self):
@@ -87,15 +90,20 @@ class _Loop:
             raise BreakdownError(
                 "window restarts exhausted",
                 residual=self.r.copy(),
-                resnorm=float(np.linalg.norm(self.r)),
+                resnorm=math.sqrt(self.r2),
             )
         self.breakdown_budget -= 1
         self.seed_window()
 
-    def build_direction(self, r_norm: Optional[float] = None) -> bool:
-        """Add the pair probed along the current residual, whose norm is
-        r_norm if the caller has measured it; False on collapse."""
-        v = self.jv_at_anchor(self.r, r_norm)
+    def build_direction(self) -> bool:
+        """Add the pair probed along the current residual at the mode's
+        Jacobian anchor; False on collapse."""
+        r_norm = math.sqrt(self.r2)
+        if self.mode == "LIN":
+            v = self.ev.jv(self.anchor_x, self.r, self.anchor_f, p_norm=r_norm,
+                           x_inf=self.anchor_inf)
+        else:
+            v = self.ev.jv(self.x, self.r, self.fx, p_norm=r_norm)
         return add_direction(self.window, self.r, v, p_norm=r_norm) is not None
 
 
@@ -152,7 +160,7 @@ def _steps(ev, x, fx, target, opts, mode, observer):
 
         d = np.dot(y, P)
         r_old = st.r
-        if float(np.linalg.norm(d)) == 0.0:
+        if float(d @ d) == 0.0:
             # Degenerate least-squares step with a nonzero residual: treat
             # as an unlucky-breakdown signal and restart the window.
             st.restart()
@@ -170,35 +178,31 @@ def _steps(ev, x, fx, target, opts, mode, observer):
                 step = res.alpha
                 st.x = res.x_new
                 st.fx = res.f_new
-                st.r = -st.fx
                 pending_restart = not res.satisfied
             else:
                 st.x = st.x + d
                 st.fx = ev.f(st.x)
-                st.r = -st.fx
-            resnorm = float(np.linalg.norm(st.r))
+            resnorm = st.set_residual(-st.fx)
         else:
-            # r_lin = r_old - step * Vy, measured once: np.linalg.norm is the
-            # square root of this same dot product.
             if st.ls is not None:
                 step, ls_steps, _, r_lin, n2 = backtrack_linearized(
-                    st.r, Vy, float(y @ y), st.ls)
+                    st.r, Vy, float(y @ y), st.ls, rnorm2=st.r2)
                 st.ls = update_alpha0(st.ls, ls_steps)
             else:
-                r_lin = r_old - Vy
-                n2 = float(r_lin @ r_lin)
-            resnorm = math.sqrt(n2)
-            st.x = st.x + step * d
-            st.r = r_lin
+                r_lin, n2 = r_old - Vy, None
+            # A step of exactly 1 adds d itself: the same bytes, one pass less.
+            st.x = st.x + d if step == 1.0 else st.x + step * d
+            resnorm = st.set_residual(r_lin, n2)
             st.lin_steps += 1
 
         switch = STAY
         theta = None
         if st.mode == "NL":
             if opts.variant == "adaptive" and resnorm > 0.0:
-                r_lin = r_old - step * Vy
-                if float(np.linalg.norm(r_lin)) > 0.0:
-                    theta = angular_distance(st.r, r_lin)
+                r_lin = r_old - Vy if step == 1.0 else r_old - step * Vy
+                lin_norm = float(np.linalg.norm(r_lin))
+                if lin_norm > 0.0:
+                    theta = angular_distance(st.r, r_lin, resnorm, lin_norm)
                     switch = adaptive_switch(theta, opts, mode="NL")
         else:
             periodic = (
@@ -209,13 +213,11 @@ def _steps(ev, x, fx, target, opts, mode, observer):
                 # One charged evaluation refreshes the true residual; the
                 # adaptive variant also uses it for the switch decision.
                 st.fx = ev.f(st.x)
-                r_true = -st.fx
-                rtn = float(np.linalg.norm(r_true))
-                if opts.variant == "adaptive" and rtn > 0.0 and resnorm > 0.0:
-                    theta = angular_distance(r_true, st.r)
+                r_lin, lin_norm = st.r, resnorm
+                resnorm = st.set_residual(-st.fx)
+                if opts.variant == "adaptive" and resnorm > 0.0 and lin_norm > 0.0:
+                    theta = angular_distance(st.r, r_lin, resnorm, lin_norm)
                     switch = adaptive_switch(theta, opts, mode="LIN")
-                st.r = r_true
-                resnorm = rtn
 
         if observer is not None:
             r_tilde = r_old - Vy
@@ -233,12 +235,11 @@ def _steps(ev, x, fx, target, opts, mode, observer):
             st.refresh_anchor()
         elif periodic_restart and st.mode == "LIN":
             st.fx = ev.f(st.x)
-            st.r = -st.fx
+            st.set_residual(-st.fx)
             st.refresh_anchor()
         if switch != STAY or periodic_restart or pending_restart:
             st.seed_window()
         else:
-            # st.r is the residual that resnorm measured.
-            fresh = st.build_direction(resnorm)
+            fresh = st.build_direction()
             if not fresh:
                 st.restart()

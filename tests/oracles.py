@@ -126,14 +126,15 @@ def mgs_orthogonalize_pair(p, v, P, V, lo, hi, reorth_rel=1e-8):
     one column at a time, applying each coefficient to p against P as well.
 
     A second sweep runs when the first leaves a projection above
-    reorth_rel * ||v||. Returns (p, v, coefficients keyed by column).
+    reorth_rel * ||v||. Returns (p, v, coefficient array in column order,
+    ||v||).
     """
-    betas = {}
+    betas = np.zeros(hi - lo)
     for i in range(lo, hi):
         b = float(v @ V[:, i])
         p = p - b * P[:, i]
         v = v - b * V[:, i]
-        betas[i] = b
+        betas[i - lo] = b
     nv = float(np.linalg.norm(v))
     if hi > lo and nv > 0.0:
         proj = np.array([float(v @ V[:, i]) for i in range(lo, hi)])
@@ -142,8 +143,33 @@ def mgs_orthogonalize_pair(p, v, P, V, lo, hi, reorth_rel=1e-8):
                 b = float(v @ V[:, i])
                 p = p - b * P[:, i]
                 v = v - b * V[:, i]
-                betas[i] += b
-    return p, v, betas
+                betas[i - lo] += b
+            nv = float(np.linalg.norm(v))
+    return p, v, betas, nv
+
+
+def broyden1_update(J, dx, df):
+    """Broyden's first (good) rank-one Jacobian update, enforcing J_new dx = df."""
+    denom = float(dx @ dx)
+    if denom == 0.0:
+        raise ValueError("zero step in Jacobian update")
+    return J + np.outer(df - J @ dx, dx) / denom
+
+
+def linearity_defect(op, n_probes=5, seed=0):
+    """Max violation of A(ax + by) = a Ax + b Ay on random probes of an
+    operator with `dim` and `apply`, relative to max(1, ||A(ax + by)||)."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_probes):
+        x = rng.standard_normal(op.dim)
+        y = rng.standard_normal(op.dim)
+        a, b = rng.standard_normal(2)
+        lhs = op.apply(a * x + b * y)
+        rhs = a * op.apply(x) + b * op.apply(y)
+        scale = max(1.0, float(np.linalg.norm(lhs)))
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
+    return worst
 
 
 def frobenius_gap(window, seed=0, n_samples=10):

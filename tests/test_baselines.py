@@ -10,7 +10,6 @@ from nltgcr import (
     SolverOptions,
     aa_multisecant_check,
     aa_solve,
-    broyden1_update,
     broyden2_solve,
     lbfgs_solve,
     make_linear_problem,
@@ -19,7 +18,7 @@ from nltgcr import (
     newton_krylov_solve,
     nltgcr_solve,
 )
-from oracles import central_diff_gradient
+from oracles import broyden1_update, central_diff_gradient
 
 
 def _contraction_problem(n=3, seed=0):
@@ -257,8 +256,9 @@ class TestNewtonKrylov:
     def test_peak_memory_is_about_one_inner_window(self):
         # Every inner solve runs in one window of 2 * inner_m * n doubles and
         # keeps no residuals or iterates, so no outer step holds a second one.
-        # The rest of the peak is a few vectors and the inner betas dict
-        # (up to inner_m^2 / 2 entries), about a third of a window here.
+        # The rest of the peak is a few vectors and the inner solve's
+        # coefficient arrays (up to inner_m^2 / 2 doubles), about 0.15 of a
+        # window here (0.25 when they were a dict of (i, t) keys).
         import tracemalloc
 
         bp = BratuProblem(grid_n=40, lam=0.5, scaled=True)

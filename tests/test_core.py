@@ -74,6 +74,31 @@ class TestWindowPair:
             w.push(np.zeros(3), np.array([bad, 0.0, 0.0]), scale=1.0)
         assert len(w) == 0
 
+    @pytest.mark.parametrize("given", [np.nan, np.inf, 2.0, 1.0 + 1e-9])
+    def test_given_norm_is_checked(self, given):
+        # The caller's ||v|| replaces the measured one, and the check runs
+        # on it: a NaN, inf or wrong norm is rejected even for a unit v.
+        w = WindowPair(2)
+        with pytest.raises(ValueError, match="not normalized"):
+            w.push(np.zeros(3), np.array([1.0, 0.0, 0.0]), v_norm=given)
+        assert len(w) == 0
+        w.push(np.zeros(3), np.array([3.0, 0.0, 0.0]), scale=3.0, v_norm=3.0)
+        assert len(w) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(cap=st.integers(1, 8), pushes=st.integers(0, 30), n=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_logical_is_roll_by_head(self, cap, pushes, n, seed):
+        w = WindowPair(cap)
+        e0 = np.eye(3)[0]
+        for _ in range(pushes):
+            w.push(np.zeros(3), e0)
+        rng = np.random.default_rng(seed)
+        for a in (rng.standard_normal(len(w)), rng.standard_normal((len(w), n))):
+            expected = np.roll(a, -w.head, axis=0)
+            assert w.logical(a).tobytes() == expected.tobytes()
+            assert w.logical(a).shape == expected.shape
+
     def test_orthonormality_defect_small_for_orthonormal_pushes(self):
         w = WindowPair(capacity=5)
         for v in _orthonormal_columns(40, 5, seed=3):
@@ -133,13 +158,12 @@ class TestWindowRing:
                 pair = (p, q)
             else:
                 # Raw v = q plus known multiples c of the window's v columns:
-                # Gram-Schmidt must report c keyed by window column.
+                # Gram-Schmidt must report c in window order.
                 c = rng.standard_normal(len(model))
                 v_raw = q + sum((cj * vj for cj, (_, vj) in zip(c, model)), np.zeros(self.N))
                 p_raw = p + sum((cj * pj for cj, (pj, _) in zip(c, model)), np.zeros(self.N))
-                s, betas = add_direction(w, p_raw, v_raw)
-                assert list(betas) == list(range(len(model)))
-                np.testing.assert_allclose([betas[j] for j in range(len(model))], c, rtol=0, atol=1e-12)
+                s, b = add_direction(w, p_raw, v_raw)
+                np.testing.assert_allclose(b, c, rtol=0, atol=1e-12)
                 assert s == pytest.approx(1.0, abs=1e-12)
                 newest_p, newest_v = w.p_matrix()[:, -1], w.v_matrix()[:, -1]
                 np.testing.assert_allclose(newest_v, q, rtol=0, atol=1e-12)
@@ -296,3 +320,23 @@ class TestEvalCounter:
         ev = EvalCounter(prob)
         with pytest.raises(NonFiniteError):
             ev.f(np.ones(1))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_overflowing_sum_of_squares_is_not_non_finite(self, bad, where):
+        # Entries near 1e200 overflow f @ f to inf, yet every entry is finite;
+        # one NaN or inf entry among them still raises.
+        def f(x):
+            out = np.full(5, 1e200) * np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+            if bad is not None:
+                out[where] = bad
+            return out
+
+        ev = EvalCounter(NonlinearProblem(dim=5, eval_f=f))
+        if bad is None:
+            assert not np.isfinite(f(None) @ f(None))
+            np.testing.assert_array_equal(ev.f(np.zeros(5)), f(None))
+        else:
+            with pytest.raises(NonFiniteError, match="not finite"):
+                ev.f(np.zeros(5))

@@ -86,6 +86,32 @@ class TestFrechetJv:
             frechet_jv(prob, x, np.array([1e9]), f(x), JvProbe())
 
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 3])
+    def test_overflowing_sum_of_squares_is_not_non_finite(self, bad, where):
+        # f(x) = 1e200 + x: its sum of squares overflows, yet every entry of
+        # the shifted value is finite, so the probe goes through; a NaN or
+        # inf entry in the shifted value still raises.
+        from nltgcr import NonFiniteError
+
+        def f(x):
+            out = 1e200 + x
+            if bad is not None and x[0] != 0.0:
+                out[where] = bad
+            return out
+
+        prob = NonlinearProblem(dim=4, eval_f=f)
+        x = np.zeros(4)
+        p = np.array([1.0, 0.0, 0.0, 0.0])
+        if bad is None:
+            jv, fev = frechet_jv(prob, x, p, f(x), JvProbe())
+            assert fev == 1 and np.all(np.isfinite(jv))
+        else:
+            with pytest.raises(NonFiniteError, match="not finite"):
+                frechet_jv(prob, x, p, f(x), JvProbe())
+
+
 class TestDescentCheck:
     def test_identity_map_negated_direction_is_descent(self):
         # f(x) = x, r = -x, d = -x at x = (1, 1): <r, J d> = <x, x> = 2.

@@ -21,6 +21,7 @@ from nltgcr import (
     secant_property_check,
     tgcr_solve,
 )
+from nltgcr import solver
 from nltgcr.jacobian import descent_check
 from nltgcr.solver import STAY, TO_LIN, TO_NL
 from oracles import frobenius_gap
@@ -237,6 +238,29 @@ class TestAdaptiveSwitch:
         to_lin = any(a == "NL" and b == "LIN" for a, b in zip(modes, modes[1:]))
         to_nl = any(a == "LIN" and b == "NL" for a, b in zip(modes, modes[1:]))
         assert to_lin and to_nl
+        assert trace.final().resnorm <= 1e-10 * trace.records[0].resnorm
+
+    def test_line_search_gets_the_square_of_its_residual(self, monkeypatch):
+        # The LIN line search takes r @ r from the solve instead of forming
+        # it. Across LIN -> NL -> LIN switches, adaptive refreshes and the
+        # periodic LIN restart (iterations 20 and 40, both in LIN mode), each
+        # call must get the square of the r it is handed, to the bit.
+        calls = []
+        search = solver.backtrack_linearized
+
+        def spy(r, Vy, slope, opts, **kw):
+            calls.append(kw["rnorm2"] == float(r @ r))
+            return search(r, Vy, slope, opts, **kw)
+
+        monkeypatch.setattr(solver, "backtrack_linearized", spy)
+        bp, prob = _bratu(10, lam=3.0)
+        opts = SolverOptions(window_m=1, tol_rel=1e-10, max_iters=200, restart_every=20,
+                             variant="adaptive", linesearch=LineSearchOptions())
+        _, trace = nltgcr_solve(prob, np.ones(bp.dim), opts)
+        modes = "".join("L" if r.mode == "LIN" else "N" for r in trace.records)
+        assert "LN" in modes and "L" in modes[modes.index("LN") + 1:]
+        assert modes[20:22] == modes[40:42] == "LL"
+        assert len(calls) > 40 and all(calls)
         assert trace.final().resnorm <= 1e-10 * trace.records[0].resnorm
 
 
