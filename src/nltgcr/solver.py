@@ -120,7 +120,12 @@ def nltgcr_solve(
     the stored window, steps along d = P y (scaled by the line search when
     enabled), refreshes the residual according to the variant, and adds one
     new direction pair probed at the variant's Jacobian anchor (the current
-    iterate, or the sweep origin for linearized updates).
+    iterate, or the sweep origin for linearized updates). A LIN step
+    whose r is the unrefreshed linear residual of a unit LIN step, in a
+    window of two or more pairs whose newest was built along that r, takes
+    TGCR's one coefficient instead: every older v is orthogonal to r to
+    rounding there, so y is v_new . r at the newest pair and zero elsewhere.
+    truncated_update forces that y on every step.
 
     Returns (x, trace). Stops when ||f(x)|| / ||f(x0)|| <= opts.tol_rel or
     after max_iters iterations (core.drive). A zero step (||P y|| = 0)
@@ -132,10 +137,11 @@ def nltgcr_solve(
     before the window takes its new pair, with a dict of live state it must
     not modify: iter, mode (of the step), x and r (after it), r_old, y, the
     window that gave y, step, theta (adaptive angle or None), r_tilde =
-    r_old - V y, z = r_tilde - r (None in LIN mode), truncated, and
-    fresh_pair (the window's newest pair was built along the previously
-    observed r, with no restart since). identities.identity_observer checks
-    the residual identities from it.
+    r_old - V y, z = r_tilde - r (None in LIN mode), truncated, one_coef
+    (y was formed from the newest pair alone), and fresh_pair (the window's
+    newest pair was built along the previously observed r, with no restart
+    since). identities.identity_observer checks the residual identities
+    from it.
     """
     opts = opts or SolverOptions()
     mode = "LIN" if opts.variant == "linearized" else "NL"
@@ -146,19 +152,31 @@ def _steps(ev, x, fx, target, opts, mode, observer):
     st = _Loop(x, fx, opts, ev, mode)
     st.seed_window()
     fresh = False  # the window's newest pair extends the previous step
+    unit_lin = False  # st.r is the r_lin of a unit LIN step, not refreshed since
+    # Only the LIN update, the adaptive NL angle and the observer read V y.
+    wants_vy = opts.variant != "nonlinear" or observer is not None
     it = 0
     while True:
         # The window's (k, n) row blocks in storage order, one product each
         # per step; y is in that order too.
         P, V = st.window.rows()
-        if opts.truncated_update:
-            y = np.zeros(len(V))
+        one_coef = opts.truncated_update or (fresh and unit_lin and len(V) > 1)
+        if one_coef:
+            # One coefficient, TGCR's alpha = v_new . r. After a unit linear
+            # update every older v is orthogonal to r to rounding, so V^T r
+            # is zero outside the newest pair; a truncated update drops the
+            # rest by choice. A one-pair window keeps the full products: they
+            # are one pass each already, in fewer numpy calls than this branch.
             newest = st.window.newest_slot
-            y[newest] = float(V[newest] @ st.r)
+            y_new = float(V[newest] @ st.r)
+            y = np.zeros(len(V))
+            y[newest] = y_new
+            d = y_new * P[newest]
+            Vy = y_new * V[newest] if wants_vy else None
         else:
             y = V @ st.r
-
-        d = np.dot(y, P)
+            d = np.dot(y, P)
+            Vy = np.dot(y, V) if wants_vy else None
         r_old = st.r
         if float(d @ d) == 0.0:
             # Degenerate least-squares step with a nonzero residual: treat
@@ -167,7 +185,6 @@ def _steps(ev, x, fx, target, opts, mode, observer):
             fresh = False
             continue
         it += 1
-        Vy = np.dot(y, V)
 
         step = 1.0
         pending_restart = False
@@ -194,6 +211,7 @@ def _steps(ev, x, fx, target, opts, mode, observer):
             st.x = st.x + d if step == 1.0 else st.x + step * d
             resnorm = st.set_residual(r_lin, n2)
             st.lin_steps += 1
+        unit_lin = st.mode == "LIN" and step == 1.0
 
         switch = STAY
         theta = None
@@ -215,6 +233,7 @@ def _steps(ev, x, fx, target, opts, mode, observer):
                 st.fx = ev.f(st.x)
                 r_lin, lin_norm = st.r, resnorm
                 resnorm = st.set_residual(-st.fx)
+                unit_lin = False
                 if opts.variant == "adaptive" and resnorm > 0.0 and lin_norm > 0.0:
                     theta = angular_distance(st.r, r_lin, resnorm, lin_norm)
                     switch = adaptive_switch(theta, opts, mode="LIN")
@@ -224,7 +243,7 @@ def _steps(ev, x, fx, target, opts, mode, observer):
             z = r_tilde - st.r if st.mode == "NL" else None
             observer(dict(iter=it, mode=st.mode, x=st.x, r=st.r, r_old=r_old, r_tilde=r_tilde,
                           z=z, y=st.window.logical(y), window=st.window, step=step, theta=theta,
-                          truncated=opts.truncated_update, fresh_pair=fresh))
+                          truncated=opts.truncated_update, one_coef=one_coef, fresh_pair=fresh))
         yield st.x, resnorm, step, st.mode
 
         fresh = False

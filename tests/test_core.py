@@ -184,15 +184,17 @@ class TestWindowRing:
         P_rows, V_rows = w.rows()
         np.testing.assert_array_equal(V_rows[w.newest_slot], V_log[:, -1])
         # The storage-order products are the logical-order ones, summed in
-        # another order.
+        # another order. The P and V products take the same y, put back in
+        # logical order, so only the summation order differs.
         r = rng.standard_normal(self.N)
         y = V_rows @ r
         y_log = V_log.T @ r
         np.testing.assert_allclose(w.logical(y), y_log, rtol=0, atol=1e-14 * (np.abs(V_log).T @ np.abs(r)).max())
-        scale = (np.abs(P_log) @ np.abs(y_log)).max()
-        np.testing.assert_allclose(np.dot(y, P_rows), P_log @ y_log, rtol=0, atol=1e-14 * scale)
-        scale = (np.abs(V_log) @ np.abs(y_log)).max()
-        np.testing.assert_allclose(np.dot(y, V_rows), V_log @ y_log, rtol=0, atol=1e-14 * scale)
+        y_same = w.logical(y)
+        scale = (np.abs(P_log) @ np.abs(y_same)).max()
+        np.testing.assert_allclose(np.dot(y, P_rows), P_log @ y_same, rtol=0, atol=1e-14 * scale)
+        scale = (np.abs(V_log) @ np.abs(y_same)).max()
+        np.testing.assert_allclose(np.dot(y, V_rows), V_log @ y_same, rtol=0, atol=1e-14 * scale)
 
 
 class TestConvergenceTrace:

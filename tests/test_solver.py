@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nltgcr import (
     BratuProblem,
@@ -22,6 +24,7 @@ from nltgcr import (
     tgcr_solve,
 )
 from nltgcr import solver
+from nltgcr.core import SOLVE_FAILURES
 from nltgcr.jacobian import descent_check
 from nltgcr.solver import STAY, TO_LIN, TO_NL
 from oracles import frobenius_gap
@@ -451,6 +454,164 @@ class TestTruncatedUpdate:
         r = np.array([0.0, 1.0])
         y = float(w.v_matrix()[:, -1] @ r)
         assert y == 0.0
+
+
+def _one_coef_reasons(steps):
+    """Why each observed step should or should not take the one-coefficient
+    step, from the observer's fields alone: "taken" exactly when it is a LIN
+    step whose newest pair was built along the previous step's r, and that
+    r is the unrefreshed r_lin (equal to its r_tilde) of a step of length 1,
+    and the window holds more than one pair."""
+    reasons, prev = [], None
+    for s in steps:
+        if s["mode"] != "LIN":
+            why = "nl"
+        elif prev is not None and prev["mode"] != "LIN":
+            why = "switched"
+        elif not s["fresh_pair"]:
+            why = "reseeded"
+        elif prev["step"] != 1.0:
+            why = "short_step"
+        elif not np.array_equal(prev["r"], prev["r_tilde"]):
+            why = "refreshed"
+        elif s["window_len"] == 1:
+            why = "one_pair"
+        else:
+            why = "taken"
+        reasons.append(why)
+        prev = s
+    return reasons
+
+
+def _watch(steps):
+    def observe(s):
+        steps.append(dict(mode=s["mode"], fresh_pair=s["fresh_pair"], step=s["step"],
+                          one_coef=s["one_coef"], r=s["r"].copy(), r_tilde=s["r_tilde"].copy(),
+                          window_len=len(s["window"])))
+    return observe
+
+
+class TestOneCoefficientStep:
+    # (variant, options, start, reason that must occur): each run exercises
+    # one of the conditions that send a step back to the full V^T r.
+    CASES = {
+        "periodic_refresh": ("adaptive", dict(adaptive_check_period=3), "ones", "refreshed"),
+        "short_linearized_step": (
+            "linearized", dict(linesearch=LineSearchOptions(alpha0=0.5)), "zeros", "short_step"),
+        "restart_every": ("linearized", dict(restart_every=5), "zeros", "reseeded"),
+        "mode_switch": ("adaptive", dict(adaptive_check_period=10), "ones", "switched"),
+        "nonlinear": ("nonlinear", dict(), "zeros", "nl"),
+        "one_pair_window": ("linearized", dict(window_m=1), "zeros", "one_pair"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_taken_exactly_when_its_preconditions_hold(self, case):
+        variant, extra, start, cause = self.CASES[case]
+        bp, prob = _bratu(10, lam=3.0)
+        opts = SolverOptions(**{**dict(window_m=4, tol_rel=1e-10, max_iters=200,
+                                       restart_every=None, variant=variant), **extra})
+        x0 = np.ones(bp.dim) if start == "ones" else np.zeros(bp.dim)
+        steps = []
+        _, trace = nltgcr_solve(prob, x0, opts, observer=_watch(steps))
+        reasons = _one_coef_reasons(steps)
+        assert [s["one_coef"] for s in steps] == [why == "taken" for why in reasons]
+        assert cause in reasons
+        assert ("taken" in reasons) == (cause not in ("nl", "one_pair"))
+        assert trace.final().resnorm <= 1e-10 * trace.records[0].resnorm
+
+    def test_truncated_update_stays_one_hot_in_every_mode(self):
+        bp, prob = _bratu(10, lam=3.0)
+        opts = SolverOptions(window_m=4, tol_rel=1e-10, max_iters=300, variant="adaptive",
+                             truncated_update=True)
+        ys = []
+        nltgcr_solve(prob, np.ones(bp.dim), opts,
+                     observer=lambda s: ys.append((s["mode"], s["one_coef"], s["y"].copy())))
+        assert {mode for mode, _, _ in ys} == {"NL", "LIN"}
+        assert all(one for _, one, _ in ys)
+        assert all(np.count_nonzero(y[:-1]) == 0 for _, _, y in ys)
+
+    def test_zero_coefficient_restarts_like_a_zero_step(self):
+        # A probe that answers along the sweep: the seed pair (p = r0, v = e1)
+        # takes r0 = e1 + e2 to r1 = e2 in one unit step; the pair built along
+        # r1 has v = e3, so the one-coefficient step has v_new . r1 = 0
+        # exactly, as the full V^T r would. That zero step must restart the
+        # window along r1 without using up an iteration; the reseeded pair
+        # (p = v = r1) then takes the second step.
+        b = np.array([1.0, 1.0, 0.0])
+        e = np.eye(3)
+        calls = []
+
+        def jv(x, p):
+            calls.append(p.copy())
+            if p[0] != 0.0:
+                return e[0].copy()
+            return e[2].copy() if len(calls) == 2 else p.copy()
+
+        prob = NonlinearProblem(dim=3, eval_f=lambda x: x - b, exact_jv=jv)
+        opts = SolverOptions(window_m=2, tol_rel=1e-12, max_iters=2, restart_every=None,
+                             variant="linearized")
+        steps = []
+        x, trace = nltgcr_solve(prob, np.zeros(3), opts, probe=JvProbe(mode="exact"),
+                                observer=_watch(steps))
+        np.testing.assert_array_equal(calls[1], e[1])
+        np.testing.assert_array_equal(calls[2], e[1])  # the reseed, along the same r1
+        assert len(calls) == 3
+        assert [s["fresh_pair"] for s in steps] == [False, False]
+        assert not any(s["one_coef"] for s in steps)
+        assert [rec.iter for rec in trace.records] == [0, 1, 2]
+        np.testing.assert_array_equal(x, b + e[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["spd", "nonsymmetric", "indefinite", "bratu"]),
+        size=st.integers(2, 30),
+        seed=st.integers(0, 2**32 - 1),
+        window_m=st.integers(1, 7),
+        variant=st.sampled_from(["linearized", "adaptive"]),
+        probe=st.sampled_from(["exact", "frechet"]),
+        check_period=st.integers(1, 12),
+        linesearch=st.booleans(),
+        tol_exp=st.floats(-13, -4),
+    )
+    def test_dropped_coefficients_are_rounding(self, kind, size, seed, window_m, variant,
+                                               probe, check_period, linesearch, tol_exp):
+        # On every one-coefficient step, the full V^T r is zero to rounding
+        # outside the newest pair. Rounding of what: each older v_i . r
+        # carries the error of the updates since v_i entered, so the bound
+        # scales with the largest residual over the window's lifetime (the
+        # last k steps), not with ||r_old||, which can be far smaller once
+        # the sweep has converged.
+        u = np.finfo(float).eps
+        if kind == "bratu":
+            grid = 3 + size % 6
+            bp, prob = _bratu(grid, lam=0.1 + (seed % 50) / 10.0)
+            x0 = np.random.default_rng(seed).uniform(0.0, 1.0, bp.dim)
+        else:
+            prob, _, _ = _affine_problem(n=size, seed=seed, kind=kind)
+            x0 = np.random.default_rng(seed).standard_normal(size)
+        n = prob.dim
+        opts = SolverOptions(window_m=window_m, tol_rel=10.0 ** tol_exp, max_iters=100,
+                             restart_every=None, variant=variant,
+                             adaptive_check_period=check_period,
+                             linesearch=LineSearchOptions() if linesearch else None)
+        norms, worst = [], []
+
+        def observe(s):
+            norms.append(float(np.linalg.norm(s["r_old"])))
+            if not s["one_coef"]:
+                return
+            window = s["window"]
+            _, V = window.rows()
+            full = V @ s["r_old"]
+            full[window.newest_slot] = 0.0
+            k = len(V)
+            worst.append(float(np.abs(full).max()) / (k * n * u * max(norms[-k:])))
+
+        try:
+            nltgcr_solve(prob, x0, opts, probe=JvProbe(mode=probe), observer=observe)
+        except SOLVE_FAILURES:
+            pass
+        assert max(worst, default=0.0) <= 4.0
 
 
 class TestFailureModes:
