@@ -1,7 +1,8 @@
 """Time each numpy kernel, the window Gram-Schmidt step with its explicit
 re-orthogonalization test, the direction step on windows it built (where
-one pass is trusted), the same step in the residual basis (no p update)
-and a window push at capacity on the benchmark sizes.
+one pass is trusted), the same step in the residual basis (no p update),
+a window push at capacity and the two residual line searches on the
+benchmark sizes.
 
 Run:  PYTHONPATH=src python benchmarks/kernel_bench.py
 Prints the median per-call time over 15 repeats of 20 calls, with the
@@ -30,9 +31,10 @@ import timeit  # noqa: E402
 import numpy as np  # noqa: E402
 
 from nltgcr import kernels  # noqa: E402
-from nltgcr.core import WindowPair  # noqa: E402
+from nltgcr.core import LineSearchOptions, WindowPair  # noqa: E402
 from nltgcr.linear import add_direction, orthogonalize_pair  # noqa: E402
-from nltgcr.problems import LennardJonesProblem  # noqa: E402
+from nltgcr.linesearch import backtrack, backtrack_linearized  # noqa: E402
+from nltgcr.problems import BratuProblem, LennardJonesProblem  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from reference import adjust, reference  # noqa: E402
@@ -85,6 +87,33 @@ def _full_window(k, n, rng):
     return w, rng.standard_normal(n), v
 
 
+def _linearized_case(n, rng):
+    """backtrack_linearized as a LIN step of bratu-m1 calls it: a one-pair
+    window gives Vy = y v with y = <v, r>, and the first trial is accepted."""
+    r = rng.standard_normal(n)
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    y = float(v @ r)
+    search = functools.partial(backtrack_linearized, rnorm2=float(r @ r))
+    args = (r, y * v, y * y, LineSearchOptions())
+    assert search(*args).steps == 1
+    return search, args
+
+
+def _bratu_backtrack_args():
+    """backtrack on Bratu 100x100's f from the all-ones start of the bratu
+    workloads, along the short step d = -1e-5 r (descent, as Bratu's J is
+    negative definite), which the first trial accepts: one f evaluation per
+    call."""
+    bp = BratuProblem(grid_n=100, lam=0.5)
+    x = np.ones(bp.dim)
+    r = -bp.f(x)
+    d = -1e-5 * r
+    args = (bp.f, x, d, r, float(r @ bp.jv(x, d)), LineSearchOptions())
+    assert backtrack(*args).steps == 1
+    return args
+
+
 def main():
     rng = np.random.default_rng(0)
     u = rng.standard_normal((100, 100))
@@ -116,6 +145,9 @@ def main():
         w, p_new, v_new = _full_window(k, 10**4, rng)
         cases.append((f"WindowPair.push full m={k}", functools.partial(w.push, v_norm=1.0),
                       (p_new, v_new)))
+    # The LIN search of bratu-m1 / bratu-m10 and the NL search on Bratu's f.
+    cases.append(("backtrack_linearized n=1e4", *_linearized_case(10**4, rng)))
+    cases.append(("backtrack bratu 100x100", backtrack, _bratu_backtrack_args()))
     header = f"{'kernel':<28}{'median (us)':>12}{'IQR (us)':>10}{'adjusted (us)':>15}"
     print("Informational, not gated.")
     print(header)

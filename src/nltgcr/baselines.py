@@ -324,9 +324,8 @@ def _gradient_step(ev, x, g, d, ls, phi_x):
             reset = True
             if slope_phi >= 0.0:
                 raise NotDescentError("zero gradient handed to the line search")
-        alpha, x_new, phi_new, steps, _ = backtrack_phi(ev.phi, x, d, phi_x, slope_phi, ls)
-        g_new = ev.f(x_new)
-        return x_new, g_new, phi_new, alpha, steps, reset
+        res = backtrack_phi(ev.phi, x, d, phi_x, slope_phi, ls)
+        return res.x_new, ev.f(res.x_new), res.merit, res.alpha, res.steps, reset
     slope = ev.slope(x, -g, d)
     if slope <= 0.0:
         d = -g

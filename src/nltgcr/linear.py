@@ -445,6 +445,8 @@ def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
                 f"CR direction collapsed at step {j}",
                 residual=r.copy(),
                 resnorm=rnorm,
+                x=x,
+                history=hist,
             )
         alpha = rAr / denom
         x = x + alpha * p

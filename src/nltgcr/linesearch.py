@@ -1,4 +1,4 @@
-"""Backtracking line search on ||f||^2 with an adaptive initial stepsize."""
+"""Backtracking line searches: one loop, three merit functions, an adaptive initial stepsize."""
 
 from __future__ import annotations
 
@@ -12,17 +12,59 @@ from .core import LineSearchOptions, NonFiniteError, NotDescentError
 
 @dataclass
 class LineSearchResult:
+    """The returned trial. `f_new` is f(x_new) for `backtrack`, the model
+    residual r - alpha V y for `backtrack_linearized` (x_new None) and None
+    for `backtrack_phi`; `merit` is ||f_new||^2 for the first two, phi for
+    the last. `steps` counts every trial, those that raised included."""
+
     alpha: float
-    x_new: np.ndarray
-    f_new: np.ndarray
-    fevals: int
+    x_new: Optional[np.ndarray]
+    f_new: Optional[np.ndarray]
     steps: int
     satisfied: bool
+    merit: float
 
 
-def sufficient_decrease(fnorm2_trial, rnorm2, alpha, slope, c1) -> bool:
-    """||f(x + a d)||^2 <= ||r||^2 - 2 c1 a <J^T r, d>."""
-    return fnorm2_trial <= rnorm2 - 2.0 * c1 * alpha * slope
+def sufficient_decrease(merit, merit0, alpha, slope, c1) -> bool:
+    """Armijo: merit <= merit0 - 2 c1 a slope.
+
+    On ||f||^2, merit0 = ||r||^2 and slope = <J^T r, d>, half the rate at
+    which ||f(x + a d)||^2 falls at a = 0.
+    """
+    return merit <= merit0 - 2.0 * c1 * alpha * slope
+
+
+# A trial that raises one of these left the evaluable region.
+_EVAL_ERRORS = (ValueError, ArithmeticError, NonFiniteError)
+
+
+def _backtrack(trial, merit0, slope, c1, opts: LineSearchOptions, errors) -> LineSearchResult:
+    """Try alpha = alpha0, tau alpha0, ... until sufficient_decrease holds.
+
+    trial(alpha) returns (merit, x, f) at x + alpha d. A trial raising one
+    of `errors` is rejected like one that fails the test. After
+    max_backtracks trials the best one evaluated is returned with
+    satisfied=False; when none could be evaluated the last error is raised.
+    """
+    if slope <= 0.0:
+        raise NotDescentError(f"line search needs a descent direction, got slope {slope!r}")
+    alpha = opts.alpha0
+    best = last_err = None
+    for steps in range(1, opts.max_backtracks + 1):
+        try:
+            merit, x_t, f_t = trial(alpha)
+        except errors as err:
+            last_err = err
+        else:
+            if sufficient_decrease(merit, merit0, alpha, slope, c1):
+                return LineSearchResult(alpha, x_t, f_t, steps, True, merit)
+            if best is None or merit < best.merit:
+                best = LineSearchResult(alpha, x_t, f_t, steps, False, merit)
+        alpha *= opts.tau
+    if best is None:
+        raise last_err
+    best.steps = steps
+    return best
 
 
 def backtrack(
@@ -33,42 +75,20 @@ def backtrack(
     slope: float,
     opts: LineSearchOptions,
 ) -> LineSearchResult:
-    """Shrink alpha by tau from alpha0 until the decrease condition holds.
+    """Backtracking on ||f(x + a d)||^2 against ||r||^2, r = -f(x).
 
     slope is the caller's estimate of <J(x)^T r, d> and must be positive
     (descent for 0.5 ||f||^2). Costs one function evaluation per trial; the
-    evaluation at the returned point is handed back for reuse. When
-    max_backtracks is exhausted the best trial seen is returned with
-    satisfied=False so the caller can restart. A trial at alpha = 1 adds d
-    itself (the same bytes as 1.0 * d).
+    evaluation at the returned point is handed back for reuse. A trial at
+    alpha = 1 adds d itself (the same bytes as 1.0 * d).
     """
-    if slope <= 0.0:
-        raise NotDescentError(f"line search needs a positive slope, got {slope!r}")
-    rnorm2 = float(r @ r)
-    alpha = opts.alpha0
-    best = None
-    steps = 0
-    last_err = None
-    while steps < opts.max_backtracks:
-        steps += 1
+
+    def trial(alpha):
         x_t = x + d if alpha == 1.0 else x + alpha * d
-        try:
-            f_t = eval_f(x_t)
-        except (ValueError, ArithmeticError, NonFiniteError) as err:
-            # Trial left the evaluable region; shrink like a failed trial.
-            last_err = err
-            alpha *= opts.tau
-            continue
-        n2 = float(f_t @ f_t)
-        if best is None or n2 < best[0]:
-            best = (n2, alpha, x_t, f_t)
-        if sufficient_decrease(n2, rnorm2, alpha, slope, opts.c1):
-            return LineSearchResult(alpha, x_t, f_t, steps, steps, True)
-        alpha *= opts.tau
-    if best is None:
-        raise last_err
-    _, a, x_t, f_t = best
-    return LineSearchResult(a, x_t, f_t, steps, steps, False)
+        f_t = eval_f(x_t)
+        return float(f_t @ f_t), x_t, f_t
+
+    return _backtrack(trial, float(r @ r), slope, opts.c1, opts, _EVAL_ERRORS)
 
 
 def backtrack_linearized(
@@ -76,32 +96,20 @@ def backtrack_linearized(
     Vy: np.ndarray,
     slope: float,
     opts: LineSearchOptions,
-    *, rnorm2: Optional[float] = None,
-):
-    """Line search against the linear residual model ||r - a V y||^2.
+    *, rnorm2: float,
+) -> LineSearchResult:
+    """Backtracking on the linear residual model ||r - a V y||^2.
 
-    Costs no function evaluations. `rnorm2` is r @ r when the caller has
-    it. Returns (alpha, steps, satisfied, r - alpha V y,
-    ||r - alpha V y||^2) for the returned alpha, so the caller need not
-    form or measure that residual again.
+    Costs no function evaluations; rnorm2 is r @ r. The result carries
+    r - alpha V y and its squared norm, so the caller need not form or
+    measure that residual again.
     """
-    if slope <= 0.0:
-        raise NotDescentError(f"line search needs a positive slope, got {slope!r}")
-    rnorm2 = float(r @ r) if rnorm2 is None else rnorm2
-    alpha = opts.alpha0
-    best = None
-    steps = 0
-    while steps < opts.max_backtracks:
-        steps += 1
+
+    def trial(alpha):
         res = r - Vy if alpha == 1.0 else r - alpha * Vy
-        n2 = float(res @ res)
-        if best is None or n2 < best[0]:
-            best = (n2, alpha, res)
-        if sufficient_decrease(n2, rnorm2, alpha, slope, opts.c1):
-            return alpha, steps, True, res, n2
-        alpha *= opts.tau
-    n2, alpha, res = best
-    return alpha, steps, False, res, n2
+        return float(res @ res), None, res
+
+    return _backtrack(trial, rnorm2, slope, opts.c1, opts, ())
 
 
 def backtrack_phi(
@@ -111,39 +119,19 @@ def backtrack_phi(
     phi_x: float,
     slope_phi: float,
     opts: LineSearchOptions,
-):
+) -> LineSearchResult:
     """Classical Armijo on a scalar objective: phi(x + a d) <= phi(x) +
     c1 a <grad phi, d> with slope_phi = <grad phi, d> < 0.
 
     Used by the gradient-based baselines whose problems carry eval_phi.
-    Returns (alpha, x_new, phi_new, steps, satisfied).
+    That test is sufficient_decrease with slope -slope_phi and c1 / 2.
     """
-    if slope_phi >= 0.0:
-        raise NotDescentError(
-            f"objective line search needs a negative slope, got {slope_phi!r}"
-        )
-    alpha = opts.alpha0
-    best = None
-    steps = 0
-    last_err = None
-    while steps < opts.max_backtracks:
-        steps += 1
+
+    def trial(alpha):
         x_t = x + alpha * d
-        try:
-            phi_t = float(eval_phi(x_t))
-        except (ValueError, ArithmeticError, NonFiniteError) as err:
-            last_err = err
-            alpha *= opts.tau
-            continue
-        if best is None or phi_t < best[0]:
-            best = (phi_t, alpha, x_t)
-        if phi_t <= phi_x + opts.c1 * alpha * slope_phi:
-            return alpha, x_t, phi_t, steps, True
-        alpha *= opts.tau
-    if best is None:
-        raise last_err
-    phi_t, a, x_t = best
-    return a, x_t, phi_t, steps, False
+        return float(eval_phi(x_t)), x_t, None
+
+    return _backtrack(trial, phi_x, -slope_phi, 0.5 * opts.c1, opts, _EVAL_ERRORS)
 
 
 def update_alpha0(opts: LineSearchOptions, steps_taken: int) -> LineSearchOptions:

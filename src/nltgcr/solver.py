@@ -202,9 +202,9 @@ def _steps(ev, x, fx, target, opts, mode, observer):
             resnorm = st.set_residual(-st.fx)
         else:
             if st.ls is not None:
-                step, ls_steps, _, r_lin, n2 = backtrack_linearized(
-                    st.r, Vy, float(y @ y), st.ls, rnorm2=st.r2)
-                st.ls = update_alpha0(st.ls, ls_steps)
+                res = backtrack_linearized(st.r, Vy, float(y @ y), st.ls, rnorm2=st.r2)
+                st.ls = update_alpha0(st.ls, res.steps)
+                step, r_lin, n2 = res.alpha, res.f_new, res.merit
             else:
                 r_lin, n2 = r_old - Vy, None
             # A step of exactly 1 adds d itself: the same bytes, one pass less.

@@ -171,6 +171,16 @@ class TestCr:
         with pytest.raises(ValueError, match="symmetric"):
             cr_solve(op, b, np.zeros(6))
 
+    def test_breakdown_carries_iterate_and_history(self):
+        # A = 0: the first direction collapses before any step is taken.
+        op = LinearOperator.from_matrix(np.zeros((3, 3)), is_symmetric=True)
+        x0 = np.zeros(3)
+        with pytest.raises(BreakdownError, match="step 0") as info:
+            cr_solve(op, np.ones(3), x0)
+        err = info.value
+        assert err.x.tobytes() == x0.tobytes()
+        assert err.history.norms == [np.sqrt(3.0)]
+
 
 def _window_instance(k, n, seed, near_span=False, drift=0.0):
     """A window of k pairs v_i = A p_i with unit v rows, and a new pair.

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from nltgcr import (
+    EvalCounter,
     LineSearchOptions,
+    NonlinearProblem,
     NotDescentError,
     backtrack,
     backtrack_linearized,
@@ -19,7 +21,6 @@ class TestBacktrack:
         assert res.satisfied
         assert res.steps == 1
         assert res.alpha == 1.0
-        assert res.fevals == 1
         np.testing.assert_allclose(res.f_new, [0.0], atol=1e-15)
 
     def test_overshooting_cubic_backtracks_then_satisfies(self):
@@ -64,7 +65,6 @@ class TestBacktrack:
         res = backtrack(f, np.zeros(1), np.ones(1), -f(np.zeros(1)), 1.0, opts)
         assert not res.satisfied
         assert res.steps == 5
-        assert res.fevals == 5
 
     def test_accepted_step_never_increases_residual(self):
         rng = np.random.default_rng(0)
@@ -95,6 +95,31 @@ class TestBacktrack:
         res = backtrack(f, np.array([1.0]), np.array([-2.0]), np.array([-1.0]), 1.0, LineSearchOptions())
         assert res.satisfied
 
+    def test_failed_trial_counts_as_a_step(self):
+        # f is not finite left of -0.5: EvalCounter charges the trials at
+        # a = 1 and 0.8 and raises, and the search accepts a = 0.64. Every
+        # charged trial is a step.
+        def f(x):
+            return np.array([np.nan]) if x[0] < -0.5 else x
+
+        ev = EvalCounter(NonlinearProblem(dim=1, eval_f=f))
+        res = backtrack(ev.f, np.array([1.0]), np.array([-2.0]), np.array([-1.0]), 1.0,
+                        LineSearchOptions())
+        assert res.satisfied
+        assert res.steps == ev.count == 3
+
+    def test_every_trial_failing_raises_the_last_error(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            raise ValueError(f"trial {len(calls)}")
+
+        with pytest.raises(ValueError, match="trial 4"):
+            backtrack(f, np.zeros(1), np.ones(1), -np.ones(1), 1.0,
+                      LineSearchOptions(max_backtracks=4))
+        assert len(calls) == 4
+
 
 class TestBacktrackLinearized:
     def test_orthonormal_model_accepts_first_step(self):
@@ -104,10 +129,10 @@ class TestBacktrackLinearized:
         r = rng.standard_normal(6)
         V, _ = np.linalg.qr(rng.standard_normal((6, 2)))
         y = V.T @ r
-        alpha, steps, ok, res, n2 = backtrack_linearized(r, V @ y, float(y @ y), LineSearchOptions())
-        assert ok and steps == 1 and alpha == 1.0
-        assert res.tobytes() == (r - alpha * (V @ y)).tobytes()
-        assert n2 == float(res @ res)
+        res = backtrack_linearized(r, V @ y, float(y @ y), LineSearchOptions(), rnorm2=float(r @ r))
+        assert res.satisfied and res.steps == 1 and res.alpha == 1.0
+        assert res.f_new.tobytes() == (r - res.alpha * (V @ y)).tobytes()
+        assert res.merit == float(res.f_new @ res.f_new)
 
     def test_exhausted_search_returns_best_trial_residual(self):
         # Vy points away from r: every trial grows the model residual, so
@@ -115,14 +140,14 @@ class TestBacktrackLinearized:
         r = np.array([1.0, 0.0])
         Vy = np.array([-1.0, 0.0])
         opts = LineSearchOptions(max_backtracks=4)
-        alpha, steps, ok, res, n2 = backtrack_linearized(r, Vy, 1.0, opts)
-        assert not ok and steps == 4
+        res = backtrack_linearized(r, Vy, 1.0, opts, rnorm2=float(r @ r))
+        assert not res.satisfied and res.steps == 4
         smallest = opts.alpha0
         for _ in range(3):
             smallest *= opts.tau
-        assert alpha == smallest
-        assert res.tobytes() == (r - alpha * Vy).tobytes()
-        assert n2 == float(res @ res)
+        assert res.alpha == smallest
+        assert res.f_new.tobytes() == (r - res.alpha * Vy).tobytes()
+        assert res.merit == float(res.f_new @ res.f_new)
 
 
 class TestBacktrackPhi:
@@ -131,11 +156,36 @@ class TestBacktrackPhi:
         x = np.array([2.0, -1.0])
         d = -x
         slope_phi = float(x @ d)  # <grad phi, d> = -||x||^2
-        alpha, x_new, phi_new, steps, ok = backtrack_phi(
-            phi, x, d, phi(x), slope_phi, LineSearchOptions()
-        )
-        assert ok and alpha == 1.0
-        assert phi_new <= phi(x)
+        res = backtrack_phi(phi, x, d, phi(x), slope_phi, LineSearchOptions())
+        assert res.satisfied and res.alpha == 1.0
+        assert res.merit <= phi(x)
+
+    def test_exhausted_search_returns_best_trial(self):
+        # phi_x = 0 lies below every trial, so none is accepted. Of the
+        # trials a = 1, 0.8, 0.64, 0.512, phi is smallest at a = 0.64, not
+        # at the last one.
+        def phi(x):
+            return float((x[0] - 0.6) ** 2)
+
+        x, d = np.zeros(1), np.ones(1)
+        opts = LineSearchOptions(max_backtracks=4)
+        res = backtrack_phi(phi, x, d, 0.0, -1.0, opts)
+        assert not res.satisfied and res.steps == 4
+        assert res.alpha == opts.alpha0 * opts.tau * opts.tau
+        assert res.x_new.tobytes() == (x + res.alpha * d).tobytes()
+        assert res.merit == phi(res.x_new)
+
+    def test_every_trial_failing_raises_the_last_error(self):
+        calls = []
+
+        def phi(x):
+            calls.append(x)
+            raise ZeroDivisionError(f"trial {len(calls)}")
+
+        with pytest.raises(ZeroDivisionError, match="trial 3"):
+            backtrack_phi(phi, np.zeros(1), np.ones(1), 0.0, -1.0,
+                          LineSearchOptions(max_backtracks=3))
+        assert len(calls) == 3
 
     def test_positive_slope_rejected(self):
         with pytest.raises(NotDescentError):
