@@ -43,9 +43,9 @@ SIDES = ("before", "after")
 RAW_METRICS = (("solve_s.p50", "s", "lower"), ("reference_s.p50", "s", "lower"))
 DIRECTORY_NOTE = (
     "The two sides ran from different checkout directories. Two copies of one "
-    "commit have read 3.8 % apart on bratu-m10 and 7.7 % apart on lj-cluster "
-    "(solve_s.adjusted, 4/4 pairs each), so a difference that small on those "
-    "workloads is not attributable to the code."
+    "commit have read 3.8 % apart on bratu-m10 (solve_s.adjusted, 4/4 pairs) "
+    "and 9.5 % apart on lj-cluster (0/5 pairs), so a difference that small "
+    "on those workloads is not attributable to the code."
 )
 
 

@@ -1,8 +1,7 @@
-"""Time each numpy kernel, the window Gram-Schmidt step with its explicit
-re-orthogonalization test, the direction step on windows it built (where
-one pass is trusted), the same step in the residual basis (no p update),
-a window push at capacity and the two residual line searches on the
-benchmark sizes.
+"""Time each numpy kernel, the window Gram-Schmidt step under the norm-drop
+rule that every solve runs, the direction step on windows it built, the
+same step in the residual basis (no p update), a window push at capacity
+and the two residual line searches on the benchmark sizes.
 
 Run:  PYTHONPATH=src python benchmarks/kernel_bench.py
 Prints the median per-call time over 15 repeats of 20 calls, with the
@@ -51,7 +50,9 @@ def _time(fn, *args, repeat=15, number=20):
 
 def _window_args(k, n, rng):
     """orthogonalize_pair's arguments against a full k-pair window, as the
-    direction step passes them: n x k views of the WindowPair row buffers."""
+    direction step passes them: n x k views of the WindowPair row buffers.
+    The v rows are orthonormal, as in every window add_direction builds, and
+    the random v keeps most of its norm, so the call takes one pass."""
     w = WindowPair(k)
     Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
     for v in Q.T:
@@ -63,7 +64,7 @@ def _add_direction_case(k, n, rng, residual_basis=False):
     """add_direction against a full k-pair window that add_direction built.
 
     Each call takes the next of 2k + 1 random v rows, so every call keeps
-    most of ||v||, skips the test, pushes and evicts the oldest pair. With
+    most of ||v||, takes one pass, pushes and evicts the oldest pair. With
     residual_basis the step skips its p update, as in a Newton-Krylov inner
     solve (which never evicts; a push costs the same either way).
     """

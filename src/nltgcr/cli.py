@@ -40,12 +40,28 @@ def _get(section, key, default=None, cast=str):
             raise ConfigError(f"missing key '{key}'")
         return default
     raw = section[key]
-    if cast is bool:
-        return raw.strip().lower() in ("1", "true", "on", "yes")
     try:
         return cast(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(f"bad value for '{key}': {raw!r}") from None
+
+
+def _flag(raw):
+    """An INI boolean (1/yes/true/on or 0/no/false/off); any other word raises."""
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+
+
+def _restart(raw):
+    """`none` or `off` (never restart), else an int."""
+    return None if raw.strip().lower() in ("none", "off") else int(raw)
+
+
+def _options(**kw) -> SolverOptions:
+    """SolverOptions from config values; a value it rejects is a ConfigError."""
+    try:
+        return SolverOptions(**kw)
+    except ValueError as err:
+        raise ConfigError(f"bad value: {err}") from None
 
 
 def _build_problem(section, seed):
@@ -54,9 +70,11 @@ def _build_problem(section, seed):
         bp = BratuProblem(
             grid_n=_get(section, "grid_n", 100, int),
             lam=_get(section, "lambda", 0.5, float),
-            scaled=_get(section, "scaled", False, bool),
+            scaled=_get(section, "scaled", False, _flag),
         )
         form = _get(section, "form", "roots")
+        if form not in ("roots", "minimization"):
+            raise ConfigError(f"unknown bratu form '{form}'")
         prob = bp.problem() if form == "roots" else bp.minimization_problem()
         start = _get(section, "x0", "zeros")
         if start == "zeros":
@@ -87,14 +105,12 @@ def _build_problem(section, seed):
 
 
 def _solver_options(section, tol):
-    restart_raw = _get(section, "restart_every", "50")
-    restart = None if restart_raw.strip().lower() in ("none", "off") else int(restart_raw)
-    ls = LineSearchOptions() if _get(section, "linesearch", False, bool) else None
-    return SolverOptions(
+    ls = LineSearchOptions() if _get(section, "linesearch", False, _flag) else None
+    return _options(
         window_m=_get(section, "m", 1, int),
         tol_rel=tol,
         max_iters=_get(section, "max_iters", 300, int),
-        restart_every=restart,
+        restart_every=_get(section, "restart_every", 50, _restart),
         variant=_get(section, "variant", "nonlinear"),
         linesearch=ls,
     )
@@ -111,7 +127,7 @@ def _run_solver(section, prob, x0, tol, props_path=None):
             with open(props_path, "w") as fh:
                 json.dump(records, fh, indent=1)
         return x, trace
-    opts = SolverOptions(
+    opts = _options(
         tol_rel=tol,
         max_iters=_get(section, "max_iters", 300, int),
         linesearch=LineSearchOptions(),
@@ -167,7 +183,7 @@ def cmd_run(args) -> int:
                 prob, x0 = _build_problem(section, seed)
                 props_path = (
                     out_dir / f"{name}_rep{rep}_props.json"
-                    if _get(section, "props", False, bool)
+                    if _get(section, "props", False, _flag)
                     else None
                 )
                 t_start = time.perf_counter()

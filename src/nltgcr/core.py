@@ -160,10 +160,8 @@ class WindowPair:
     blocks in storage order, where sums over the window (V^T r, P y,
     Gram-Schmidt) need no reordering; logical() puts a per-pair array back
     in window order. No caller may hold a view across a push. The v rows
-    are expected orthonormal (the caller orthogonalizes; push divides by
-    the scale it is given). `orthogonalized` says whether every pair since
-    the last clear was pushed with orthogonalized=True, as
-    linear.add_direction pushes its Gram-Schmidt output.
+    must be orthonormal, as in every window linear.add_direction builds
+    (the caller orthogonalizes; push divides by the scale it is given).
     """
 
     NORMALIZATION_TOL = 1e-10
@@ -178,13 +176,12 @@ class WindowPair:
         self._len = 0
         self.head = 0
         self.oldest_index = 0
-        self.orthogonalized = True
 
     def __len__(self):
         return self._len
 
     def push(self, p: np.ndarray, v: np.ndarray, scale: float = 1.0, *,
-             orthogonalized: bool = False, v_norm: Optional[float] = None) -> None:
+             v_norm: Optional[float] = None) -> None:
         """Append the pair (p / scale, v / scale); ||v|| / scale must be 1.
         `v_norm` is ||v|| when the caller has measured it already."""
         if p.shape != v.shape:
@@ -208,13 +205,11 @@ class WindowPair:
             self._len += 1
         np.divide(p, scale, out=self._p[row])
         np.divide(v, scale, out=self._v[row])
-        self.orthogonalized &= orthogonalized
 
     def clear(self) -> None:
         self.oldest_index += self._len
         self._len = 0
         self.head = 0
-        self.orthogonalized = True
 
     @property
     def newest_slot(self) -> int:

@@ -2,13 +2,11 @@
 
 The truncated and full solvers share one direction step, add_direction,
 with the nonlinear solver: classical Gram-Schmidt against a WindowPair
-that keeps the stored A p_i columns orthonormal. A first pass that kept
-||v'|| >= skip_eta(k, n) ||v|| cannot have left a projection above
-REORTH_REL on such a window, so the step makes three passes over it
-(project, subtract, update p); below skip_eta it takes a second pass
-without testing for one. Windows that took a raw push since their last
-clear (WindowPair.orthogonalized is False) and other callers of
-orthogonalize_pair keep the explicit test of the projection. The
+whose stored A p_i rows it keeps orthonormal, the one precondition of
+every Gram-Schmidt here. A first pass that kept ||v'|| >= skip_eta(k, n)
+||v|| cannot have left a projection above REORTH_REL on such rows, so the
+step makes three passes over the window (project, subtract, update p);
+below skip_eta it takes a second pass without testing for one. The
 classical conjugate residual recurrence is implemented separately so the
 two can cross-check each other on symmetric operators.
 
@@ -65,14 +63,13 @@ class LinearOptions:
 
 
 # A new direction collapses when its orthogonalized ||v|| is at most
-# BREAKDOWN_TOL * max(1, ||p||) for the raw p; Gram-Schmidt takes a second
-# pass when the first leaves a projection above REORTH_REL * ||v|| (on
-# windows add_direction built, when it kept less than skip_eta of ||v||).
+# BREAKDOWN_TOL * max(1, ||p||) for the raw p; a Gram-Schmidt pass that
+# kept skip_eta of ||v|| leaves no projection above REORTH_REL * ||v'||.
 BREAKDOWN_TOL = 1e-14
 REORTH_REL = 1e-8
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
-# On windows add_direction built, a first pass that keeps less than this
-# share of ||v|| is always followed by a second one (skip_eta).
+# A first pass that keeps less than this share of ||v|| is always followed
+# by a second one (skip_eta).
 KEPT_FLOOR = 0.2
 # A residual-basis solve (tgcr_solve) goes back to directions once a step
 # leaves ||r_{t+1}|| above this share of ||r_t||. The Newton-Krylov inner
@@ -82,7 +79,7 @@ STALL_RATIO = 0.999
 
 
 def skip_eta(k: int, n: int) -> float:
-    """The ||v'|| / ||v|| below which add_direction takes a second pass.
+    """The ||v'|| / ||v|| below which Gram-Schmidt takes a second pass.
 
     After one classical Gram-Schmidt pass v' = v - V^T (V v) against k rows
     V, in floating point with unit roundoff u,
@@ -200,20 +197,19 @@ class KrylovHistory:
         return text
 
 
-def orthogonalize_pair(p, v, P, V, lo, hi, *, orthonormal=False):
+def orthogonalize_pair(p, v, P, V, lo, hi):
     """Classical Gram-Schmidt of (p, v) against window columns lo..hi-1.
 
-    P and V hold the window pairs as columns, in any order. As transposed
-    WindowPair row blocks, V[:, lo:hi].T is contiguous, so each pass is two
-    BLAS-2 products. The same combination applied to v is applied to p so
-    v = A p is preserved; with P None, p is handed back as given and no
-    pass over P runs. Runs a second pass when the first leaves a
-    projection above REORTH_REL * ||v||. A caller that states `orthonormal`
-    (the columns are orthonormal to working precision, as in a window that
-    add_direction built) gets no test: the second pass runs exactly when
-    the first kept less than skip_eta(k, n) of ||v||. Never writes to p or
-    v. Returns (p, v, b, ||v||): b holds the coefficients in column order,
-    and ||v|| is measured once more only after a second pass.
+    P and V hold the window pairs as columns, in any order; the V columns
+    must be orthonormal to working precision, as in every window
+    add_direction builds. As transposed WindowPair row blocks, V[:, lo:hi].T
+    is contiguous, so each pass is two BLAS-2 products. The same
+    combination applied to v is applied to p so v = A p is preserved; with
+    P None, p is handed back as given and no pass over P runs. A second
+    pass runs exactly when the first kept less than skip_eta(k, n) of
+    ||v||. Never writes to p or v. Returns (p, v, b, ||v||): b holds the
+    coefficients in column order, and ||v|| is measured once more only
+    after a second pass.
     """
     # math.sqrt(v @ v) is np.linalg.norm(v) to the bit, without its overhead.
     if hi == lo:
@@ -224,17 +220,10 @@ def orthogonalize_pair(p, v, P, V, lo, hi, *, orthonormal=False):
     t = np.dot(b, Vr)
     v = np.subtract(v, t, out=t)
     nv = math.sqrt(v @ v)
-    proj = None
-    if orthonormal:
-        # On orthonormal rows ||v||^2 = ||v'||^2 + ||b||^2 to rounding, so the
-        # ratio costs O(k) instead of a pass over the window.
-        if nv * nv < skip_eta(hi - lo, v.shape[0]) ** 2 * (nv * nv + float(b @ b)):
-            proj = Vr @ v
-    elif nv > 0.0:
+    # On orthonormal rows ||v||^2 = ||v'||^2 + ||b||^2 to rounding, so the
+    # ratio costs O(k) instead of a pass over the window.
+    if nv * nv < skip_eta(hi - lo, v.shape[0]) ** 2 * (nv * nv + float(b @ b)):
         proj = Vr @ v
-        if float(np.abs(proj).max()) <= REORTH_REL * nv:
-            proj = None
-    if proj is not None:
         v -= np.dot(proj, Vr)
         b += proj
         nv = math.sqrt(v @ v)
@@ -249,27 +238,25 @@ def add_direction(window: WindowPair, p, v, *, p_norm: Optional[float] = None,
     """The direction step of TGCR, nlTGCR and the Newton-Krylov inner solve.
 
     Orthogonalizes the raw pair (p, v = A p) against the window and pushes
-    it divided by ||v|| unless v collapses (BREAKDOWN_TOL). On a window
-    whose every pair since its last clear came through this step
-    (window.orthogonalized), the norm-drop rule of skip_eta alone decides
-    the second Gram-Schmidt pass; on any other window the projection is
-    tested. `p_norm` is ||p|| when the caller has measured it already.
-    With `residual_basis`, p is pushed as given (the P row holds p / ||v||)
-    and Gram-Schmidt skips its p update; the caller forms its iterate from
-    those rows and the coefficients (tgcr_solve). Returns None on collapse,
-    with the window unchanged; otherwise (||v||, the array of Gram-Schmidt
-    coefficients in window order, oldest first).
+    it divided by ||v|| unless v collapses (BREAKDOWN_TOL). The window's v
+    rows must be orthonormal, as they are when every pair since its last
+    clear came through this step; the norm-drop rule of skip_eta decides
+    the second Gram-Schmidt pass. `p_norm` is ||p|| when the caller has
+    measured it already. With `residual_basis`, p is pushed as given (the
+    P row holds p / ||v||) and Gram-Schmidt skips its p update; the caller
+    forms its iterate from those rows and the coefficients (tgcr_solve).
+    Returns None on collapse, with the window unchanged; otherwise (||v||,
+    the array of Gram-Schmidt coefficients in window order, oldest first).
     """
     if p_norm is None:
         p_norm = float(np.linalg.norm(p))
     P, V = window.rows()
-    p, v, b, s = orthogonalize_pair(p, v, None if residual_basis else P.T, V.T, 0, len(window),
-                                    orthonormal=window.orthogonalized)
+    p, v, b, s = orthogonalize_pair(p, v, None if residual_basis else P.T, V.T, 0, len(window))
     if s <= BREAKDOWN_TOL * max(1.0, p_norm):
         return None
     # Gram-Schmidt ran on the rows in storage order; the push moves the head.
     b = window.logical(b)
-    window.push(p, v, scale=s, orthogonalized=True, v_norm=s)
+    window.push(p, v, scale=s, v_norm=s)
     return s, b
 
 

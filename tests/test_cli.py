@@ -291,10 +291,22 @@ max_iters = 200
         assert row[2] == "-" and row[3] == "nan"
 
     def test_bad_config_value_exits_2(self, tmp_path, capsys):
-        cfg = _write(tmp_path, BASE_CONFIG.replace("m = 1", "m = one"))
-        rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "bad value for 'm'" in capsys.readouterr().err
+        # A bad value stops the batch and names its run, instead of running
+        # with a guess (form, linesearch) or as a recorded failed solve.
+        cases = [
+            ("m = 1", "m = one", "bad value for 'm'"),
+            ("x0 = zeros", "x0 = zeros\nform = minimisation", "unknown bratu form"),
+            ("linesearch = on", "linesearch = enabled", "bad value for 'linesearch'"),
+            ("restart_every = none", "restart_every = abc", "bad value for 'restart_every'"),
+            ("variant = adaptive", "variant = bogus", "variant must be one of"),
+            ("m = 1", "m = 0", "window_m must be >= 1"),
+        ]
+        for old, new, message in cases:
+            cfg = _write(tmp_path, BASE_CONFIG.replace(old, new))
+            rc = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert rc == 2, new
+            assert err.startswith("error: run 'bratu-small': ") and message in err, err
 
 
 class TestCompare:
