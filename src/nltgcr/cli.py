@@ -9,6 +9,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,43 +65,50 @@ def _options(**kw) -> SolverOptions:
         raise ConfigError(f"bad value: {err}") from None
 
 
-def _build_problem(section, seed):
+def _problem_maker(section):
+    """Read the problem options; returns seed -> (problem, x0)."""
     name = _get(section, "problem")
     if name == "bratu":
-        bp = BratuProblem(
-            grid_n=_get(section, "grid_n", 100, int),
-            lam=_get(section, "lambda", 0.5, float),
-            scaled=_get(section, "scaled", False, _flag),
-        )
+        grid_n = _get(section, "grid_n", 100, int)
+        lam = _get(section, "lambda", 0.5, float)
+        scaled = _get(section, "scaled", False, _flag)
         form = _get(section, "form", "roots")
         if form not in ("roots", "minimization"):
             raise ConfigError(f"unknown bratu form '{form}'")
-        prob = bp.problem() if form == "roots" else bp.minimization_problem()
         start = _get(section, "x0", "zeros")
-        if start == "zeros":
-            x0 = np.zeros(bp.dim)
-        elif start == "ones":
-            x0 = np.ones(bp.dim)
-        else:
+        if start not in ("zeros", "ones"):
             raise ConfigError(f"unknown bratu x0 '{start}'")
-        return prob, x0
+
+        def make(seed):
+            bp = BratuProblem(grid_n=grid_n, lam=lam, scaled=scaled)
+            prob = bp.problem() if form == "roots" else bp.minimization_problem()
+            return prob, (np.zeros if start == "zeros" else np.ones)(bp.dim)
+
+        return make
     if name == "lennard-jones":
-        lj = LennardJonesProblem(
-            cells_per_side=_get(section, "cells", 3, int),
-            perturbation_scale=_get(section, "perturbation", 0.05, float),
-            rng_seed=seed,
-        )
-        return lj.problem(), lj.initial_positions()
+        cells = _get(section, "cells", 3, int)
+        perturbation = _get(section, "perturbation", 0.05, float)
+
+        def make(seed):
+            lj = LennardJonesProblem(
+                cells_per_side=cells, perturbation_scale=perturbation, rng_seed=seed
+            )
+            return lj.problem(), lj.initial_positions()
+
+        return make
     if name == "logreg":
-        lr = logreg_make_synthetic(
-            n_samples=_get(section, "samples", 2000, int),
-            n_features=_get(section, "features", 500, int),
-            seed=seed,
-            lambda_reg=_get(section, "reg", 1e-2, float),
-        )
-        rng = np.random.default_rng(seed)
-        x0 = 1e-6 * rng.standard_normal(lr.dim)
-        return lr.problem(), x0
+        samples = _get(section, "samples", 2000, int)
+        features = _get(section, "features", 500, int)
+        reg = _get(section, "reg", 1e-2, float)
+
+        def make(seed):
+            lr = logreg_make_synthetic(
+                n_samples=samples, n_features=features, seed=seed, lambda_reg=reg
+            )
+            rng = np.random.default_rng(seed)
+            return lr.problem(), 1e-6 * rng.standard_normal(lr.dim)
+
+        return make
     raise ConfigError(f"unknown problem '{name}'")
 
 
@@ -116,43 +124,77 @@ def _solver_options(section, tol):
     )
 
 
-def _run_solver(section, prob, x0, tol, props_path=None):
+def _solver(section, tol):
+    """Read the solver options; returns (prob, x0, props_path) -> (x, trace)."""
     name = _get(section, "solver")
     if name == "nltgcr":
         opts = _solver_options(section, tol)
-        records = []
-        observer = identity_observer(records) if props_path else None
-        x, trace = nltgcr_solve(prob, x0, opts, observer=observer)
-        if props_path:
-            with open(props_path, "w") as fh:
-                json.dump(records, fh, indent=1)
-        return x, trace
+
+        def solve(prob, x0, props_path):
+            records = []
+            observer = identity_observer(records) if props_path else None
+            x, trace = nltgcr_solve(prob, x0, opts, observer=observer)
+            if props_path:
+                with open(props_path, "w") as fh:
+                    json.dump(records, fh, indent=1)
+            return x, trace
+
+        return solve
     opts = _options(
         tol_rel=tol,
         max_iters=_get(section, "max_iters", 300, int),
         linesearch=LineSearchOptions(),
     )
     if name == "aa":
-        return aa_solve(
-            prob, x0, m=_get(section, "m", 10, int), beta=_get(section, "beta", 0.1, float), opts=opts
-        )
-    if name == "newton-krylov":
-        return newton_krylov_solve(
-            prob,
-            x0,
-            inner_m=_get(section, "inner_m", 50, int),
-            eta0=_get(section, "eta0", 0.9, float),
-            opts=opts,
-        )
-    if name == "broyden2":
-        return broyden2_solve(prob, x0, opts=opts, beta=_get(section, "beta", 1.0, float))
-    if name == "nesterov":
-        return nesterov_solve(prob, x0, opts=opts)
-    if name == "ncg":
-        return ncg_fr_solve(prob, x0, opts=opts)
-    if name == "lbfgs":
-        return lbfgs_solve(prob, x0, m=_get(section, "m", 10, int), opts=opts)
-    raise ConfigError(f"unknown solver '{name}'")
+        solve, kw = aa_solve, {
+            "m": _get(section, "m", 10, int),
+            "beta": _get(section, "beta", 0.1, float),
+        }
+    elif name == "newton-krylov":
+        solve, kw = newton_krylov_solve, {
+            "inner_m": _get(section, "inner_m", 50, int),
+            "eta0": _get(section, "eta0", 0.9, float),
+        }
+    elif name == "broyden2":
+        solve, kw = broyden2_solve, {"beta": _get(section, "beta", 1.0, float)}
+    elif name == "nesterov":
+        solve, kw = nesterov_solve, {}
+    elif name == "ncg":
+        solve, kw = ncg_fr_solve, {}
+    elif name == "lbfgs":
+        solve, kw = lbfgs_solve, {"m": _get(section, "m", 10, int)}
+    else:
+        raise ConfigError(f"unknown solver '{name}'")
+    return lambda prob, x0, _: solve(prob, x0, opts=opts, **kw)
+
+
+class _Run(NamedTuple):
+    """One config section with every option read and checked."""
+
+    solver: str
+    problem: str
+    tol: float
+    seed: int
+    reps: int
+    props: bool
+    make_problem: Callable
+    solve: Callable
+
+
+def _read_run(section, args) -> _Run:
+    if "solver" not in section or not section["solver"].strip():
+        raise ConfigError("empty solver")
+    tol = args.tol if args.tol is not None else _get(section, "tol", 1e-10, float)
+    return _Run(
+        solver=section["solver"],
+        problem=_get(section, "problem"),
+        tol=tol,
+        seed=args.seed if args.seed is not None else _get(section, "seed", 0, int),
+        reps=_get(section, "repetitions", 1, int),
+        props=_get(section, "props", False, _flag),
+        make_problem=_problem_maker(section),
+        solve=_solver(section, tol),
+    )
 
 
 def cmd_run(args) -> int:
@@ -165,60 +207,52 @@ def cmd_run(args) -> int:
     if not sections:
         print("error: config defines no runs", file=sys.stderr)
         return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary_rows = []
+    # Every section is read before the first solve, so a bad value in any of
+    # them stops the batch before it spends a solve or writes a file.
+    runs = []
     for name in sections:
-        section = cfg[name]
         try:
-            if "solver" not in section or not section["solver"].strip():
-                raise ConfigError("empty solver")
-            solver = section["solver"]
-            problem_name = _get(section, "problem")
-            tol = args.tol if args.tol is not None else _get(section, "tol", 1e-10, float)
-            base_seed = args.seed if args.seed is not None else _get(section, "seed", 0, int)
-            reps = _get(section, "repetitions", 1, int)
-            for rep in range(reps):
-                seed = base_seed + rep
-                prob, x0 = _build_problem(section, seed)
-                props_path = (
-                    out_dir / f"{name}_rep{rep}_props.json"
-                    if _get(section, "props", False, _flag)
-                    else None
-                )
-                t_start = time.perf_counter()
-                try:
-                    _, trace = _run_solver(section, prob, x0, tol, props_path)
-                    note = ""
-                except SOLVE_FAILURES as err:  # recorded; the batch goes on
-                    trace = getattr(err, "trace", None)
-                    if isinstance(err, DivergenceError):
-                        note = "diverged"
-                    else:
-                        note = f"failed: {type(err).__name__}: {err}"
-                wall = time.perf_counter() - t_start
-                fev = None
-                final = float("nan")
-                # A solve that fails at x0 carries an empty trace: no CSV.
-                if trace is not None and len(trace) > 0:
-                    trace.to_csv(out_dir / f"{name}_rep{rep}.csv")
-                    fev = trace.fevals_to_relative(tol)
-                    final = trace.final().resnorm
-                summary_rows.append(
-                    {
-                        "solver": solver,
-                        "problem": problem_name,
-                        "fevals_to_tol": "-" if fev is None else str(fev),
-                        "final_resnorm": f"{final:.16e}",
-                        "wallclock_s": f"{wall:.6f}",
-                        "run": name,
-                        "rep": rep,
-                        "note": note,
-                    }
-                )
+            runs.append((name, _read_run(cfg[name], args)))
         except ConfigError as err:
             print(f"error: run '{name}': {err}", file=sys.stderr)
             return 2
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summary_rows = []
+    for name, run in runs:
+        for rep in range(run.reps):
+            prob, x0 = run.make_problem(run.seed + rep)
+            props_path = out_dir / f"{name}_rep{rep}_props.json" if run.props else None
+            t_start = time.perf_counter()
+            try:
+                _, trace = run.solve(prob, x0, props_path)
+                note = ""
+            except SOLVE_FAILURES as err:  # recorded; the batch goes on
+                trace = getattr(err, "trace", None)
+                if isinstance(err, DivergenceError):
+                    note = "diverged"
+                else:
+                    note = f"failed: {type(err).__name__}: {err}"
+            wall = time.perf_counter() - t_start
+            fev = None
+            final = float("nan")
+            # A solve that fails at x0 carries an empty trace: no CSV.
+            if trace is not None and len(trace) > 0:
+                trace.to_csv(out_dir / f"{name}_rep{rep}.csv")
+                fev = trace.fevals_to_relative(run.tol)
+                final = trace.final().resnorm
+            summary_rows.append(
+                {
+                    "solver": run.solver,
+                    "problem": run.problem,
+                    "fevals_to_tol": "-" if fev is None else str(fev),
+                    "final_resnorm": f"{final:.16e}",
+                    "wallclock_s": f"{wall:.6f}",
+                    "run": name,
+                    "rep": rep,
+                    "note": note,
+                }
+            )
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w") as fh:
         fh.write("solver,problem,fevals_to_tol,final_resnorm,wallclock_s\n")

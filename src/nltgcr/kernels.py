@@ -61,16 +61,28 @@ def _pair_r2(pos: np.ndarray, guard: bool = True) -> np.ndarray:
     planes in two (n, n) buffers. Not expanded as |x|^2 + |y|^2 - 2 x.y:
     that cancels, and its rounding would swamp the guard's r2 of 1e-16.
 
+    Each plane is one rank-2 product, [1, -x] (n x 2) times [x; 1] (2 x n).
+    Both products in an entry are exact (a coordinate times 1), so the entry
+    is x_i - x_j rounded once, the subtraction's own result, without a ufunc
+    outer's inner loop per row. The plane is the transpose of x_i - x_j, which
+    squaring cannot tell apart, so r2 is symmetric to the bit.
+
     The diagonal is +inf, so self-pairs have zero force and never set the
     minimum. With `guard`, a pair closer than MIN_PAIR_DISTANCE raises.
     """
-    r2 = np.subtract.outer(pos[:, 0], pos[:, 0])
-    r2 *= r2
+    n = pos.shape[0]
+    left = np.ones((n, 2))
+    right = np.ones((2, n))
+    r2 = np.empty((n, n))
     plane = np.empty_like(r2)
-    for k in (1, 2):
-        np.subtract.outer(pos[:, k], pos[:, k], out=plane)
-        plane *= plane
-        r2 += plane
+    for k in range(3):
+        np.negative(pos[:, k], out=left[:, 1])
+        right[0] = pos[:, k]
+        out = plane if k else r2
+        np.matmul(left, right, out=out)
+        out *= out
+        if k:
+            r2 += plane
     np.fill_diagonal(r2, np.inf)
     if guard and r2.min() < MIN_PAIR_DISTANCE**2:
         raise ValueError("coincident atoms: pair distance below 1e-8")

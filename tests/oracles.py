@@ -255,3 +255,17 @@ def min_pair_distance_pairs(pos):
     """Smallest |pos[i] - pos[j]| over the pairs i < j, by a double loop."""
     n = len(pos)
     return math.sqrt(min(_pair_diff(pos, i, j)[1] for i in range(n) for j in range(i + 1, n)))
+
+
+def pair_r2_outer(pos):
+    """|pos[i] - pos[j]|^2 from three per-axis np.subtract.outer planes,
+    squared and summed in axis order, with +inf on the diagonal."""
+    r2 = np.subtract.outer(pos[:, 0], pos[:, 0])
+    r2 *= r2
+    plane = np.empty_like(r2)
+    for k in (1, 2):
+        np.subtract.outer(pos[:, k], pos[:, k], out=plane)
+        plane *= plane
+        r2 += plane
+    np.fill_diagonal(r2, np.inf)
+    return r2

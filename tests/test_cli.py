@@ -309,6 +309,20 @@ max_iters = 200
             assert err.startswith("error: run 'bratu-small': ") and message in err, err
 
 
+    def test_bad_value_in_a_later_run_stops_before_any_solve(self, tmp_path, capsys):
+        good = BASE_CONFIG.replace("[bratu-small]", "[good]").replace("grid_n = 15", "grid_n = 8")
+        bad = BASE_CONFIG.replace("[bratu-small]", "[bad]").replace(
+            "variant = adaptive", "variant = bogus"
+        )
+        out = tmp_path / "o"
+        rc = main(["run", str(_write(tmp_path, good + "\n" + bad)), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: run 'bad': ") and "variant" in captured.err
+        # No solve ran: nothing printed, no output directory, so no CSV.
+        assert captured.out == ""
+        assert not out.exists()
+
 class TestCompare:
     def _trace_csv(self, tmp_path, name, resnorms, start_fev=1):
         from nltgcr.core import ConvergenceTrace, TraceRecord

@@ -13,6 +13,7 @@ from oracles import (
     lj_energy_pairs,
     lj_gradient_pairs,
     min_pair_distance_pairs,
+    pair_r2_outer,
 )
 
 
@@ -155,10 +156,40 @@ class TestGuardAtLargeCoordinates:
         assert kernels.lj_min_pair_distance(self._cluster(0.0)) == 0.0
 
 
-def test_gradient_peak_memory_below_five_pair_matrices():
+@st.composite
+def touching_clusters(draw):
+    """A cluster from clusters() with some atoms moved onto others and some
+    coordinates set to +0.0 or -0.0."""
+    pos = draw(clusters())
+    n = len(pos)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    moved = rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.5]))
+    pos[moved] = pos[rng.integers(0, n, int(moved.sum()))]
+    return _sprinkle_signed_zeros(pos, rng, draw(st.sampled_from([0.0, 0.1, 0.4])))
+
+
+class TestPairPass:
+    """The rank-2 product planes against the np.subtract.outer planes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pos=touching_clusters())
+    def test_matches_the_ufunc_outer_pass_byte_for_byte(self, pos):
+        assert kernels._pair_r2(pos, guard=False).tobytes() == pair_r2_outer(pos).tobytes()
+
+    def test_non_finite_coordinates_give_the_same_inf_and_nan(self, rng):
+        # Values only: the sign bit of a NaN may differ between the two passes.
+        pos = rng.standard_normal((6, 3))
+        pos[1, 0] = pos[4, 0] = np.inf
+        pos[2, 1] = -np.inf
+        pos[3, 2] = np.nan
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(kernels._pair_r2(pos, guard=False), pair_r2_outer(pos))
+
+
+def test_gradient_peak_memory_below_three_pair_matrices():
     # One (n, n, 3) difference tensor alone is 3 n^2 doubles. The pair pass
-    # peaks at two n x n buffers plus numpy's 128 KiB of ufunc buffers,
-    # 3.4 n^2 at n = 108.
+    # peaks at its two n x n buffers plus two (n, 2) product operands, and
+    # lj_gradient at c and one n x n temporary: 2.1 n^2 at n = 108.
     pos = LennardJonesProblem(
         cells_per_side=3, perturbation_scale=0.05, rng_seed=7
     ).initial_positions().reshape(-1, 3)
@@ -170,4 +201,4 @@ def test_gradient_peak_memory_below_five_pair_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * n * n * 8
+    assert peak < 3 * n * n * 8
