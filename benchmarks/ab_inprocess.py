@@ -26,10 +26,11 @@ and import time need a fresh process (ab_pairs.py).
 
 The record goes under "inprocess" -> LABEL in --out, next to ab_pairs.py's
 cases, which it leaves alone. Per case it holds each pair's ratio, their
-median and quartiles, how many pairs the after side won
-(ratio below 1), a bootstrap 95 % interval of the median ratio, each side's
-median solve time, its iterations and fevals to tolerance, and whether the
-two sides' final x, residual norms and fevals are byte-identical.
+median and quartiles, how many pairs the after side won (ratio below 1), a
+moving-block bootstrap 95 % interval of the median ratio and its block
+length, each side's median solve time, its iterations and fevals to
+tolerance, and whether the two sides' final x, residual norms and fevals
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -100,12 +101,30 @@ def solve(workloads, inst):
     return seconds, (reached.iter, reached.fevals, digest.hexdigest())
 
 
-def bootstrap_median(values, seed=0):
-    """A percentile-bootstrap 95 % interval of the median."""
+def block_length(n: int) -> int:
+    """Bootstrap block length for n pairs: n^(1/3), the order Hall, Horowitz
+    & Jing (Biometrika 82, 1995) give for block-bootstrap variances."""
+    return max(1, round(n ** (1 / 3)))
+
+
+def bootstrap_median(values, block=1, seed=0):
+    """A percentile moving-block bootstrap 95 % interval of the median.
+
+    A resample joins blocks of `block` consecutive values, their starts drawn
+    with replacement, cut to len(values). The host's slow stretches span
+    several pairs, so neighbouring ratios are correlated, and resampling
+    them one by one (block = 1) makes the interval too narrow.
+    """
     rng = random.Random(seed)
-    meds = sorted(
-        statistics.median(rng.choices(values, k=len(values))) for _ in range(BOOTSTRAP_SAMPLES)
-    )
+    n = len(values)
+    starts = range(n - block + 1)
+    meds = []
+    for _ in range(BOOTSTRAP_SAMPLES):
+        resample = []
+        for s in rng.choices(starts, k=-(-n // block)):
+            resample.extend(values[s : s + block])
+        meds.append(statistics.median(resample[:n]))
+    meds.sort()
     return [meds[int(0.025 * BOOTSTRAP_SAMPLES)], meds[int(0.975 * BOOTSTRAP_SAMPLES) - 1]]
 
 
@@ -129,6 +148,7 @@ def run_case(sides, workload: str, seed: int, seconds: float) -> dict:
             times[s].append(t)
         pairs += 1
     ratios = [a / b for a, b in zip(times["after"], times["before"])]
+    block = block_length(pairs)
     return {
         "pairs": pairs,
         "first_side": "before in even pairs (the first is pair 0), after in odd",
@@ -136,7 +156,8 @@ def run_case(sides, workload: str, seed: int, seconds: float) -> dict:
         "ratio": quartiles(ratios),
         "after_wins": sum(r < 1.0 for r in ratios),
         "after_losses": sum(r > 1.0 for r in ratios),
-        "ratio_median_ci95": bootstrap_median(ratios),
+        "ratio_median_ci95": bootstrap_median(ratios, block),
+        "bootstrap_block": block,
         "solve_s.p50": {s: statistics.median(times[s]) for s in SIDES},
         "iters_to_tol": {s: results[s][0] for s in SIDES},
         "fevals_to_tol": {s: results[s][1] for s in SIDES},

@@ -71,9 +71,10 @@ def _add_direction_case(k, n, rng, residual_basis=False):
     w = WindowPair(k)
     pool = itertools.cycle(rng.standard_normal((2 * k + 1, n)))
     p = rng.standard_normal(n)
+    step = dict(r0_norm=float(np.linalg.norm(p)), residual_basis=residual_basis)
     for _ in range(k):
-        add_direction(w, p, next(pool), residual_basis=residual_basis)
-    return lambda: add_direction(w, p, next(pool), residual_basis=residual_basis), ()
+        add_direction(w, p, next(pool), **step)
+    return lambda: add_direction(w, p, next(pool), **step), ()
 
 
 def _full_window(k, n, rng):

@@ -185,12 +185,18 @@ def _read_run(section, args) -> _Run:
     if "solver" not in section or not section["solver"].strip():
         raise ConfigError("empty solver")
     tol = args.tol if args.tol is not None else _get(section, "tol", 1e-10, float)
+    seed = args.seed if args.seed is not None else _get(section, "seed", 0, int)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    reps = _get(section, "repetitions", 1, int)
+    if reps < 1:
+        raise ConfigError(f"repetitions must be >= 1, got {reps}")
     return _Run(
         solver=section["solver"],
         problem=_get(section, "problem"),
         tol=tol,
-        seed=args.seed if args.seed is not None else _get(section, "seed", 0, int),
-        reps=_get(section, "repetitions", 1, int),
+        seed=seed,
+        reps=reps,
         props=_get(section, "props", False, _flag),
         make_problem=_problem_maker(section),
         solve=_solver(section, tol),

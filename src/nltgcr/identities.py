@@ -1,10 +1,12 @@
 """Verification utilities for the residual-minimizing recurrences.
 
-The history checks rebuild the classical matrix relations of the linear
-solvers from a recorded history and report deviations; they form dense
-matrices and are intended for test-scale operators (n <= 200). The window
-checks (secant_property_check, identity_observer) test the identities of
-the nlTGCR window along a solve and cost O(n k^2) per iteration.
+The history checks form the unnormalized matrices R_k, P_k, A P_k and the
+step lengths of a linear solve from its record (the solvers store p_i and
+A p_i divided by scales[i]; only this module undoes that) and report the
+deviations from the classical relations. They form dense matrices and are
+intended for test-scale operators (n <= 200). The window checks
+(secant_property_check, identity_observer) test the identities of the
+nlTGCR window along a solve and cost O(n k^2) per iteration.
 """
 
 from __future__ import annotations
@@ -25,14 +27,25 @@ def _dense(A: LinearOperator) -> np.ndarray:
     return np.stack([A.apply(eye[:, i]) for i in range(A.dim)], axis=1)
 
 
+def _full_window(hist: KrylovHistory) -> WindowPair:
+    """The window of a history that kept every direction it built: its
+    column j is direction j, and it has one column per scale."""
+    if hist.window is None:
+        raise ValueError("this history keeps no direction window")
+    # Every truncated solve has evicted a direction, and so has one whose
+    # last push evicted before any Gram-Schmidt ran short (not truncated).
+    if len(hist.window) < len(hist.scales):
+        raise ValueError("the reconstructions need a full (untruncated) history")
+    return hist.window
+
+
 def build_B_matrix(hist: KrylovHistory) -> np.ndarray:
     """Unit-diagonal upper triangular B with R_k = P_k B (unnormalized P).
 
     Requires the complete orthogonalization table, so truncated histories
     are rejected.
     """
-    if not hist.complete_beta_table:
-        raise ValueError("B reconstruction needs a full (untruncated) history")
+    _full_window(hist)
     scales = np.array(hist.scales)
     B = np.eye(len(scales))
     for t, b in enumerate(hist.betas):
@@ -45,12 +58,11 @@ def build_H_matrix(hist: KrylovHistory) -> np.ndarray:
 
     Column j holds 1/alpha_j on the diagonal and -1/alpha_j below it.
     """
-    if not hist.complete_beta_table:
-        raise ValueError("H reconstruction needs a full (untruncated) history")
+    _full_window(hist)
     k = len(hist.alphas) - 1
     H = np.zeros((k + 2, k + 1))
     for j in range(k + 1):
-        a = hist.alpha_unnormalized(j)
+        a = hist.alphas[j] / hist.scales[j]
         if a == 0.0:
             raise ValueError(f"alpha_{j} is zero; H is undefined")
         H[j, j] = 1.0 / a
@@ -62,13 +74,13 @@ def reconstruction_defects(hist: KrylovHistory, A: LinearOperator):
     """Max-norm errors of the two matrix reconstructions R=PB and AP=RH."""
     B = build_B_matrix(hist)
     H = build_H_matrix(hist)
+    window = _full_window(hist)
     k = len(hist.scales) - 1
-    R_k = hist.R_matrix(k)
-    P_un = hist.P_unnormalized(k)
-    err_b = float(np.abs(R_k - P_un @ B).max())
-    R_k1 = hist.R_matrix(k + 1)
-    AP_un = hist.AP_unnormalized(k)
-    err_h = float(np.abs(AP_un - R_k1 @ H).max())
+    # R_{k+1}: a solve that stopped after step k kept r_{k+1} too.
+    R = np.stack(hist.R[: k + 2], axis=1)
+    scales = np.array(hist.scales)
+    err_b = float(np.abs(R[:, : k + 1] - (window.p_matrix() * scales) @ B).max())
+    err_h = float(np.abs(window.v_matrix() * scales - R @ H).max())
     return err_b, err_h
 
 
@@ -84,7 +96,9 @@ def check_semiconjugacy(hist: KrylovHistory, A: LinearOperator) -> SemiConjugacy
     Full GCR residuals make R^T A R upper triangular, and diagonal when A
     is symmetric.
     """
-    R = hist.R_matrix()
+    if not hist.keep_vectors:
+        raise ValueError("this history keeps no residual vectors")
+    R = np.stack(hist.R, axis=1)
     AR = np.stack([A.apply(R[:, i]) for i in range(R.shape[1])], axis=1)
     M = R.T @ AR
     lower = float(np.abs(np.tril(M, k=-1)).max()) if M.shape[0] > 1 else 0.0
@@ -130,10 +144,11 @@ def induced_inverse_checks(
     dense direct solve as the inversion oracle. Assumes the history came
     from a solve started at x0 = 0.
     """
+    window = _full_window(hist)
     if k is None:
         k = len(hist.scales) - 1
-    P = hist.P_matrix(k)
-    V = hist.V_matrix(k)
+    P = window.p_matrix()[:, : k + 1]
+    V = window.v_matrix()[:, : k + 1]
     Ad = _dense(A)
     n = Ad.shape[0]
     Bk = P @ V.T

@@ -23,7 +23,6 @@ directions, and the rest of the solve updates p and x at every step.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -62,9 +61,12 @@ class LinearOptions:
             raise ValueError("max_iters must be >= 1")
 
 
-# A new direction collapses when its orthogonalized ||v|| is at most
-# BREAKDOWN_TOL * max(1, ||p||) for the raw p; a Gram-Schmidt pass that
-# kept skip_eta of ||v|| leaves no projection above REORTH_REL * ||v'||.
+# A new direction collapses when its orthogonalized ||v'|| is at most
+# BREAKDOWN_TOL * ||v|| for the raw v (v fell into the window's span), or
+# the raw ||p|| at most BREAKDOWN_TOL * ||r_0|| (the residual reached
+# rounding level). Both are relative, so whether a direction collapses
+# does not depend on the scale of f. A Gram-Schmidt pass that kept skip_eta
+# of ||v|| leaves no projection above REORTH_REL * ||v'||.
 BREAKDOWN_TOL = 1e-14
 REORTH_REL = 1e-8
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -101,7 +103,7 @@ def skip_eta(k: int, n: int) -> float:
 
 
 class KrylovHistory:
-    """Everything the solvers record, kept in the normalized basis.
+    """The record of a linear solve, in the normalized basis.
 
     Every history keeps the residual norm of each iterate (`norms`, the
     values the convergence test computed), the step lengths, the scales,
@@ -110,22 +112,14 @@ class KrylovHistory:
     directions t - len(betas[t]) .. t - 1 (CR: its recurrence's scalar).
     A full history also keeps every residual and iterate (R, xs) and, for
     GCR and TGCR, the solve's window. tgcr_solve with a workspace returns
-    one that keeps neither (keep_vectors=False, no window). R_matrix needs
-    the vectors, and P_matrix, V_matrix and the *_unnormalized matrices
-    need the window; each raises ValueError on a history without them.
+    one that keeps neither (keep_vectors=False, no window).
 
-    The algorithms store p_i and v_i = A p_i scaled so that the v columns
-    are unit vectors; `scales[i]` is the norm removed at step i. The
-    directions are read from the solve's window, so a truncated history
-    holds only the last m of them (column j is direction
-    window.oldest_index + j). The classical unnormalized quantities are
-    p_i_un = scales[i] * p_i, alpha_un = alpha / scales[j] (the
-    *_unnormalized accessors) and beta_un(i, j) = beta(i, j) / scales[i].
+    The algorithms store p_i and v_i = A p_i divided by `scales[i]`, so
+    that the v rows are unit vectors. identities.py forms the classical
+    unnormalized matrices from the window and the scales.
     """
 
-    def __init__(self, kind: str = "gcr", window: Optional[WindowPair] = None,
-                 keep_vectors: bool = True):
-        self.kind = kind
+    def __init__(self, window: Optional[WindowPair] = None, keep_vectors: bool = True):
         self.window = window
         self.keep_vectors = keep_vectors
         self.norms: List[float] = []
@@ -150,51 +144,6 @@ class KrylovHistory:
 
     def resnorms(self) -> np.ndarray:
         return np.array(self.norms)
-
-    @property
-    def complete_beta_table(self) -> bool:
-        return self.kind == "gcr" and not self.truncated
-
-    def R_matrix(self, k: Optional[int] = None) -> np.ndarray:
-        if not self.keep_vectors:
-            raise ValueError("this history keeps no residual vectors")
-        cols = self.R if k is None else self.R[: k + 1]
-        return np.stack(cols, axis=1)
-
-    def _window(self) -> WindowPair:
-        if self.window is None:
-            raise ValueError(f"this {self.kind} history keeps no direction window")
-        return self.window
-
-    def P_matrix(self, k: Optional[int] = None) -> np.ndarray:
-        return self._window().p_matrix()[:, : None if k is None else k + 1]
-
-    def V_matrix(self, k: Optional[int] = None) -> np.ndarray:
-        return self._window().v_matrix()[:, : None if k is None else k + 1]
-
-    def _unnormalized(self, M: np.ndarray) -> np.ndarray:
-        lo = self.window.oldest_index
-        return M * np.array(self.scales[lo : lo + M.shape[1]])
-
-    def P_unnormalized(self, k: Optional[int] = None) -> np.ndarray:
-        return self._unnormalized(self.P_matrix(k))
-
-    def AP_unnormalized(self, k: Optional[int] = None) -> np.ndarray:
-        return self._unnormalized(self.V_matrix(k))
-
-    def alpha_unnormalized(self, j: int) -> float:
-        return self.alphas[j] / self.scales[j]
-
-    def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        buf.write("iter,resnorm\n")
-        for k, resnorm in enumerate(self.norms):
-            buf.write(f"{k},{resnorm:.16e}\n")
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
 
 def orthogonalize_pair(p, v, P, V, lo, hi):
@@ -233,26 +182,31 @@ def orthogonalize_pair(p, v, P, V, lo, hi):
     return p, v, b, nv
 
 
-def add_direction(window: WindowPair, p, v, *, p_norm: Optional[float] = None,
+def add_direction(window: WindowPair, p, v, *, r0_norm: float, p_norm: Optional[float] = None,
                   residual_basis: bool = False):
     """The direction step of TGCR, nlTGCR and the Newton-Krylov inner solve.
 
     Orthogonalizes the raw pair (p, v = A p) against the window and pushes
-    it divided by ||v|| unless v collapses (BREAKDOWN_TOL). The window's v
-    rows must be orthonormal, as they are when every pair since its last
-    clear came through this step; the norm-drop rule of skip_eta decides
-    the second Gram-Schmidt pass. `p_norm` is ||p|| when the caller has
-    measured it already. With `residual_basis`, p is pushed as given (the
-    P row holds p / ||v||) and Gram-Schmidt skips its p update; the caller
-    forms its iterate from those rows and the coefficients (tgcr_solve).
+    it divided by ||v|| unless it collapses (BREAKDOWN_TOL); `r0_norm` is
+    the norm of the solve's first residual, against which p is at rounding
+    level. The window's v rows must be orthonormal, as they are when every
+    pair since its last clear came through this step; the norm-drop rule
+    of skip_eta decides the second Gram-Schmidt pass. `p_norm` is ||p||
+    when the caller has measured it already. With `residual_basis`, p is
+    pushed as given (the P row holds p / ||v||) and Gram-Schmidt skips its
+    p update; the caller forms its iterate from those rows and the
+    coefficients (tgcr_solve).
     Returns None on collapse, with the window unchanged; otherwise (||v||,
     the array of Gram-Schmidt coefficients in window order, oldest first).
     """
     if p_norm is None:
         p_norm = float(np.linalg.norm(p))
+    if p_norm <= BREAKDOWN_TOL * r0_norm:
+        return None
     P, V = window.rows()
     p, v, b, s = orthogonalize_pair(p, v, None if residual_basis else P.T, V.T, 0, len(window))
-    if s <= BREAKDOWN_TOL * max(1.0, p_norm):
+    # On orthonormal rows the raw ||v||^2 is ||v'||^2 + b . b.
+    if s <= BREAKDOWN_TOL * math.sqrt(s * s + float(b @ b)):
         return None
     # Gram-Schmidt ran on the rows in storage order; the push moves the head.
     b = window.logical(b)
@@ -260,7 +214,7 @@ def add_direction(window: WindowPair, p, v, *, p_norm: Optional[float] = None,
     return s, b
 
 
-def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions, kind: str,
+def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions,
                  workspace: Optional[WindowPair] = None):
     b = check_finite(np.asarray(b, dtype=float), "b")
     x = check_finite(np.asarray(x0, dtype=float), "x0").copy()
@@ -270,7 +224,7 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
     capacity = min(m or A.dim, opts.max_iters)
     if workspace is None:
         window = WindowPair(capacity)
-        hist = KrylovHistory(kind=kind, window=window)
+        hist = KrylovHistory(window=window)
     else:
         if workspace.capacity != capacity:
             raise ValueError(
@@ -278,7 +232,7 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
             )
         window = workspace
         window.clear()
-        hist = KrylovHistory(kind=kind, keep_vectors=False)
+        hist = KrylovHistory(keep_vectors=False)
     # Directions are numbered from this solve's first one.
     base = window.oldest_index
     # A workspace that cannot evict keeps the residual basis: the P row of
@@ -320,7 +274,8 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
     def _new_direction(t: int):
         """Build direction t from the current residual; raises on breakdown."""
         hist.truncated |= window.oldest_index > base
-        built = add_direction(window, r, A.apply(r), p_norm=rnorm, residual_basis=U is not None)
+        built = add_direction(window, r, A.apply(r), r0_norm=hist.norms[0], p_norm=rnorm,
+                              residual_basis=U is not None)
         if built is None:
             raise BreakdownError(
                 f"direction collapsed at step {t}",
@@ -374,7 +329,7 @@ def gcr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
     solve does not reach dim + 1 directions in practice; one that does
     evicts the oldest like TGCR with m = dim and is marked truncated.
     """
-    return _tgcr_engine(A, b, x0, None, opts or LinearOptions(), kind="gcr")
+    return _tgcr_engine(A, b, x0, None, opts or LinearOptions())
 
 
 def tgcr_solve(A: LinearOperator, b, x0, m: int, opts: Optional[LinearOptions] = None,
@@ -396,7 +351,7 @@ def tgcr_solve(A: LinearOperator, b, x0, m: int, opts: Optional[LinearOptions] =
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _tgcr_engine(A, b, x0, m, opts or LinearOptions(), kind="tgcr", workspace=workspace)
+    return _tgcr_engine(A, b, x0, m, opts or LinearOptions(), workspace=workspace)
 
 
 def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
@@ -411,7 +366,7 @@ def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
     opts = opts or LinearOptions()
     b = check_finite(np.asarray(b, dtype=float), "b")
     x = check_finite(np.asarray(x0, dtype=float), "x0").copy()
-    hist = KrylovHistory(kind="cr")
+    hist = KrylovHistory()
     r = b - A.apply(x)
     rnorm = float(np.linalg.norm(r))
     hist.record(r, x, rnorm)
@@ -427,7 +382,10 @@ def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
     rAr = float(r @ Ar)
     for j in range(opts.max_iters):
         denom = float(Ap @ Ap)
-        if np.sqrt(denom) <= BREAKDOWN_TOL:
+        # add_direction's two relative rules: A p against the A r it was
+        # built from, and r against the first residual.
+        if (math.sqrt(denom) <= BREAKDOWN_TOL * math.sqrt(float(Ar @ Ar))
+                or rnorm <= BREAKDOWN_TOL * hist.norms[0]):
             raise BreakdownError(
                 f"CR direction collapsed at step {j}",
                 residual=r.copy(),

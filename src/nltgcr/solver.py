@@ -53,7 +53,9 @@ class _Loop:
         self.ev = ev
         self.x = x
         self.fx = fx
-        self.set_residual(-fx)
+        # ||f(x0)||: a direction probed along a residual at rounding level
+        # against it collapses (linear.add_direction).
+        self.r0_norm = self.set_residual(-fx)
         self.window = WindowPair(opts.window_m)
         self.mode = mode
         self.refresh_anchor()
@@ -104,7 +106,8 @@ class _Loop:
                            x_inf=self.anchor_inf)
         else:
             v = self.ev.jv(self.x, self.r, self.fx, p_norm=r_norm)
-        return add_direction(self.window, self.r, v, p_norm=r_norm) is not None
+        return add_direction(self.window, self.r, v, r0_norm=self.r0_norm,
+                             p_norm=r_norm) is not None
 
 
 def nltgcr_solve(

@@ -322,6 +322,27 @@ max_iters = 200
         # No solve ran: nothing printed, no output directory, so no CSV.
         assert captured.out == ""
         assert not out.exists()
+    def test_bad_seed_or_repetitions_stops_before_any_solve(self, tmp_path, capsys):
+        # A negative seed reaches default_rng only in a later run's first
+        # solve, and zero repetitions would write an empty summary.
+        good = BASE_CONFIG.replace("[bratu-small]", "[good]").replace("grid_n = 15", "grid_n = 8")
+        bad = BASE_CONFIG.replace("[bratu-small]", "[bad]")
+        cases = [
+            (bad.replace("seed = 0", "seed = -1"), [], "seed must be >= 0"),
+            (bad, ["--seed", "-1"], "seed must be >= 0"),
+            (bad + "repetitions = 0\n", [], "repetitions must be >= 1"),
+        ]
+        for i, (section, extra, message) in enumerate(cases):
+            out = tmp_path / f"o{i}"
+            cfg = _write(tmp_path, good + "\n" + section)
+            rc = main(["run", str(cfg), "--out", str(out), *extra])
+            captured = capsys.readouterr()
+            assert rc == 2
+            run = "good" if extra else "bad"
+            assert captured.err.startswith(f"error: run '{run}': ") and message in captured.err
+            assert captured.out == ""
+            assert not out.exists()
+
 
 class TestCompare:
     def _trace_csv(self, tmp_path, name, resnorms, start_fev=1):

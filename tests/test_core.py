@@ -162,7 +162,7 @@ class TestWindowRing:
                 c = rng.standard_normal(len(model))
                 v_raw = q + sum((cj * vj for cj, (_, vj) in zip(c, model)), np.zeros(self.N))
                 p_raw = p + sum((cj * pj for cj, (pj, _) in zip(c, model)), np.zeros(self.N))
-                s, b = add_direction(w, p_raw, v_raw)
+                s, b = add_direction(w, p_raw, v_raw, r0_norm=1.0)
                 np.testing.assert_allclose(b, c, rtol=0, atol=1e-12)
                 assert s == pytest.approx(1.0, abs=1e-12)
                 newest_p, newest_v = w.p_matrix()[:, -1], w.v_matrix()[:, -1]

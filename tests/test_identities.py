@@ -4,9 +4,11 @@ import pytest
 from nltgcr import (
     LinearOperator,
     LinearOptions,
+    WindowPair,
     build_B_matrix,
     build_H_matrix,
     check_semiconjugacy,
+    cr_solve,
     gcr_solve,
     induced_inverse_checks,
     make_linear_problem,
@@ -32,7 +34,8 @@ class TestBMatrix:
         op, b, h = _run_gcr(n=10, seed=5, steps=3)
         B = build_B_matrix(h)
         k = len(h.scales) - 1
-        defect = np.abs(h.R_matrix(k) - h.P_unnormalized(k) @ B).max()
+        R = np.stack(h.R[: k + 1], axis=1)
+        defect = np.abs(R - (h.window.p_matrix() * h.scales) @ B).max()
         assert defect <= 1e-10
 
     def test_symmetric_operator_kills_older_coefficients(self):
@@ -49,6 +52,17 @@ class TestBMatrix:
         assert h.truncated
         with pytest.raises(ValueError, match="untruncated"):
             build_B_matrix(h)
+
+    def test_evicted_direction_rejected(self):
+        # Three eigenvalues, m = 2: the third direction's push evicts the
+        # first, and the solve converges before any Gram-Schmidt runs short,
+        # so the history is not truncated but its window lost a direction.
+        op = LinearOperator.from_matrix(np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]))
+        b = np.random.default_rng(0).standard_normal(6)
+        _, h = tgcr_solve(op, b, np.zeros(6), m=2)
+        assert not h.truncated and len(h.scales) > len(h.window)
+        with pytest.raises(ValueError, match="untruncated"):
+            reconstruction_defects(h, op)
 
 
 class TestHMatrix:
@@ -68,11 +82,20 @@ class TestHMatrix:
         assert err_b <= 1e-10
         assert err_h <= 1e-10
 
+    def test_untruncated_tgcr_history_reconstructs(self):
+        # A window of m >= the directions built never evicts: TGCR is GCR.
+        op, b = make_linear_problem("nonsymmetric", 12, seed=1)
+        _, h = tgcr_solve(op, b, np.zeros(12), m=40)
+        assert not h.truncated and len(h.window) == len(h.scales)
+        err_b, err_h = reconstruction_defects(h, op)
+        assert err_b <= 1e-10
+        assert err_h <= 1e-10
+
     def test_symmetric_product_is_lower_bidiagonal(self):
         op, b, h = _run_gcr(kind="spd", n=10, seed=4)
         k = len(h.scales) - 1
-        R = h.R_matrix(k)
-        AP = h.AP_unnormalized(k)
+        R = np.stack(h.R[: k + 1], axis=1)
+        AP = h.window.v_matrix() * h.scales
         AR = op.mat @ R
         M = AR.T @ AP
         off = M - np.diag(np.diag(M)) - np.diag(np.diag(M, k=-1), k=-1)
@@ -104,7 +127,7 @@ class TestInducedInverse:
         op, b, h = _run_gcr(kind="spd", n=n, seed=8, tol=1e-14)
         k = len(h.scales) - 1
         assert k == n - 1
-        Bk = h.P_matrix() @ h.V_matrix().T
+        Bk = h.window.p_matrix() @ h.window.v_matrix().T
         assert np.abs(op.mat @ Bk - np.eye(n)).max() <= 1e-8
 
     def test_projector_identities_hold_midway(self):
@@ -115,8 +138,36 @@ class TestInducedInverse:
     def test_left_inverse_on_direction_span(self):
         op, b, h = _run_gcr(kind="nonsymmetric", n=12, seed=10, steps=6)
         rng = np.random.default_rng(0)
-        P = h.P_matrix()
-        V = h.V_matrix()
+        P = h.window.p_matrix()
+        V = h.window.v_matrix()
         BA = (P @ V.T) @ op.mat
         xp = P @ rng.standard_normal(P.shape[1])
         assert np.abs(BA @ xp - xp).max() <= 1e-10
+
+
+HISTORY_CHECKS = {
+    "build_B_matrix": lambda h, op: build_B_matrix(h),
+    "build_H_matrix": lambda h, op: build_H_matrix(h),
+    "reconstruction_defects": reconstruction_defects,
+    "check_semiconjugacy": check_semiconjugacy,
+    "induced_inverse_checks": induced_inverse_checks,
+}
+
+
+# A workspace history keeps no vectors and a CR history no window; CR keeps
+# R, all that check_semiconjugacy reads.
+@pytest.mark.parametrize(
+    "source, check",
+    [("workspace", c) for c in HISTORY_CHECKS]
+    + [("cr", c) for c in HISTORY_CHECKS if c != "check_semiconjugacy"],
+)
+def test_history_without_vectors_rejected(source, check):
+    op, b = make_linear_problem("spd", 10, seed=0)
+    if source == "cr":
+        _, h = cr_solve(op, b, np.zeros(10))
+    else:
+        _, h = tgcr_solve(op, b, np.zeros(10), m=2, opts=LinearOptions(max_iters=30),
+                          workspace=WindowPair(2))
+        assert h.iterations > 2
+    with pytest.raises(ValueError, match="keeps no"):
+        HISTORY_CHECKS[check](h, op)
