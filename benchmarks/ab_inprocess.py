@@ -1,4 +1,4 @@
-"""Before/after solve times of two checkouts, paired inside one interpreter.
+"""Before/after solve times of two checkouts, paired inside one interpreter per run.
 
 Run from anywhere, naming two checkout directories of the repository:
 
@@ -11,21 +11,26 @@ side's perfbench/workloads.py is loaded by path, with `nltgcr` bound to
 that side's package while it loads; nothing under perfbench/ needs to know.
 A pair is one solve per side, back to back, alternating which side goes
 first, and its figure is the ratio after/before of the two solve times.
-Pairs run for --seconds per case, and at least MIN_PAIRS of them: one
+Pairs run for --seconds per case and run, and at least MIN_PAIRS of them: one
 solve's time moves by 10-20 % on a shared host, so the median ratio needs
 a few hundred pairs to settle within 1 %.
 Both solves of a pair see the same machine within a second, so no
 machine-speed reference is needed. Every solve's answer is checked with
 the workload's own check, outside the timed region.
 
-The script re-runs itself once so that BLAS runs on one thread and glibc's
-malloc thresholds are pinned (ab_pairs.PINNED_ENV) before the interpreter
-starts. Both sides share one heap and one BLAS, so a change in allocation
-pattern can still move the other side's times; set-up time, peak memory
-and import time need a fresh process (ab_pairs.py).
+Each case is timed RUNS times, each run in a new interpreter that the
+script starts with BLAS on one thread and glibc's malloc thresholds
+pinned (ab_pairs.PINNED_ENV), one run after the other. A median ratio
+moves between runs by more than the interval of one run shows (on
+untouched code one run read bratu-m1 at 0.994, interval 0.9885-0.9992), so
+a claim needs every run's interval to exclude 1.0. Both sides of a run
+share one heap and one BLAS, so a change in allocation pattern can still
+move the other side's times; set-up time, peak memory and import time
+need a fresh process per solve (ab_pairs.py).
 
 The record goes under "inprocess" -> LABEL in --out, next to ab_pairs.py's
-cases, which it leaves alone. Per case it holds each pair's ratio, their
+cases, which it leaves alone. Per case it holds each run's median ratio and
+interval side by side, and each run's record: each pair's ratio, their
 median and quartiles, how many pairs the after side won (ratio below 1), a
 moving-block bootstrap 95 % interval of the median ratio and its block
 length, each side's median solve time, its iterations and fevals to
@@ -44,6 +49,7 @@ import json
 import os
 import random
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -52,12 +58,16 @@ from ab_pairs import PINNED_ENV, describe, quartiles
 
 # Set before the interpreter starts: BLAS reads its thread count, and glibc
 # its malloc thresholds, when they load. Nothing here imports numpy; the
-# checkouts' packages do, after the re-run.
+# checkouts' packages do, in the interpreters fresh_run starts.
 ENV = {**PINNED_ENV, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 SIDES = ("before", "after")
 BOOTSTRAP_SAMPLES = 4000
 WARMUP_SOLVES = 2
 MIN_PAIRS = 10
+RUNS = 2
+# Set in the interpreters that time a case; the one that starts them writes
+# the record.
+RUN_MARK = "AB_INPROCESS_RUN"
 
 
 def load_module(name: str, path: Path, package_dir: Path = None):
@@ -165,18 +175,32 @@ def run_case(sides, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def fresh_run(checkouts, case: str, seconds: float) -> dict:
+    """run_case of one case, in a new interpreter started with ENV."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--before", str(checkouts["before"]),
+           "--after", str(checkouts["after"]), "--seconds", repr(seconds), "--out", os.devnull,
+           case]
+    done = subprocess.run(cmd, env={**os.environ, **ENV, RUN_MARK: "1"}, stdout=subprocess.PIPE,
+                          text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--before", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--after", type=Path, required=True, help="checkout of the change")
-    ap.add_argument("--seconds", type=float, default=60.0, help="timing budget per case")
+    ap.add_argument("--seconds", type=float, default=60.0, help="timing budget per case and run")
     ap.add_argument("--label", default="ab", help="key of this comparison in --out")
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("cases", nargs="+", help="WORKLOAD or WORKLOAD:SEED")
     args = ap.parse_args(argv)
 
     checkouts = {"before": args.before.resolve(), "after": args.after.resolve()}
-    sides = {s: load_side(path, s) for s, path in checkouts.items()}
+    if os.environ.get(RUN_MARK):
+        sides = {s: load_side(path, s) for s, path in checkouts.items()}
+        workload, _, seed = args.cases[0].partition(":")
+        print(json.dumps(run_case(sides, workload, int(seed or 0), args.seconds)))
+        return 0
     record = json.loads(args.out.read_text()) if args.out.is_file() else {}
     entry = record.setdefault("inprocess", {}).setdefault(args.label, {"cases": {}})
     entry.update({
@@ -186,19 +210,25 @@ def main(argv=None) -> int:
     })
     for case in args.cases:
         workload, _, seed = case.partition(":")
-        seed = int(seed or 0)
-        result = run_case(sides, workload, seed, args.seconds)
-        entry["cases"][f"{workload}:{seed}"] = result
-        ci = result["ratio_median_ci95"]
-        print(f"{workload}:{seed}: after/before median {result['ratio']['median']:.4f} "
-              f"[{ci[0]:.4f}, {ci[1]:.4f}], after won {result['after_wins']}/{result['pairs']}, "
-              f"identical results: {result['identical_results']}", flush=True)
+        case = f"{workload}:{seed or 0}"
+        runs = []
+        for i in range(RUNS):
+            result = fresh_run(checkouts, case, args.seconds)
+            runs.append(result)
+            ci = result["ratio_median_ci95"]
+            print(f"{case} run {i}: after/before median {result['ratio']['median']:.4f} "
+                  f"[{ci[0]:.4f}, {ci[1]:.4f}], after won {result['after_wins']}/"
+                  f"{result['pairs']}, identical results: {result['identical_results']}",
+                  flush=True)
+        entry["cases"][case] = {
+            "ratio_medians": [r["ratio"]["median"] for r in runs],
+            "ratio_median_ci95s": [r["ratio_median_ci95"] for r in runs],
+            "runs": runs,
+        }
         # Written after every case, so a stopped run keeps what it finished.
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
 if __name__ == "__main__":
-    if any(os.environ.get(k) != v for k, v in ENV.items()):
-        os.execve(sys.executable, [sys.executable, __file__, *sys.argv[1:]], {**os.environ, **ENV})
     sys.exit(main())

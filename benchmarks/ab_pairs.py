@@ -126,7 +126,9 @@ def main(argv=None) -> int:
     checkouts = {"before": args.before.resolve(), "after": args.after.resolve()}
     spec = json.loads((checkouts["before"] / "BENCHMARK.json").read_text())
     sides = {side: describe(path) for side, path in checkouts.items()}
-    record = json.loads(args.out.read_text()) if args.out.is_file() else {"cases": {}}
+    record = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    # The file may hold only ab_inprocess.py's record so far.
+    record.setdefault("cases", {})
     if record.get("sides", sides) != sides:
         sys.exit(f"{args.out} holds cases of other checkouts: {record['sides']}")
     record.update({

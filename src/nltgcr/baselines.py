@@ -219,12 +219,10 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer, adapt_
             ihist = err.history
             if delta is None or float(np.linalg.norm(delta)) == 0.0:
                 raise
+        # backtrack raises NotDescentError on a slope <= 0. A shorter delta
+        # would not help: frechet_jv scales its step by 1 / ||delta||, so it
+        # probes the same point and returns the same slope, scaled.
         slope = ev.slope(x, -fx, delta)
-        if slope <= 0.0:
-            delta = 0.5 * delta
-            slope = ev.slope(x, -fx, delta)
-            if slope <= 0.0:
-                raise NotDescentError("inner solve produced a non-descent direction")
         res = backtrack(ev.f, x, delta, -fx, slope, ls)
         ls = update_alpha0(ls, res.steps)
         x = res.x_new

@@ -162,6 +162,9 @@ class WindowPair:
     in window order. No caller may hold a view across a push. The v rows
     must be orthonormal, as in every window linear.add_direction builds
     (the caller orthogonalizes; push divides by the scale it is given).
+    A window holds P rows for all its pairs or for none: a pair pushed with
+    p None has only its v row, and the P buffer is allocated at the first
+    pair pushed with a p, or when add_p_rows gives v-only pairs their rows.
     """
 
     NORMALIZATION_TOL = 1e-10
@@ -170,9 +173,10 @@ class WindowPair:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        # Sized to the vector length at the first push.
+        # Sized to the vector length at the first push (P: with a p).
         self._p = np.empty((capacity, 0))
         self._v = np.empty((capacity, 0))
+        self._has_p = True
         self._len = 0
         self.head = 0
         self.oldest_index = 0
@@ -183,14 +187,17 @@ class WindowPair:
     def push(self, p: np.ndarray, v: np.ndarray, scale: float = 1.0, *,
              v_norm: Optional[float] = None) -> None:
         """Append the pair (p / scale, v / scale); ||v|| / scale must be 1.
-        `v_norm` is ||v|| when the caller has measured it already."""
-        if p.shape != v.shape:
+        With p None the pair has no P row, which a window allows only while
+        its pairs have none. `v_norm` is ||v|| when the caller has measured
+        it already."""
+        if p is not None and p.shape != v.shape:
             raise ValueError("p and v must have the same length")
-        n = p.shape[0]
-        if n != self._p.shape[1]:
+        if self._len and (p is None) == self._has_p:
+            raise ValueError("a window holds P rows for all its pairs or for none")
+        n = v.shape[0]
+        if n != self._v.shape[1]:
             if self._len:
                 raise ValueError("dimension mismatch with existing window columns")
-            self._p = np.empty((self.capacity, n))
             self._v = np.empty((self.capacity, n))
         nv = (float(np.linalg.norm(v)) if v_norm is None else v_norm) / scale
         # Written so that a NaN norm fails too.
@@ -203,13 +210,29 @@ class WindowPair:
         else:
             row = self._len
             self._len += 1
-        np.divide(p, scale, out=self._p[row])
+        self._has_p = p is not None
+        if self._has_p:
+            if self._p.shape[1] != n:
+                self._p = np.empty((self.capacity, n))
+            np.divide(p, scale, out=self._p[row])
         np.divide(v, scale, out=self._v[row])
+
+    def add_p_rows(self) -> np.ndarray:
+        """Give every pair of a window without P rows one, allocating the
+        P buffer if need be; returns them as the (k, n) row block, in
+        storage order, for the caller to fill."""
+        if self._has_p:
+            raise ValueError("the window holds P rows already")
+        if self._p.shape[1] != self._v.shape[1]:
+            self._p = np.empty(self._v.shape)
+        self._has_p = True
+        return self._p[: self._len]
 
     def clear(self) -> None:
         self.oldest_index += self._len
         self._len = 0
         self.head = 0
+        self._has_p = True
 
     @property
     def newest_slot(self) -> int:
@@ -217,8 +240,9 @@ class WindowPair:
         return (self.head + self._len - 1) % self.capacity
 
     def rows(self):
-        """(P, V): the pairs as (k, n) row blocks, in storage order."""
-        return self._p[: self._len], self._v[: self._len]
+        """(P, V): the pairs as (k, n) row blocks, in storage order; P is
+        None when the pairs have no P rows."""
+        return self._p[: self._len] if self._has_p else None, self._v[: self._len]
 
     def logical(self, a: np.ndarray) -> np.ndarray:
         """A per-pair array in storage order, reordered oldest to newest."""
@@ -226,6 +250,8 @@ class WindowPair:
         return np.concatenate((a[h:], a[:h])) if h else a
 
     def p_matrix(self) -> np.ndarray:
+        if not self._has_p:
+            raise ValueError("the window holds no P rows")
         return self.logical(self._p[: self._len]).T
 
     def v_matrix(self) -> np.ndarray:

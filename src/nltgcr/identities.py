@@ -32,9 +32,7 @@ def _full_window(hist: KrylovHistory) -> WindowPair:
     column j is direction j, and it has one column per scale."""
     if hist.window is None:
         raise ValueError("this history keeps no direction window")
-    # Every truncated solve has evicted a direction, and so has one whose
-    # last push evicted before any Gram-Schmidt ran short (not truncated).
-    if len(hist.window) < len(hist.scales):
+    if hist.truncated:
         raise ValueError("the reconstructions need a full (untruncated) history")
     return hist.window
 

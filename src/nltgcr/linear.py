@@ -15,10 +15,14 @@ directions (tgcr_solve): A R_k = A P_k B^(k) gives R_k = P_k B^(k), so
 x_k = x_0 + R_k (B^(k))^{-1} alpha is formed once, at exit, and its
 direction step skips the p update, two passes in all (the residual basis
 of Walker & Zhou, "A simpler GMRES", NLAA 1, 1994; its stability:
-Jiranek, Rozloznik & Gutknecht, SIMAX 30, 2008). Near stagnation
-successive residuals are almost parallel and B^(k) ill-conditioned, so a
-step that keeps more than STALL_RATIO of ||r|| turns the rows into
-directions, and the rest of the solve updates p and x at every step.
+Jiranek, Rozloznik & Gutknecht, SIMAX 30, 2008). It does not store the
+residuals either: r_{t+1} = r_t - alpha_t v_t gives each one back from
+r_0 and the v rows, replayed with the loop's own floats, so the window
+holds one row per direction, as GMRES does. Near stagnation successive
+residuals are almost parallel and B^(k) ill-conditioned, so a step that
+keeps more than STALL_RATIO of ||r|| rebuilds the directions the
+direction basis would hold, to the bit, and the rest of the solve
+updates p and x at every step.
 """
 
 from __future__ import annotations
@@ -78,6 +82,9 @@ KEPT_FLOOR = 0.2
 # solves on scaled Bratu keep at most 0.994 of ||r|| per step, so they stay
 # in the residual basis.
 STALL_RATIO = 0.999
+# A residual-basis solve replays its residuals in blocks of this many rows,
+# one buffer and one product per block.
+REPLAY_ROWS = 8
 
 
 def skip_eta(k: int, n: int) -> float:
@@ -107,7 +114,8 @@ class KrylovHistory:
 
     Every history keeps the residual norm of each iterate (`norms`, the
     values the convergence test computed), the step lengths, the scales,
-    the orthogonalization coefficients and the converged/truncated flags:
+    the orthogonalization coefficients and the converged/truncated flags
+    (truncated: the window has evicted a direction of this solve):
     `betas[t]` holds direction t's Gram-Schmidt coefficients against
     directions t - len(betas[t]) .. t - 1 (CR: its recurrence's scalar).
     A full history also keeps every residual and iterate (R, xs) and, for
@@ -192,10 +200,9 @@ def add_direction(window: WindowPair, p, v, *, r0_norm: float, p_norm: Optional[
     level. The window's v rows must be orthonormal, as they are when every
     pair since its last clear came through this step; the norm-drop rule
     of skip_eta decides the second Gram-Schmidt pass. `p_norm` is ||p||
-    when the caller has measured it already. With `residual_basis`, p is
-    pushed as given (the P row holds p / ||v||) and Gram-Schmidt skips its
-    p update; the caller forms its iterate from those rows and the
-    coefficients (tgcr_solve).
+    when the caller has measured it already. With `residual_basis`, only
+    the v row is pushed and Gram-Schmidt skips the p update; the caller
+    forms its iterate from its residuals and the coefficients (tgcr_solve).
     Returns None on collapse, with the window unchanged; otherwise (||v||,
     the array of Gram-Schmidt coefficients in window order, oldest first).
     """
@@ -210,7 +217,7 @@ def add_direction(window: WindowPair, p, v, *, r0_norm: float, p_norm: Optional[
         return None
     # Gram-Schmidt ran on the rows in storage order; the push moves the head.
     b = window.logical(b)
-    window.push(p, v, scale=s, v_norm=s)
+    window.push(None if residual_basis else p, v, scale=s, v_norm=s)
     return s, b
 
 
@@ -233,47 +240,75 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
         window = workspace
         window.clear()
         hist = KrylovHistory(keep_vectors=False)
-    # Directions are numbered from this solve's first one.
-    base = window.oldest_index
-    # A workspace that cannot evict keeps the residual basis: the P row of
-    # pair t holds r_t / s_t = P_t + sum_i U[i, t] P_i, U[i, t] = b_it / s_t,
-    # so x0 + alpha @ P rows = x0 + z @ those rows with U z = alpha.
+    # A workspace that cannot evict keeps the residual basis: pair t holds
+    # only its v row, and r_t / s_t = P_t + sum_i U[i, t] P_i with
+    # U[i, t] = b_it / s_t, so x0 + alpha @ P = x0 + sum_t (z_t / s_t) r_t
+    # with U z = alpha.
     U = np.eye(capacity) if workspace is not None and capacity == opts.max_iters else None
     # A @ 0 = 0 by linearity; skipping the apply also spares matrix-free
     # operators a probe along the zero vector.
     r = b.copy() if not np.any(x) else b - A.apply(x)
-    ref = float(np.linalg.norm(b))
+    # r_0 and the v rows give back every residual of a residual-basis solve.
+    r0 = r
     rnorm = float(np.linalg.norm(r))
     hist.record(r, x, rnorm)
-    if ref == 0.0:
-        ref = max(rnorm, 1.0)
+    # With b = 0 the residual is measured against its start.
+    ref = float(np.linalg.norm(b)) or rnorm
 
     if rnorm <= opts.tol_rel * ref:
         hist.converged = True
         return x, hist
 
+    def _residuals():
+        """The residuals r_0 .. r_{k-1} of the k steps so far, as (t, R):
+        blocks of rows r_t .. r_{t + len(R) - 1} in one buffer of
+        REPLAY_ROWS rows. Each r_{t+1} is replayed as the loop formed it,
+        r_t - alpha_t * v_t with the same floats, so it is the same bytes.
+        In the residual basis the window holds one v row per alpha, in
+        window order (nothing was evicted)."""
+        k = len(hist.alphas)
+        V = window.rows()[1]
+        buf = np.empty((min(REPLAY_ROWS, k), r0.shape[0]))
+        prev = r0
+        for t in range(0, k, len(buf)):
+            R = buf[: k - t]
+            for i, row in enumerate(R, t):
+                if i:
+                    np.subtract(prev, np.multiply(V[i - 1], hist.alphas[i - 1], out=row), out=row)
+                else:
+                    row[:] = r0
+                prev = row
+            yield t, R
+
     def _iterate():
-        """x0 plus the steps taken so far. In the residual basis the window
-        holds one row per alpha, in window order (nothing was evicted). On
-        a triangular U, LU with partial pivoting never swaps a row, so the
-        solve is a back substitution."""
+        """x0 plus the steps taken so far. On a triangular U, LU with
+        partial pivoting never swaps a row, so the solve is a back
+        substitution."""
         k = len(hist.alphas)
         if U is None or not k:
             return x
-        return x + np.dot(np.linalg.solve(U[:k, :k], hist.alphas), window.rows()[0])
+        w = np.linalg.solve(U[:k, :k], hist.alphas) / hist.scales
+        out = x.copy()
+        for t, R in _residuals():
+            out += w[t : t + len(R)] @ R
+        return out
 
     def _leave_residual_basis():
-        """Turn the rows into the directions P_t = r_t / s_t - sum_i U[i, t] P_i
-        (forward substitution, as the direction basis builds them) and return
-        x0 plus the steps taken so far."""
-        P = window.rows()[0]
-        for t in range(1, len(P)):
-            P[t] -= np.dot(U[:t, t], P[:t])
-        return x + np.dot(hist.alphas, P)
+        """Give the pairs the directions the direction basis builds,
+        P_t = (r_t - sum_i b_it P_i) / s_t, and return x0 plus the steps
+        taken so far, summed as it sums them. Every operand is the same
+        float, so the rest of the solve is the direction basis's to the bit."""
+        P = window.add_p_rows()
+        for t, R in _residuals():
+            for i, row in enumerate(R, t):
+                np.divide(row - np.dot(hist.betas[i], P[:i]), hist.scales[i], out=P[i])
+        x_k = x
+        for alpha, p in zip(hist.alphas, P):
+            x_k = x_k + alpha * p
+        return x_k
 
     def _new_direction(t: int):
         """Build direction t from the current residual; raises on breakdown."""
-        hist.truncated |= window.oldest_index > base
         built = add_direction(window, r, A.apply(r), r0_norm=hist.norms[0], p_norm=rnorm,
                               residual_basis=U is not None)
         if built is None:
@@ -287,6 +322,7 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
         s, coeffs = built
         hist.scales.append(s)
         hist.betas.append(coeffs)
+        hist.truncated = len(window) < len(hist.scales)
         if U is not None:
             U[:t, t] = coeffs / s
 
@@ -345,9 +381,10 @@ def tgcr_solve(A: LinearOperator, b, x0, m: int, opts: Optional[LinearOptions] =
     betas and flags, with no vectors and no reference to the workspace.
     The scalars are the same floats either way, and so is the iterate when
     the workspace can evict (m < max_iters). When it cannot, it keeps the
-    residual basis until a step stalls (module docstring), and the iterate,
-    returned or carried by BreakdownError, equals the full history's up to
-    rounding. The workspace's rows are scratch after the solve.
+    residual basis, one v row per direction, until a step stalls (module
+    docstring); the iterate, returned or carried by BreakdownError, equals
+    the full history's up to rounding, and to the bit once a step has
+    stalled. The workspace's rows are scratch after the solve.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -370,9 +407,7 @@ def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
     r = b - A.apply(x)
     rnorm = float(np.linalg.norm(r))
     hist.record(r, x, rnorm)
-    ref = float(np.linalg.norm(b))
-    if ref == 0.0:
-        ref = max(rnorm, 1.0)
+    ref = float(np.linalg.norm(b)) or rnorm
     if rnorm <= opts.tol_rel * ref:
         hist.converged = True
         return x, hist

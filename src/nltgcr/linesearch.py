@@ -74,13 +74,15 @@ def backtrack(
     r: np.ndarray,
     slope: float,
     opts: LineSearchOptions,
+    *, rnorm2: Optional[float] = None,
 ) -> LineSearchResult:
     """Backtracking on ||f(x + a d)||^2 against ||r||^2, r = -f(x).
 
     slope is the caller's estimate of <J(x)^T r, d> and must be positive
-    (descent for 0.5 ||f||^2). Costs one function evaluation per trial; the
-    evaluation at the returned point is handed back for reuse. A trial at
-    alpha = 1 adds d itself (the same bytes as 1.0 * d).
+    (descent for 0.5 ||f||^2). rnorm2 is r @ r when the caller has it
+    already. Costs one function evaluation per trial; the evaluation at the
+    returned point is handed back for reuse. A trial at alpha = 1 adds d
+    itself (the same bytes as 1.0 * d).
     """
 
     def trial(alpha):
@@ -88,7 +90,8 @@ def backtrack(
         f_t = eval_f(x_t)
         return float(f_t @ f_t), x_t, f_t
 
-    return _backtrack(trial, float(r @ r), slope, opts.c1, opts, _EVAL_ERRORS)
+    merit0 = float(r @ r) if rnorm2 is None else rnorm2
+    return _backtrack(trial, merit0, slope, opts.c1, opts, _EVAL_ERRORS)
 
 
 def backtrack_linearized(

@@ -193,7 +193,7 @@ def _steps(ev, x, fx, target, opts, mode, observer):
         pending_restart = False
         if st.mode == "NL":
             if st.ls is not None:
-                res = backtrack(ev.f, st.x, d, st.r, float(y @ y), st.ls)
+                res = backtrack(ev.f, st.x, d, st.r, float(y @ y), st.ls, rnorm2=st.r2)
                 st.ls = update_alpha0(st.ls, res.steps)
                 step = res.alpha
                 st.x = res.x_new

@@ -54,6 +54,30 @@ class TestWindowPair:
             assert w.oldest_index == max(0, j - m + 1)
             assert w.p_matrix()[0, 0] == float(max(0, j - m + 1))
 
+    def test_p_rows_for_all_pairs_or_none(self):
+        w = WindowPair(capacity=3)
+        e = np.eye(4)
+        w.push(None, e[0])
+        w.push(None, e[1])
+        # No P buffer until a pair needs one.
+        assert w.rows()[0] is None and w._p.size == 0
+        with pytest.raises(ValueError, match="all its pairs or for none"):
+            w.push(e[2], e[2])
+        P = w.add_p_rows()
+        assert P.shape == (2, 4)
+        P[:] = e[2:]
+        w.push(e[0], e[2])
+        np.testing.assert_array_equal(w.p_matrix(), e[:, [2, 3, 0]])
+        with pytest.raises(ValueError, match="all its pairs or for none"):
+            w.push(None, e[3])
+        with pytest.raises(ValueError, match="already"):
+            w.add_p_rows()
+        # A cleared window takes either kind, and keeps its P buffer.
+        buffer = w._p
+        w.clear()
+        w.push(None, e[3])
+        assert w.rows()[0] is None and w._p is buffer
+
     def test_dimension_mismatch_rejected(self):
         w = WindowPair(capacity=2)
         v = np.zeros(4)

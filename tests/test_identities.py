@@ -54,13 +54,12 @@ class TestBMatrix:
             build_B_matrix(h)
 
     def test_evicted_direction_rejected(self):
-        # Three eigenvalues, m = 2: the third direction's push evicts the
-        # first, and the solve converges before any Gram-Schmidt runs short,
-        # so the history is not truncated but its window lost a direction.
+        # Three eigenvalues, m = 2: the third direction's push, the solve's
+        # last, evicts the first, and that push alone marks it truncated.
         op = LinearOperator.from_matrix(np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]))
         b = np.random.default_rng(0).standard_normal(6)
         _, h = tgcr_solve(op, b, np.zeros(6), m=2)
-        assert not h.truncated and len(h.scales) > len(h.window)
+        assert h.truncated and len(h.scales) > len(h.window)
         with pytest.raises(ValueError, match="untruncated"):
             reconstruction_defects(h, op)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -37,6 +39,19 @@ class TestGcr:
         x, h = gcr_solve(op, b, x_star)
         assert h.iterations == 0
         assert h.resnorms()[0] <= 1e-10
+
+    @pytest.mark.parametrize("solve", [gcr_solve, cr_solve], ids=["gcr", "cr"])
+    def test_zero_rhs_is_measured_against_the_first_residual(self, solve):
+        # With b = 0 the solution is 0, and ||r_0|| is the only scale: a
+        # small start is solved to tol_rel of it, not stopped by a floor.
+        op = LinearOperator.from_matrix(np.diag(np.arange(1.0, 7.0)), is_symmetric=True)
+        x0 = np.full(6, 2.0**-40)
+        x, h = solve(op, np.zeros(6), x0, LinearOptions(tol_rel=1e-10))
+        assert h.converged and h.iterations > 0
+        assert h.norms[-1] <= 1e-10 * h.norms[0]
+        assert np.linalg.norm(x) <= 1e-9 * np.linalg.norm(x0)
+        x, h = solve(op, np.zeros(6), np.zeros(6), LinearOptions(tol_rel=1e-10))
+        assert h.converged and h.iterations == 0 and not np.any(x)
 
     def test_per_step_residual_is_krylov_minimum(self):
         # Independent oracle: Arnoldi basis + dense least squares.
@@ -116,6 +131,15 @@ class TestTgcr:
     def test_truncation_flag_set_when_window_active(self):
         op, b = make_linear_problem("nonsymmetric", 20, seed=9)
         _, h = tgcr_solve(op, b, np.zeros(20), m=2)
+        assert h.truncated
+
+    def test_last_push_that_evicts_marks_truncated(self):
+        # Three eigenvalues: three steps converge, and the third direction's
+        # push evicts the first from the m = 2 window.
+        op = LinearOperator.from_matrix(np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]))
+        _, h = tgcr_solve(op, np.arange(1.0, 7.0), np.zeros(6), m=2)
+        assert h.converged and len(h.scales) == 3
+        assert (len(h.window), h.window.oldest_index) == (2, 1)
         assert h.truncated
 
     @pytest.mark.parametrize(
@@ -423,16 +447,18 @@ class TestAddDirection:
         np.testing.assert_allclose(w.v_matrix(), e[:, 1:], atol=1e-15)
         assert (len(w), w.oldest_index) == (2, 1)
 
-    def test_residual_basis_pushes_p_as_given(self):
+    def test_residual_basis_pushes_only_the_v_row(self):
         w = WindowPair(capacity=3)
         e = np.eye(3)
         linear.add_direction(w, e[0], e[0], r0_norm=1.0, residual_basis=True)
         s, b = linear.add_direction(w, e[0] + e[1], 2.0 * (e[0] + e[1]), r0_norm=1.0,
                                     residual_basis=True)
-        # v loses its v_0 part; p keeps it and is only divided by ||v'||.
+        # v loses its v_0 part and is divided by ||v'||; p is not stored.
         assert s == 2.0 and b.tolist() == [2.0]
-        np.testing.assert_array_equal(w.p_matrix()[:, 1], (e[0] + e[1]) / 2.0)
         np.testing.assert_array_equal(w.v_matrix()[:, 1], e[1])
+        assert w.rows()[0] is None and w._p.size == 0
+        with pytest.raises(ValueError, match="no P rows"):
+            w.p_matrix()
 
     def test_collapse_at_capacity_leaves_window_unchanged(self):
         w = WindowPair(capacity=2)
@@ -588,21 +614,24 @@ class TestWorkspace:
             if m < max_iters:
                 assert x_ws.tobytes() == x_full.tobytes()
             else:
-                # Every scalar above is the same float on both paths, so both
-                # evaluate x0 + alpha @ P with P = U^{-T} Q, Q the residual
-                # rows r_t / s_t: the full path by forward substitution for
-                # the rows of P, then a (k + 1)-term sum; the residual basis
-                # by back substitution for z = U^{-1} alpha, then x0 + z @ Q.
-                # A triangular solve has backward error |dU| <= gamma_k |U|
-                # (Higham, Accuracy and Stability, Thm 8.5), which puts at
-                # most gamma_k |P|^T |U| |z| into x on either path; each sum
-                # adds gamma_{k+1} (|x0| + |P|^T |alpha|) or
-                # gamma_{k+1} (|x0| + |Q|^T |z|), and rounding Q adds
+                # Every scalar above is the same float on both paths, and so
+                # is every residual r_t: the residual basis replays them from
+                # r_0 and its v rows with the loop's own operations. With
+                # P = U^{-T} Q, Q the rows r_t / s_t, the full path forms P
+                # by forward substitution, then x0 + alpha @ P, a (k + 1)-term
+                # sum; the residual basis back-substitutes for
+                # z = U^{-1} alpha, then sums x0 + sum_t (z_t / s_t) r_t in
+                # blocks of rows. A triangular solve has backward error
+                # |dU| <= gamma_k |U| (Higham, Accuracy and Stability,
+                # Thm 8.5), which puts at most gamma_k |P|^T |U| |z| into x on
+                # either path; each sum, in any order of its terms, adds
+                # gamma_{k+1} (|x0| + |P|^T |alpha|) or
+                # gamma_{k+1} (|x0| + |Q|^T |z|), and rounding z_t / s_t adds
                 # u |Q|^T |z|. With |alpha| <= |U| |z|, |Q|^T <= |P|^T |U|
                 # and x0 = 0, all of it is at most (4k + 3) u S to first
                 # order; 4k + 4 covers the second. A solve that stalls leaves
-                # the residual basis and forms the rows of P by forward
-                # substitution as well, which the same bound covers.
+                # the residual basis with the full path's own P rows and sum,
+                # and from there on it is the full path to the bit.
                 k, S = _residual_basis_scale(h_ws, h_full)
                 diff = float(np.linalg.norm(x_ws - x_full))
                 assert diff <= (4 * k + 4) * linear.UNIT_ROUNDOFF * S
@@ -618,6 +647,7 @@ class TestWorkspace:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(kind="cyclic-shift", n=10, max_iters=10, tol=1e-10, seed=67)
+    @example(kind="late-stall", n=18, max_iters=18, tol=1e-4, seed=32)
     def test_residual_basis_reports_the_true_residual(self, kind, n, max_iters, tol, seed):
         # m = max_iters: the workspace keeps the residual basis until a step
         # stalls. The last recorded norm stays as close to ||b - A x|| as on
@@ -626,7 +656,10 @@ class TestWorkspace:
         # operators have ||A|| and ||A^-1|| of order 1 to 10, and over 600
         # draws of each kind the excess stayed below 4 (4k + 4) u ||b||, so
         # c = 16 (4k + 4). Kept in the residual basis through its stall, the
-        # explicit example exceeds that bound 350 times over.
+        # first explicit example exceeds that bound 350 times over. The
+        # second stalls at step 3, after three steps that kept 0.97-0.997
+        # of ||r||: P rows rebuilt by forward substitution with U would put
+        # it 5 times over; the full path's own rows keep it at gap_full.
         op, b = _workspace_problem(kind, n, seed)
         opts = LinearOptions(tol_rel=tol, max_iters=max_iters)
         x_full, h_full = _run(op, b, max_iters, opts)
@@ -673,7 +706,29 @@ class TestWorkspace:
         assert seen == [True] * (t + 1) + [False] * (len(seen) - t - 1)
         x_full, h_full = _run(op, b, n, opts)
         assert h.resnorms().tobytes() == h_full.resnorms().tobytes()
-        np.testing.assert_allclose(x, x_full, rtol=0, atol=1e-12 * np.linalg.norm(x_full))
+        # The rebuilt P rows and x are the full path's, so the rest is too.
+        assert x.tobytes() == x_full.tobytes()
+
+    def test_residual_basis_stores_one_row_per_direction(self):
+        # m v rows, r_0 and a few vectors, the replay's 8-row buffer among
+        # them; a P row per direction would add m more.
+        n, m = 4000, 40
+        d = np.linspace(1.0, 100.0, n)
+        op = LinearOperator(dim=n, apply=lambda v: d * v, is_symmetric=True)
+        b = np.random.default_rng(0).standard_normal(n)
+        w = WindowPair(m)
+        tracemalloc.start()
+        try:
+            x, h = tgcr_solve(op, b, np.zeros(n), m=m,
+                              opts=LinearOptions(tol_rel=1e-30, max_iters=m), workspace=w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # It ran all m steps and never left the residual basis.
+        assert h.iterations == m and w.rows()[0] is None
+        assert peak <= (m + 16) * n * 8
+        # The iterate formed from the replayed residuals is the solve's.
+        assert abs(np.linalg.norm(b - d * x) - h.norms[-1]) <= 1e-12 * np.linalg.norm(b)
 
     def test_evicting_solve_matches(self):
         op, b = make_linear_problem("nonsymmetric", 40, seed=3)

@@ -52,6 +52,20 @@ class TestBacktrack:
             alpha *= opts.tau
         assert res.alpha == pytest.approx(alpha)
 
+    def test_given_rnorm2_is_the_merit_it_starts_from(self):
+        # A caller's r @ r gives the same search; a different value moves
+        # the sufficient-decrease test, so backtrack uses it.
+        def f(x):
+            return x**3 - 1.0
+
+        x, d = np.array([1.2]), np.array([-1.0])
+        r = -f(x)
+        slope = float(r @ (3.0 * x**2 * d))
+        opts = LineSearchOptions()
+        plain = backtrack(f, x, d, r, slope, opts)
+        assert backtrack(f, x, d, r, slope, opts, rnorm2=float(r @ r)) == plain
+        assert backtrack(f, x, d, r, slope, opts, rnorm2=1e3).steps < plain.steps
+
     def test_non_positive_slope_rejected(self):
         with pytest.raises(NotDescentError):
             backtrack(lambda x: x, np.ones(1), np.ones(1), -np.ones(1), 0.0, LineSearchOptions())
