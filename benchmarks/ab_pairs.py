@@ -20,8 +20,9 @@ each side's median and quartiles, and how many pairs the after side won
 machine-speed reference time of each run (RAW_METRICS, from the run's
 record in .perfbench_out/) get the same summary, so a change in an
 adjusted time can be traced to the solve or to the reference. It also
-holds both commits, whether each tree had uncommitted changes, each
-side's src/ line count, and the note that the two sides ran from
+holds both commits, whether each tree had uncommitted changes (both None
+for a tree without .git, such as a `git archive` copy), each side's src/
+line count, and the note that the two sides ran from
 different directories. Cases already in an existing --out file are kept;
 a case run again moves its earlier summaries to its "earlier" list.
 """
@@ -55,11 +56,16 @@ def git(checkout: Path, *args: str) -> str:
 
 
 def describe(checkout: Path) -> dict:
+    """The checkout's commit, whether its src/ differs from it, and its
+    src/ line count. A tree without .git (a `git archive` copy) has no
+    commit: both git fields are None."""
     src = checkout / "src"
+    has_git = (checkout / ".git").exists()
     return {
         "directory": checkout.name,
-        "commit": git(checkout, "rev-parse", "HEAD"),
-        "uncommitted_changes": bool(git(checkout, "status", "--porcelain", "--", "src")),
+        "commit": git(checkout, "rev-parse", "HEAD") if has_git else None,
+        "uncommitted_changes": (bool(git(checkout, "status", "--porcelain", "--", "src"))
+                                if has_git else None),
         "src_lines": sum(len(p.read_text().splitlines()) for p in src.rglob("*.py")),
     }
 

@@ -47,6 +47,13 @@ def _get(section, key, default=None, cast=str):
         raise ConfigError(f"bad value for '{key}': {raw!r}") from None
 
 
+def _given(section, **spec):
+    """{name: value} for each name=(key, cast) whose key the section sets;
+    an unset key is left to the library's own default."""
+    return {name: _get(section, key, cast=cast) for name, (key, cast) in spec.items()
+            if key in section}
+
+
 def _flag(raw):
     """An INI boolean (1/yes/true/on or 0/no/false/off); any other word raises."""
     return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
@@ -69,9 +76,8 @@ def _problem_maker(section):
     """Read the problem options; returns seed -> (problem, x0)."""
     name = _get(section, "problem")
     if name == "bratu":
-        grid_n = _get(section, "grid_n", 100, int)
-        lam = _get(section, "lambda", 0.5, float)
-        scaled = _get(section, "scaled", False, _flag)
+        kw = _given(section, grid_n=("grid_n", int), lam=("lambda", float),
+                    scaled=("scaled", _flag))
         form = _get(section, "form", "roots")
         if form not in ("roots", "minimization"):
             raise ConfigError(f"unknown bratu form '{form}'")
@@ -80,31 +86,26 @@ def _problem_maker(section):
             raise ConfigError(f"unknown bratu x0 '{start}'")
 
         def make(seed):
-            bp = BratuProblem(grid_n=grid_n, lam=lam, scaled=scaled)
+            bp = BratuProblem(**kw)
             prob = bp.problem() if form == "roots" else bp.minimization_problem()
             return prob, (np.zeros if start == "zeros" else np.ones)(bp.dim)
 
         return make
     if name == "lennard-jones":
-        cells = _get(section, "cells", 3, int)
-        perturbation = _get(section, "perturbation", 0.05, float)
+        kw = _given(section, cells_per_side=("cells", int),
+                    perturbation_scale=("perturbation", float))
 
         def make(seed):
-            lj = LennardJonesProblem(
-                cells_per_side=cells, perturbation_scale=perturbation, rng_seed=seed
-            )
+            lj = LennardJonesProblem(rng_seed=seed, **kw)
             return lj.problem(), lj.initial_positions()
 
         return make
     if name == "logreg":
-        samples = _get(section, "samples", 2000, int)
-        features = _get(section, "features", 500, int)
-        reg = _get(section, "reg", 1e-2, float)
+        kw = _given(section, n_samples=("samples", int), n_features=("features", int),
+                    lambda_reg=("reg", float))
 
         def make(seed):
-            lr = logreg_make_synthetic(
-                n_samples=samples, n_features=features, seed=seed, lambda_reg=reg
-            )
+            lr = logreg_make_synthetic(seed=seed, **kw)
             rng = np.random.default_rng(seed)
             return lr.problem(), 1e-6 * rng.standard_normal(lr.dim)
 
@@ -112,23 +113,14 @@ def _problem_maker(section):
     raise ConfigError(f"unknown problem '{name}'")
 
 
-def _solver_options(section, tol):
-    ls = LineSearchOptions() if _get(section, "linesearch", False, _flag) else None
-    return _options(
-        window_m=_get(section, "m", 1, int),
-        tol_rel=tol,
-        max_iters=_get(section, "max_iters", 300, int),
-        restart_every=_get(section, "restart_every", 50, _restart),
-        variant=_get(section, "variant", "nonlinear"),
-        linesearch=ls,
-    )
-
-
 def _solver(section, tol):
     """Read the solver options; returns (prob, x0, props_path) -> (x, trace)."""
     name = _get(section, "solver")
     if name == "nltgcr":
-        opts = _solver_options(section, tol)
+        ls = LineSearchOptions() if _get(section, "linesearch", False, _flag) else None
+        opts = _options(tol_rel=tol, linesearch=ls, **_given(
+            section, window_m=("m", int), max_iters=("max_iters", int),
+            restart_every=("restart_every", _restart), variant=("variant", str)))
 
         def solve(prob, x0, props_path):
             records = []
@@ -140,29 +132,24 @@ def _solver(section, tol):
             return x, trace
 
         return solve
-    opts = _options(
-        tol_rel=tol,
-        max_iters=_get(section, "max_iters", 300, int),
-        linesearch=LineSearchOptions(),
-    )
+    opts = _options(tol_rel=tol, linesearch=LineSearchOptions(),
+                    **_given(section, max_iters=("max_iters", int)))
     if name == "aa":
         solve, kw = aa_solve, {
             "m": _get(section, "m", 10, int),
             "beta": _get(section, "beta", 0.1, float),
         }
     elif name == "newton-krylov":
-        solve, kw = newton_krylov_solve, {
-            "inner_m": _get(section, "inner_m", 50, int),
-            "eta0": _get(section, "eta0", 0.9, float),
-        }
+        solve, kw = newton_krylov_solve, _given(section, inner_m=("inner_m", int),
+                                                eta0=("eta0", float))
     elif name == "broyden2":
-        solve, kw = broyden2_solve, {"beta": _get(section, "beta", 1.0, float)}
+        solve, kw = broyden2_solve, _given(section, beta=("beta", float))
     elif name == "nesterov":
         solve, kw = nesterov_solve, {}
     elif name == "ncg":
         solve, kw = ncg_fr_solve, {}
     elif name == "lbfgs":
-        solve, kw = lbfgs_solve, {"m": _get(section, "m", 10, int)}
+        solve, kw = lbfgs_solve, _given(section, m=("m", int))
     else:
         raise ConfigError(f"unknown solver '{name}'")
     return lambda prob, x0, _: solve(prob, x0, opts=opts, **kw)

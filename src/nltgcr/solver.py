@@ -13,9 +13,6 @@ from .core import BreakdownError, JvProbe, NonlinearProblem, SolverOptions, Wind
 from .linear import add_direction, orthogonalize_pair  # noqa: F401
 from .linesearch import backtrack, backtrack_linearized, update_alpha0
 
-TO_LIN = "to_lin"
-TO_NL = "to_nl"
-STAY = "stay"
 # Window restarts allowed after collapsed directions before giving up.
 MAX_BREAKDOWN_RESTARTS = 3
 
@@ -31,83 +28,16 @@ def angular_distance(r_nl: np.ndarray, r_lin: np.ndarray, na: Optional[float] = 
     return 1.0 - float(r_nl @ r_lin) / (na * nb)
 
 
-def adaptive_switch(theta: float, opts: SolverOptions, mode: str = "NL") -> str:
-    """Decide a residual-update mode switch from the residual angle theta,
-    the angular_distance of the nonlinear and linear residuals.
+def adaptive_switch(theta: float, opts: SolverOptions) -> str:
+    """The residual-update mode after an adaptive check: "LIN" exactly when
+    theta, the angular_distance of the nonlinear and linear residuals, is
+    below opts.adaptive_threshold, else "NL".
 
-    In NL mode, switch to linear updates once the two residuals nearly
-    coincide (theta below the threshold). In LIN mode (called every
-    adaptive_check_period iterations against a fresh nonlinear residual),
-    switch back once they drift apart. Switching back clears the window.
+    NL mode checks after every step; LIN mode checks every
+    adaptive_check_period steps, against a fresh nonlinear residual. A
+    change of mode moves the Jacobian anchor and clears the window.
     """
-    if mode == "NL":
-        return TO_LIN if theta < opts.adaptive_threshold else STAY
-    return TO_NL if theta >= opts.adaptive_threshold else STAY
-
-
-class _Loop:
-    """Mutable solve state shared by the step helpers."""
-
-    def __init__(self, x, fx, opts, ev, mode):
-        self.opts = opts
-        self.ev = ev
-        self.x = x
-        self.fx = fx
-        # ||f(x0)||: a direction probed along a residual at rounding level
-        # against it collapses (linear.add_direction).
-        self.r0_norm = self.set_residual(-fx)
-        self.window = WindowPair(opts.window_m)
-        self.mode = mode
-        self.refresh_anchor()
-        self.lin_steps = 0
-        self.breakdown_budget = MAX_BREAKDOWN_RESTARTS
-        self.ls = opts.linesearch
-
-    def set_residual(self, r, r2=None) -> float:
-        """Make r the current residual and r2 = r @ r (given or formed), so
-        the two never disagree; returns ||r||, as np.linalg.norm rounds it."""
-        self.r = r
-        self.r2 = float(r @ r) if r2 is None else r2
-        return math.sqrt(self.r2)
-
-    def refresh_anchor(self):
-        self.anchor_x = self.x
-        self.anchor_f = self.fx
-        # Every LIN-mode probe until the next refresh scales by this norm.
-        self.anchor_inf = float(np.abs(self.x).max())
-
-    def seed_window(self):
-        """(Re)build the window from the current residual: one probe."""
-        self.window.clear()
-        if not self.build_direction():
-            raise BreakdownError(
-                "seed direction collapsed",
-                residual=self.r.copy(),
-                resnorm=math.sqrt(self.r2),
-            )
-
-    def restart(self):
-        """Clear and reseed the window; raises once the retry budget is spent."""
-        if self.breakdown_budget <= 0:
-            raise BreakdownError(
-                "window restarts exhausted",
-                residual=self.r.copy(),
-                resnorm=math.sqrt(self.r2),
-            )
-        self.breakdown_budget -= 1
-        self.seed_window()
-
-    def build_direction(self) -> bool:
-        """Add the pair probed along the current residual at the mode's
-        Jacobian anchor; False on collapse."""
-        r_norm = math.sqrt(self.r2)
-        if self.mode == "LIN":
-            v = self.ev.jv(self.anchor_x, self.r, self.anchor_f, p_norm=r_norm,
-                           x_inf=self.anchor_inf)
-        else:
-            v = self.ev.jv(self.x, self.r, self.fx, p_norm=r_norm)
-        return add_direction(self.window, self.r, v, r0_norm=self.r0_norm,
-                             p_norm=r_norm) is not None
+    return "LIN" if theta < opts.adaptive_threshold else "NL"
 
 
 def nltgcr_solve(
@@ -152,17 +82,54 @@ def nltgcr_solve(
 
 
 def _steps(ev, x, fx, target, opts, mode, observer):
-    st = _Loop(x, fx, opts, ev, mode)
-    st.seed_window()
+    window = WindowPair(opts.window_m)
+    ls = opts.linesearch
+    r = -fx
+    r2 = float(r @ r)  # always r @ r: every update of r sets both
+    # ||f(x0)||: a direction probed along a residual at rounding level
+    # against it collapses (linear.add_direction).
+    r0_norm = math.sqrt(r2)
+    # The LIN-mode Jacobian anchor. Every LIN-mode probe until the anchor
+    # moves scales by its max-norm.
+    anchor_x, anchor_f, anchor_inf = x, fx, float(np.abs(x).max())
+    lin_steps = 0
+    restarts_left = MAX_BREAKDOWN_RESTARTS
+
+    def build_direction() -> bool:
+        """Add the pair probed along r at the mode's Jacobian anchor; False
+        on collapse."""
+        r_norm = math.sqrt(r2)
+        if mode == "LIN":
+            v = ev.jv(anchor_x, r, anchor_f, p_norm=r_norm, x_inf=anchor_inf)
+        else:
+            v = ev.jv(x, r, fx, p_norm=r_norm)
+        return add_direction(window, r, v, r0_norm=r0_norm, p_norm=r_norm) is not None
+
+    def seed_window(restart=False):
+        """Clear the window and seed it along r: one probe. A restart spends
+        one of MAX_BREAKDOWN_RESTARTS and raises once none is left."""
+        nonlocal restarts_left
+        if restart:
+            if restarts_left <= 0:
+                raise BreakdownError("window restarts exhausted", residual=r.copy(),
+                                     resnorm=math.sqrt(r2))
+            restarts_left -= 1
+        window.clear()
+        if not build_direction():
+            raise BreakdownError("seed direction collapsed", residual=r.copy(),
+                                 resnorm=math.sqrt(r2))
+
+    seed_window()
     fresh = False  # the window's newest pair extends the previous step
-    unit_lin = False  # st.r is the r_lin of a unit LIN step, not refreshed since
+    unit_lin = False  # r is the r_lin of a unit LIN step, not refreshed since
+    adaptive = opts.variant == "adaptive"
     # Only the LIN update, the adaptive NL angle and the observer read V y.
     wants_vy = opts.variant != "nonlinear" or observer is not None
     it = 0
     while True:
         # The window's (k, n) row blocks in storage order, one product each
         # per step; y is in that order too.
-        P, V = st.window.rows()
+        P, V = window.rows()
         one_coef = opts.truncated_update or (fresh and unit_lin and len(V) > 1)
         if one_coef:
             # One coefficient, TGCR's alpha = v_new . r. After a unit linear
@@ -170,98 +137,95 @@ def _steps(ev, x, fx, target, opts, mode, observer):
             # is zero outside the newest pair; a truncated update drops the
             # rest by choice. A one-pair window keeps the full products: they
             # are one pass each already, in fewer numpy calls than this branch.
-            newest = st.window.newest_slot
-            y_new = float(V[newest] @ st.r)
+            newest = window.newest_slot
+            y_new = float(V[newest] @ r)
             y = np.zeros(len(V))
             y[newest] = y_new
             d = y_new * P[newest]
             Vy = y_new * V[newest] if wants_vy else None
         else:
-            y = V @ st.r
+            y = V @ r
             d = np.dot(y, P)
             Vy = np.dot(y, V) if wants_vy else None
-        r_old = st.r
+        r_old = r
         if float(d @ d) == 0.0:
             # Degenerate least-squares step with a nonzero residual: treat
             # as an unlucky-breakdown signal and restart the window.
-            st.restart()
+            seed_window(restart=True)
             fresh = False
             continue
         it += 1
 
         step = 1.0
         pending_restart = False
-        if st.mode == "NL":
-            if st.ls is not None:
-                res = backtrack(ev.f, st.x, d, st.r, float(y @ y), st.ls, rnorm2=st.r2)
-                st.ls = update_alpha0(st.ls, res.steps)
-                step = res.alpha
-                st.x = res.x_new
-                st.fx = res.f_new
+        r_lin = None  # the linear residual an adaptive check compares r with
+        if mode == "NL":
+            if ls is not None:
+                res = backtrack(ev.f, x, d, r, float(y @ y), ls, rnorm2=r2)
+                ls = update_alpha0(ls, res.steps)
+                step, x, fx = res.alpha, res.x_new, res.f_new
                 pending_restart = not res.satisfied
             else:
-                st.x = st.x + d
-                st.fx = ev.f(st.x)
-            resnorm = st.set_residual(-st.fx)
-        else:
-            if st.ls is not None:
-                res = backtrack_linearized(st.r, Vy, float(y @ y), st.ls, rnorm2=st.r2)
-                st.ls = update_alpha0(st.ls, res.steps)
-                step, r_lin, n2 = res.alpha, res.f_new, res.merit
-            else:
-                r_lin, n2 = r_old - Vy, None
-            # A step of exactly 1 adds d itself: the same bytes, one pass less.
-            st.x = st.x + d if step == 1.0 else st.x + step * d
-            resnorm = st.set_residual(r_lin, n2)
-            st.lin_steps += 1
-        unit_lin = st.mode == "LIN" and step == 1.0
-
-        switch = STAY
-        theta = None
-        if st.mode == "NL":
-            if opts.variant == "adaptive" and resnorm > 0.0:
+                x = x + d
+                fx = ev.f(x)
+            r = -fx
+            r2 = float(r @ r)
+            resnorm = math.sqrt(r2)
+            if adaptive:
                 r_lin = r_old - Vy if step == 1.0 else r_old - step * Vy
                 lin_norm = float(np.linalg.norm(r_lin))
-                if lin_norm > 0.0:
-                    theta = angular_distance(st.r, r_lin, resnorm, lin_norm)
-                    switch = adaptive_switch(theta, opts, mode="NL")
         else:
-            periodic = (
-                opts.variant == "adaptive"
-                and st.lin_steps % opts.adaptive_check_period == 0
-            )
-            if periodic or resnorm <= target:
+            if ls is not None:
+                res = backtrack_linearized(r, Vy, float(y @ y), ls, rnorm2=r2)
+                ls = update_alpha0(ls, res.steps)
+                step, r, r2 = res.alpha, res.f_new, res.merit
+            else:
+                r = r_old - Vy
+                r2 = float(r @ r)
+            # A step of exactly 1 adds d itself: the same bytes, one pass less.
+            x = x + d if step == 1.0 else x + step * d
+            resnorm = math.sqrt(r2)
+            lin_steps += 1
+            unit_lin = step == 1.0
+            if (adaptive and lin_steps % opts.adaptive_check_period == 0) or resnorm <= target:
                 # One charged evaluation refreshes the true residual; the
-                # adaptive variant also uses it for the switch decision.
-                st.fx = ev.f(st.x)
-                r_lin, lin_norm = st.r, resnorm
-                resnorm = st.set_residual(-st.fx)
+                # adaptive variant also checks the angle against it.
+                r_lin, lin_norm = r, resnorm
+                fx = ev.f(x)
+                r = -fx
+                r2 = float(r @ r)
+                resnorm = math.sqrt(r2)
                 unit_lin = False
-                if opts.variant == "adaptive" and resnorm > 0.0 and lin_norm > 0.0:
-                    theta = angular_distance(st.r, r_lin, resnorm, lin_norm)
-                    switch = adaptive_switch(theta, opts, mode="LIN")
+
+        theta = None
+        new_mode = mode
+        if adaptive and r_lin is not None and resnorm > 0.0 and lin_norm > 0.0:
+            theta = angular_distance(r, r_lin, resnorm, lin_norm)
+            new_mode = adaptive_switch(theta, opts)
 
         if observer is not None:
             r_tilde = r_old - Vy
-            z = r_tilde - st.r if st.mode == "NL" else None
-            observer(dict(iter=it, mode=st.mode, x=st.x, r=st.r, r_old=r_old, r_tilde=r_tilde,
-                          z=z, y=st.window.logical(y), window=st.window, step=step, theta=theta,
+            z = r_tilde - r if mode == "NL" else None
+            observer(dict(iter=it, mode=mode, x=x, r=r, r_old=r_old, r_tilde=r_tilde,
+                          z=z, y=window.logical(y), window=window, step=step, theta=theta,
                           truncated=opts.truncated_update, one_coef=one_coef, fresh_pair=fresh))
-        yield st.x, resnorm, step, st.mode
+        yield x, resnorm, step, mode
 
         fresh = False
         periodic_restart = opts.restart_every is not None and it % opts.restart_every == 0
-        if switch != STAY:
-            st.mode = "LIN" if switch == TO_LIN else "NL"
-            st.lin_steps = 0
-            st.refresh_anchor()
-        elif periodic_restart and st.mode == "LIN":
-            st.fx = ev.f(st.x)
-            st.set_residual(-st.fx)
-            st.refresh_anchor()
-        if switch != STAY or periodic_restart or pending_restart:
-            st.seed_window()
+        reanchor = new_mode != mode or (periodic_restart and mode == "LIN")
+        if new_mode != mode:
+            mode, lin_steps = new_mode, 0
+        elif reanchor:
+            # A periodic LIN restart re-anchors at a refreshed residual.
+            fx = ev.f(x)
+            r = -fx
+            r2 = float(r @ r)
+        if reanchor:
+            anchor_x, anchor_f, anchor_inf = x, fx, float(np.abs(x).max())
+        if reanchor or periodic_restart or pending_restart:
+            seed_window()
         else:
-            fresh = st.build_direction()
+            fresh = build_direction()
             if not fresh:
-                st.restart()
+                seed_window(restart=True)

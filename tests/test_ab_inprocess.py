@@ -54,6 +54,14 @@ def test_block_interval_contains_the_median_of_independent_pairs():
     assert lo <= 1.0 <= hi
 
 
+def test_a_tree_without_git_is_described_by_its_sources(tmp_path):
+    # A `git archive` copy names no commit, but its src/ is still counted.
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("a = 1\nb = 2\n")
+    assert ab.describe(tmp_path) == {"directory": tmp_path.name, "commit": None,
+                                      "uncommitted_changes": None, "src_lines": 2}
+
+
 # A checkout's perfbench/workloads.py, reduced to what ab_inprocess reads.
 # Its iterations report the BLAS thread count the interpreter started with,
 # and its fevals the interpreter's process id.

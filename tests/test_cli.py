@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 
+from nltgcr import cli
 from nltgcr.cli import main
-from nltgcr.core import ConvergenceTrace
+from nltgcr.core import ConvergenceTrace, LineSearchOptions, SolverOptions
+from nltgcr.problems import BratuProblem
 
 
 BASE_CONFIG = """\
@@ -289,6 +291,28 @@ max_iters = 200
         assert not (out / "bratu-small_rep0.csv").exists()
         row = (out / "summary.csv").read_text().splitlines()[1].split(",")
         assert row[2] == "-" and row[3] == "nan"
+
+    def test_unset_keys_take_the_library_defaults(self, tmp_path, monkeypatch):
+        # A section that sets only problem and solver passes no other option,
+        # so the problem, SolverOptions and the solver use their own defaults.
+        seen = {}
+
+        def spy(name):
+            def solve(prob, x0, *args, **kw):
+                seen[name] = (prob.dim, args, kw)
+                raise ValueError("stop")  # recorded as a failed run
+
+            return solve
+
+        monkeypatch.setattr(cli, "nltgcr_solve", spy("nltgcr"))
+        monkeypatch.setattr(cli, "newton_krylov_solve", spy("newton-krylov"))
+        cfg = _write(tmp_path, "[a]\nproblem = bratu\nsolver = nltgcr\n"
+                               "[b]\nproblem = bratu\nsolver = newton-krylov\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o"), "--tol", "1e-6"]) == 0
+        dim = BratuProblem().dim
+        assert seen["nltgcr"] == (dim, (SolverOptions(tol_rel=1e-6),), {"observer": None})
+        opts = SolverOptions(tol_rel=1e-6, linesearch=LineSearchOptions())
+        assert seen["newton-krylov"] == (dim, (), {"opts": opts})
 
     def test_bad_config_value_exits_2(self, tmp_path, capsys):
         # A bad value stops the batch and names its run, instead of running

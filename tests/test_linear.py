@@ -490,6 +490,14 @@ class TestAddDirection:
         # where J r = (1/2, 0) is parallel to the stored v: the new direction
         # collapses against the window, while a restarted window takes it.
         calls = self._spy(monkeypatch, solver_module)
+        cleared_at = []  # the window's length at every clear
+        clear = WindowPair.clear
+
+        def spy_clear(window):
+            cleared_at.append(len(window))
+            clear(window)
+
+        monkeypatch.setattr(WindowPair, "clear", spy_clear)
 
         def f(x):
             return np.array([x[0] - 1.0 + x[0] * x[1], x[1] * (1.0 - x[0]) - 0.5 * x[0] ** 2])
@@ -501,9 +509,10 @@ class TestAddDirection:
         prob = NonlinearProblem(dim=2, eval_f=f, exact_jv=jv)
         opts = SolverOptions(max_iters=20, restart_every=None)
         # r is orthogonal to J r at (1, 0), so every restarted window gives a
-        # zero step and the restart budget runs out.
+        # zero step and the restart budget runs out: the seed clears the empty
+        # window, then each of the MAX_BREAKDOWN_RESTARTS restarts a one-pair one.
         xs = []
-        with pytest.raises(BreakdownError) as info:
+        with pytest.raises(BreakdownError, match="window restarts exhausted") as info:
             nltgcr_solve(prob, np.zeros(2), opts, probe=JvProbe(mode="exact"),
                          observer=lambda s: xs.append(s["x"]))
         (_, seeded, first), (before, after, out), (cleared, reseeded, again) = calls[:3]
@@ -513,6 +522,7 @@ class TestAddDirection:
         assert cleared[0] == 0 and again is not None
         np.testing.assert_allclose(reseeded[2][:, 0], [0.0, 1.0], atol=1e-15)
         np.testing.assert_allclose(reseeded[3][:, 0], [1.0, 0.0], atol=1e-15)
+        assert cleared_at == [0, 1, 1, 1]
         assert info.value.trace.frozen and len(info.value.trace) >= 2
         # The failure carries the last iterate: the first step's (1, 0).
         assert len(xs) == 1 and info.value.x is xs[-1]

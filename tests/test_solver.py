@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from nltgcr import (
 from nltgcr import solver
 from nltgcr.core import SOLVE_FAILURES
 from nltgcr.jacobian import descent_check
-from nltgcr.solver import STAY, TO_LIN, TO_NL
 from oracles import frobenius_gap
 
 
@@ -199,15 +200,16 @@ class TestAdaptiveSwitch:
     def test_identical_residuals_switch_to_linear(self):
         r = np.array([1.0, 2.0])
         theta = angular_distance(r, r.copy())
-        assert adaptive_switch(theta, SolverOptions(variant="adaptive")) == TO_LIN
+        assert adaptive_switch(theta, SolverOptions(variant="adaptive")) == "LIN"
 
     def test_orthogonal_residuals_stay_nonlinear(self):
         r1 = np.array([1.0, 0.0])
         r2 = np.array([0.0, 1.0])
         opts = SolverOptions(variant="adaptive")
         theta = angular_distance(r1, r2)
-        assert adaptive_switch(theta, opts, mode="NL") == STAY
-        assert adaptive_switch(theta, opts, mode="LIN") == TO_NL
+        assert adaptive_switch(theta, opts) == "NL"
+        # The rule is strict at the threshold, in either mode.
+        assert adaptive_switch(opts.adaptive_threshold, opts) == "NL"
 
     def test_zero_residual_rejected(self):
         with pytest.raises(ValueError):
@@ -265,6 +267,30 @@ class TestAdaptiveSwitch:
         assert modes[20:22] == modes[40:42] == "LL"
         assert len(calls) > 40 and all(calls)
         assert trace.final().resnorm <= 1e-10 * trace.records[0].resnorm
+
+    def test_f_of_x0_is_released_once_the_anchor_moves(self):
+        # The solve may keep f(x0) only as the Jacobian anchor; the switch
+        # to LIN mode after the first step moves the anchor.
+        bp, prob = _bratu(20)
+        first = []
+
+        def f(x):
+            out = bp.f(x)
+            if not first:
+                first.append(weakref.ref(out))
+            return out
+
+        alive = {}
+
+        def observe(state):
+            gc.collect()
+            alive[state["iter"]] = first[0]() is not None
+
+        opts = SolverOptions(window_m=10, variant="adaptive", linesearch=LineSearchOptions())
+        _, trace = nltgcr_solve(dataclasses.replace(prob, eval_f=f), np.ones(bp.dim), opts,
+                                observer=observe)
+        assert trace.final().resnorm <= opts.tol_rel * trace.records[0].resnorm
+        assert len(alive) > 2 and not any(alive[it] for it in alive if it >= 2)
 
 
 class TestResidualIdentities:
@@ -617,7 +643,7 @@ class TestOneCoefficientStep:
 class TestFailureModes:
     def test_constant_function_breaks_down(self):
         prob = NonlinearProblem(dim=2, eval_f=lambda x: np.ones(2))
-        with pytest.raises(BreakdownError):
+        with pytest.raises(BreakdownError, match="seed direction collapsed"):
             nltgcr_solve(prob, np.zeros(2), SolverOptions(max_iters=10))
 
     def test_non_finite_evaluation_carries_state(self):
