@@ -200,19 +200,22 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer, adapt_
     # One window for every inner solve: a fresh one per outer step would be
     # freed and faulted back in each time.
     window = WindowPair(inner_m)
+    # r = -f(x), formed once per step: the inner right-hand side, the base
+    # of every probe at x, and the slope's and the search's residual.
+    r = -fx
+    del fx
     for it in count(1):
-        x_frozen = x
-        f_frozen = fx
+        x_frozen, r_frozen = x, r
         # Every inner probe at this x scales by the same ||x||_inf.
         x_inf = float(np.abs(x).max())
         op = LinearOperator(
             dim=ev.prob.dim,
-            apply=lambda v: ev.jv(x_frozen, v, f_frozen, x_inf=x_inf),
+            apply=lambda v: ev.jv(x_frozen, v, r_frozen, x_inf=x_inf),
             is_symmetric=False,
         )
         inner_opts = LinearOptions(tol_rel=eta, max_iters=inner_m)
         try:
-            delta, ihist = tgcr_solve(op, -fx, np.zeros_like(x), m=inner_m, opts=inner_opts,
+            delta, ihist = tgcr_solve(op, r, np.zeros_like(x), m=inner_m, opts=inner_opts,
                                       workspace=window)
         except BreakdownError as err:
             delta = err.x
@@ -222,12 +225,12 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer, adapt_
         # backtrack raises NotDescentError on a slope <= 0. A shorter delta
         # would not help: frechet_jv scales its step by 1 / ||delta||, so it
         # probes the same point and returns the same slope, scaled.
-        slope = ev.slope(x, -fx, delta)
-        res = backtrack(ev.f, x, delta, -fx, slope, ls)
+        slope = ev.slope(x, r, delta)
+        res = backtrack(ev.f, x, delta, r, slope, ls)
         ls = update_alpha0(ls, res.steps)
         x = res.x_new
-        fx = res.f_new
-        fnorm = float(np.linalg.norm(fx))
+        fnorm = float(np.linalg.norm(res.f_new))
+        r = -res.f_new
         if observer is not None:
             observer(
                 {
@@ -256,14 +259,14 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer, adapt_
 # ---------------------------------------------------------------------------
 
 
-def _estimate_lipschitz(ev, x, fx, n_iters: int = 8, seed: int = 0) -> float:
-    """Power-iteration estimate of ||J(x)|| via Frechet probes."""
+def _estimate_lipschitz(ev, x, r, n_iters: int = 8, seed: int = 0) -> float:
+    """Power-iteration estimate of ||J(x)|| via Frechet probes; r = -f(x)."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(x.shape[0])
     v /= np.linalg.norm(v)
     L = 1.0
     for _ in range(n_iters):
-        w = ev.jv(x, v, fx)
+        w = ev.jv(x, v, r)
         L = float(np.linalg.norm(w))
         if L == 0.0:
             return 1.0
@@ -284,7 +287,7 @@ def nesterov_solve(prob: NonlinearProblem, x0, opts: Optional[SolverOptions] = N
 
 
 def _nesterov_steps(ev, x, fx, target, opts):
-    L = _estimate_lipschitz(ev, x, fx)
+    L = _estimate_lipschitz(ev, x, -fx)
     x_prev = x.copy()
     k = 1
     for it in count(1):
@@ -295,8 +298,7 @@ def _nesterov_steps(ev, x, fx, target, opts):
             # Momentum points uphill: restart it and refresh the stepsize.
             x_prev = x.copy()
             k = 1
-            fx = ev.f(x)
-            L = _estimate_lipschitz(ev, x, fx, n_iters=4, seed=it)
+            L = _estimate_lipschitz(ev, x, -ev.f(x), n_iters=4, seed=it)
         else:
             x_prev = x
             x = x_new

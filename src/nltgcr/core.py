@@ -404,11 +404,12 @@ class EvalCounter:
             raise NonFiniteError("f(x) is not finite", x=x)
         return fx
 
-    def jv(self, x: np.ndarray, p: np.ndarray, f_x: np.ndarray, *,
+    def jv(self, x: np.ndarray, p: np.ndarray, r: np.ndarray, *,
            p_norm: Optional[float] = None, x_inf: Optional[float] = None) -> np.ndarray:
+        """J(x) @ p by jacobian.frechet_jv, whose base is the residual r = -f(x)."""
         from .jacobian import frechet_jv
 
-        out, cost = frechet_jv(self.prob, x, p, f_x, self.probe, p_norm=p_norm, x_inf=x_inf)
+        out, cost = frechet_jv(self.prob, x, p, r, self.probe, p_norm=p_norm, x_inf=x_inf)
         self.count += cost
         return out
 

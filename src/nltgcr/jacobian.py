@@ -16,19 +16,20 @@ def frechet_jv(
     prob: NonlinearProblem,
     x: np.ndarray,
     p: np.ndarray,
-    f_x: np.ndarray,
+    r: np.ndarray,
     probe: JvProbe,
     *,
     p_norm: Optional[float] = None,
     x_inf: Optional[float] = None,
 ) -> Tuple[np.ndarray, int]:
-    """Approximate J(x) @ p, reusing the already computed f_x.
+    """Approximate J(x) @ p, reusing the residual r = -f(x) the caller holds.
 
-    Frechet mode takes one forward difference with
-    eps = FRECHET_EPS_SCALE * (1 + ||x||_inf) / ||p||_2 and costs 1 feval; exact
-    mode delegates to the problem's exact_jv and costs 0. `p_norm` is
-    ||p||_2 and `x_inf` is ||x||_inf when the caller has measured them
-    already.
+    Frechet mode takes one forward difference (f(x + eps p) + r) / eps with
+    eps = FRECHET_EPS_SCALE * (1 + ||x||_inf) / ||p||_2 and costs 1 feval.
+    Negation is exact and a - b is a + (-b), so that is
+    (f(x + eps p) - f(x)) / eps to the bit. Exact mode delegates to the
+    problem's exact_jv and costs 0. `p_norm` is ||p||_2 and `x_inf` is
+    ||x||_inf when the caller has measured them already.
 
     Returns (J(x) @ p, fevals_spent).
     """
@@ -51,7 +52,7 @@ def frechet_jv(
     f_shift = prob.eval_f(shifted)
     if not all_finite(f_shift):
         raise NonFiniteError("f(x + eps*p) is not finite", x=shifted)
-    jv = f_shift - f_x
+    jv = f_shift + r
     jv /= eps
     return jv, 1
 
@@ -65,9 +66,8 @@ def descent_check(
 ) -> Tuple[float, int]:
     """Estimate <J(x)^T r, d> = <r, J(x) d> with one Frechet probe.
 
-    With r = -f(x), a positive value means d is a descent direction for
-    phi = 0.5 ||f||^2.
+    r = -f(x) is also the probe's base, so no f(x) is formed. A positive
+    value means d is a descent direction for phi = 0.5 ||f||^2.
     """
-    f_x = -r
-    jd, fev = frechet_jv(prob, x, d, f_x, probe)
+    jd, fev = frechet_jv(prob, x, d, r, probe)
     return float(r @ jd), fev

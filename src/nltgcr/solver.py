@@ -84,14 +84,17 @@ def nltgcr_solve(
 def _steps(ev, x, fx, target, opts, mode, observer):
     window = WindowPair(opts.window_m)
     ls = opts.linesearch
+    # r = -f(x) is also the base of every probe at x (jacobian.frechet_jv),
+    # so f(x) itself is not kept.
     r = -fx
+    del fx
     r2 = float(r @ r)  # always r @ r: every update of r sets both
     # ||f(x0)||: a direction probed along a residual at rounding level
     # against it collapses (linear.add_direction).
     r0_norm = math.sqrt(r2)
-    # The LIN-mode Jacobian anchor. Every LIN-mode probe until the anchor
-    # moves scales by its max-norm.
-    anchor_x, anchor_f, anchor_inf = x, fx, float(np.abs(x).max())
+    # The LIN-mode Jacobian anchor: x, r and ||x||_inf there. Every LIN-mode
+    # probe until the anchor moves scales by its max-norm.
+    anchor_x, anchor_r, anchor_inf = x, r, float(np.abs(x).max())
     lin_steps = 0
     restarts_left = MAX_BREAKDOWN_RESTARTS
 
@@ -100,9 +103,9 @@ def _steps(ev, x, fx, target, opts, mode, observer):
         on collapse."""
         r_norm = math.sqrt(r2)
         if mode == "LIN":
-            v = ev.jv(anchor_x, r, anchor_f, p_norm=r_norm, x_inf=anchor_inf)
+            v = ev.jv(anchor_x, r, anchor_r, p_norm=r_norm, x_inf=anchor_inf)
         else:
-            v = ev.jv(x, r, fx, p_norm=r_norm)
+            v = ev.jv(x, r, r, p_norm=r_norm)
         return add_direction(window, r, v, r0_norm=r0_norm, p_norm=r_norm) is not None
 
     def seed_window(restart=False):
@@ -159,16 +162,20 @@ def _steps(ev, x, fx, target, opts, mode, observer):
         step = 1.0
         pending_restart = False
         r_lin = None  # the linear residual an adaptive check compares r with
+        # Each n-vector is dropped once nothing reads it again: d after the
+        # x update, f(x) once negated, the search result once unpacked, and
+        # r_old and V y (kept for the observer) once the new residual and
+        # the linear one are formed.
         if mode == "NL":
             if ls is not None:
                 res = backtrack(ev.f, x, d, r, float(y @ y), ls, rnorm2=r2)
                 ls = update_alpha0(ls, res.steps)
-                step, x, fx = res.alpha, res.x_new, res.f_new
-                pending_restart = not res.satisfied
+                step, x, r, pending_restart = res.alpha, res.x_new, -res.f_new, not res.satisfied
+                del res
             else:
                 x = x + d
-                fx = ev.f(x)
-            r = -fx
+                r = -ev.f(x)
+            del d
             r2 = float(r @ r)
             resnorm = math.sqrt(r2)
             if adaptive:
@@ -179,11 +186,15 @@ def _steps(ev, x, fx, target, opts, mode, observer):
                 res = backtrack_linearized(r, Vy, float(y @ y), ls, rnorm2=r2)
                 ls = update_alpha0(ls, res.steps)
                 step, r, r2 = res.alpha, res.f_new, res.merit
+                del res
             else:
                 r = r_old - Vy
                 r2 = float(r @ r)
+            if observer is None:
+                r_old = Vy = None
             # A step of exactly 1 adds d itself: the same bytes, one pass less.
             x = x + d if step == 1.0 else x + step * d
+            del d
             resnorm = math.sqrt(r2)
             lin_steps += 1
             unit_lin = step == 1.0
@@ -191,17 +202,19 @@ def _steps(ev, x, fx, target, opts, mode, observer):
                 # One charged evaluation refreshes the true residual; the
                 # adaptive variant also checks the angle against it.
                 r_lin, lin_norm = r, resnorm
-                fx = ev.f(x)
-                r = -fx
+                r = -ev.f(x)
                 r2 = float(r @ r)
                 resnorm = math.sqrt(r2)
                 unit_lin = False
 
+        if observer is None:
+            r_old = Vy = None
         theta = None
         new_mode = mode
         if adaptive and r_lin is not None and resnorm > 0.0 and lin_norm > 0.0:
             theta = angular_distance(r, r_lin, resnorm, lin_norm)
             new_mode = adaptive_switch(theta, opts)
+        del r_lin
 
         if observer is not None:
             r_tilde = r_old - Vy
@@ -218,11 +231,10 @@ def _steps(ev, x, fx, target, opts, mode, observer):
             mode, lin_steps = new_mode, 0
         elif reanchor:
             # A periodic LIN restart re-anchors at a refreshed residual.
-            fx = ev.f(x)
-            r = -fx
+            r = -ev.f(x)
             r2 = float(r @ r)
         if reanchor:
-            anchor_x, anchor_f, anchor_inf = x, fx, float(np.abs(x).max())
+            anchor_x, anchor_r, anchor_inf = x, r, float(np.abs(x).max())
         if reanchor or periodic_restart or pending_restart:
             seed_window()
         else:

@@ -396,7 +396,7 @@ def test_criterion_10_gradient_and_jv_oracles():
     for _ in range(5):
         p = rng.standard_normal(bp.dim)
         q = rng.standard_normal(bp.dim)
-        approx, _ = frechet_jv(prob, u, p, fu, JvProbe())
+        approx, _ = frechet_jv(prob, u, p, -fu, JvProbe())
         exact = bp.jv(u, p)
         jv_gap = max(jv_gap, float(np.linalg.norm(approx - exact) / np.linalg.norm(exact)))
         lhs = float(bp.jv(u, p) @ q)

@@ -327,7 +327,7 @@ class TestEvalCounter:
         x = np.array([1.0, 2.0])
         fx = ev.f(x)
         assert ev.count == 1
-        ev.jv(x, np.array([1.0, 0.0]), fx)
+        ev.jv(x, np.array([1.0, 0.0]), -fx)
         assert ev.count == 2
 
     def test_exact_probe_costs_nothing(self):
@@ -338,7 +338,7 @@ class TestEvalCounter:
         )
         ev = EvalCounter(prob, JvProbe(mode="exact"))
         fx = ev.f(np.ones(2))
-        ev.jv(np.ones(2), np.ones(2), fx)
+        ev.jv(np.ones(2), np.ones(2), -fx)
         assert ev.count == 1
 
     def test_non_finite_f_raises(self):

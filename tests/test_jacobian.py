@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nltgcr import (
     BratuProblem,
@@ -9,6 +11,7 @@ from nltgcr import (
     frechet_jv,
     make_linear_problem,
 )
+from nltgcr.jacobian import FRECHET_EPS_SCALE
 
 
 def _affine_problem(n=8, seed=0):
@@ -26,7 +29,7 @@ class TestFrechetJv:
         rng = np.random.default_rng(1)
         x = rng.standard_normal(8)
         p = rng.standard_normal(8)
-        jv, fev = frechet_jv(prob, x, p, prob.eval_f(x), JvProbe())
+        jv, fev = frechet_jv(prob, x, p, -prob.eval_f(x), JvProbe())
         assert fev == 1
         truth = A @ p
         assert np.linalg.norm(jv - truth) <= 1e-6 * np.linalg.norm(truth)
@@ -36,7 +39,7 @@ class TestFrechetJv:
         # the product is (2, 0) up to O(eps).
         prob = NonlinearProblem(dim=2, eval_f=lambda x: x * x)
         x = np.array([1.0, 2.0])
-        jv, fev = frechet_jv(prob, x, np.array([1.0, 0.0]), x * x, JvProbe())
+        jv, fev = frechet_jv(prob, x, np.array([1.0, 0.0]), -(x * x), JvProbe())
         assert fev == 1
         np.testing.assert_allclose(jv, [2.0, 0.0], atol=1e-5)
 
@@ -47,14 +50,14 @@ class TestFrechetJv:
         for _ in range(5):
             u = 0.2 * rng.standard_normal(bp.dim)
             p = rng.standard_normal(bp.dim)
-            jv, _ = frechet_jv(prob, u, p, prob.eval_f(u), JvProbe())
+            jv, _ = frechet_jv(prob, u, p, -prob.eval_f(u), JvProbe())
             truth = bp.jv(u, p)
             assert np.linalg.norm(jv - truth) <= 1e-6 * np.linalg.norm(truth)
 
     def test_exact_mode_costs_nothing(self):
         prob, A, b = _affine_problem()
         x = np.zeros(8)
-        jv, fev = frechet_jv(prob, x, np.ones(8), prob.eval_f(x), JvProbe(mode="exact"))
+        jv, fev = frechet_jv(prob, x, np.ones(8), -prob.eval_f(x), JvProbe(mode="exact"))
         assert fev == 0
         np.testing.assert_allclose(jv, A @ np.ones(8), atol=1e-14)
 
@@ -64,12 +67,12 @@ class TestFrechetJv:
 
         prob = NonlinearProblem(dim=2, eval_f=lambda x: x, exact_jv=lambda x, p: np.array([1.0, bad]))
         with pytest.raises(NonFiniteError, match="not finite"):
-            frechet_jv(prob, np.ones(2), np.ones(2), np.ones(2), JvProbe(mode="exact"))
+            frechet_jv(prob, np.ones(2), np.ones(2), -np.ones(2), JvProbe(mode="exact"))
 
     def test_zero_direction_rejected(self):
         prob = NonlinearProblem(dim=2, eval_f=lambda x: x)
         with pytest.raises(ValueError, match="zero direction"):
-            frechet_jv(prob, np.ones(2), np.zeros(2), np.ones(2), JvProbe())
+            frechet_jv(prob, np.ones(2), np.zeros(2), -np.ones(2), JvProbe())
 
     def test_non_finite_shifted_value_rejected(self):
         from nltgcr import NonFiniteError
@@ -83,7 +86,7 @@ class TestFrechetJv:
         prob = NonlinearProblem(dim=1, eval_f=f)
         x = np.array([1.0])
         with pytest.raises(NonFiniteError, match="not finite"):
-            frechet_jv(prob, x, np.array([1e9]), f(x), JvProbe())
+            frechet_jv(prob, x, np.array([1e9]), -f(x), JvProbe())
 
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -105,11 +108,38 @@ class TestFrechetJv:
         x = np.zeros(4)
         p = np.array([1.0, 0.0, 0.0, 0.0])
         if bad is None:
-            jv, fev = frechet_jv(prob, x, p, f(x), JvProbe())
+            jv, fev = frechet_jv(prob, x, p, -f(x), JvProbe())
             assert fev == 1 and np.all(np.isfinite(jv))
         else:
             with pytest.raises(NonFiniteError, match="not finite"):
-                frechet_jv(prob, x, p, f(x), JvProbe())
+                frechet_jv(prob, x, p, -f(x), JvProbe())
+
+
+# Entries that make f(x), f(x + eps p) and their difference zero in places,
+# with either sign.
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+
+
+class TestResidualBase:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6))
+    def test_probe_from_the_residual_is_the_forward_difference_to_the_bit(self, data, n):
+        vectors = st.lists(_ENTRIES, min_size=n, max_size=n).map(np.array)
+        x, w = data.draw(vectors), data.draw(vectors)
+        p = data.draw(vectors.filter(lambda v: np.linalg.norm(v) > 0.0))
+        prob = NonlinearProblem(dim=n, eval_f=lambda z: w * np.sin(z))
+        fx = prob.eval_f(x)
+        eps = FRECHET_EPS_SCALE * (1.0 + float(np.abs(x).max())) / float(np.linalg.norm(p))
+        want = (prob.eval_f(x + eps * p) - fx) / eps
+        jv, fev = frechet_jv(prob, x, p, -fx, JvProbe())
+        assert fev == 1 and jv.tobytes() == want.tobytes()
+        val, fev = descent_check(prob, x, -fx, p, JvProbe())
+        assert fev == 1 and val == float(-fx @ want)
+
+    def test_the_old_keyword_is_refused(self):
+        prob = NonlinearProblem(dim=2, eval_f=lambda x: x)
+        with pytest.raises(TypeError, match="f_x"):
+            frechet_jv(prob, np.ones(2), np.ones(2), f_x=np.ones(2), probe=JvProbe())
 
 
 class TestDescentCheck:
@@ -141,7 +171,7 @@ class TestDescentCheck:
         x = np.ones(bp.dim)
         fx = ev.f(x)
         r = -fx
-        v = ev.jv(x, r, fx)
+        v = ev.jv(x, r, r)
         p = r / np.linalg.norm(v)
         vn = v / np.linalg.norm(v)
         d = float(vn @ r) * p

@@ -233,7 +233,7 @@ class TestLogReg:
             assert float(p @ lr.jv(theta, p)) > 0.0
             from nltgcr import frechet_jv
 
-            jv_fd, _ = frechet_jv(prob, theta, p, lr.grad(theta), JvProbe())
+            jv_fd, _ = frechet_jv(prob, theta, p, -lr.grad(theta), JvProbe())
             assert np.linalg.norm(jv_fd - lr.jv(theta, p)) <= 1e-5 * np.linalg.norm(p)
 
     def test_synthetic_generator_deterministic(self):
