@@ -29,6 +29,7 @@ from .core import (
     SolverOptions,
     TraceRecord,
     WindowPair,
+    frechet_jv,
 )
 from .identities import (
     InducedInverseReport,
@@ -41,7 +42,6 @@ from .identities import (
     reconstruction_defects,
     secant_property_check,
 )
-from .jacobian import descent_check, frechet_jv
 from .linear import (
     KrylovHistory,
     LinearOperator,

@@ -228,9 +228,12 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer, adapt_
         slope = ev.slope(x, r, delta)
         res = backtrack(ev.f, x, delta, r, slope, ls)
         ls = update_alpha0(ls, res.steps)
-        x = res.x_new
-        fnorm = float(np.linalg.norm(res.f_new))
-        r = -res.f_new
+        # f(x) lives on only as r, not through the next inner solve.
+        alpha, x, f_new = res.alpha, res.x_new, res.f_new
+        del res
+        fnorm = float(np.linalg.norm(f_new))
+        r = -f_new
+        del f_new
         if observer is not None:
             observer(
                 {
@@ -240,10 +243,10 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer, adapt_
                     "inner_steps": ihist.iterations,
                     "forcing_rhs": eta * fnorm_prev,
                     "cap_hit": ihist.iterations >= inner_m and not ihist.converged,
-                    "alpha": res.alpha,
+                    "alpha": alpha,
                 }
             )
-        yield x, fnorm, res.alpha, "NL"
+        yield x, fnorm, alpha, "NL"
         if adapt_eta:
             eta_new = EW_GAMMA * (fnorm / fnorm_prev) ** 2
             safeguard = EW_GAMMA * eta * eta

@@ -1,4 +1,5 @@
-"""Shared data model: problems, solver options, direction windows, traces."""
+"""Shared data model: problems, solver options, direction windows, traces,
+and the Jacobian-vector probe with its feval accounting."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import io
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -384,6 +385,55 @@ class JvProbe:
             raise ValueError("mode must be 'frechet' or 'exact'")
 
 
+# Relative step of the forward-difference probe (scaled by 1 + ||x||_inf).
+FRECHET_EPS_SCALE = 1e-7
+
+
+def frechet_jv(
+    prob: NonlinearProblem,
+    x: np.ndarray,
+    p: np.ndarray,
+    r: np.ndarray,
+    probe: JvProbe,
+    *,
+    p_norm: Optional[float] = None,
+    x_inf: Optional[float] = None,
+) -> Tuple[np.ndarray, int]:
+    """Approximate J(x) @ p, reusing the residual r = -f(x) the caller holds.
+
+    Frechet mode takes one forward difference (f(x + eps p) + r) / eps with
+    eps = FRECHET_EPS_SCALE * (1 + ||x||_inf) / ||p||_2 and costs 1 feval.
+    Negation is exact and a - b is a + (-b), so that is
+    (f(x + eps p) - f(x)) / eps to the bit. Exact mode delegates to the
+    problem's exact_jv and costs 0. `p_norm` is ||p||_2 and `x_inf` is
+    ||x||_inf when the caller has measured them already.
+
+    Returns (J(x) @ p, fevals_spent).
+    """
+    if probe.mode == "exact":
+        if prob.exact_jv is None:
+            raise ValueError("problem has no exact_jv but probe mode is 'exact'")
+        jv = prob.exact_jv(x, p)
+        if not all_finite(jv):
+            raise NonFiniteError("J(x) p is not finite", x=x)
+        return jv, 0
+    if p_norm is None:
+        p_norm = float(np.linalg.norm(p))
+    if p_norm == 0.0:
+        raise ValueError("cannot probe along a zero direction")
+    if x_inf is None:
+        x_inf = float(np.abs(x).max())
+    eps = FRECHET_EPS_SCALE * (1.0 + x_inf) / p_norm
+    shifted = eps * p
+    shifted += x
+    f_shift = prob.eval_f(shifted)
+    if not all_finite(f_shift):
+        raise NonFiniteError("f(x + eps*p) is not finite", x=shifted)
+    jv = f_shift + r
+    jv /= eps
+    return jv, 1
+
+
 class EvalCounter:
     """Counts function evaluations against a problem oracle.
 
@@ -406,19 +456,18 @@ class EvalCounter:
 
     def jv(self, x: np.ndarray, p: np.ndarray, r: np.ndarray, *,
            p_norm: Optional[float] = None, x_inf: Optional[float] = None) -> np.ndarray:
-        """J(x) @ p by jacobian.frechet_jv, whose base is the residual r = -f(x)."""
-        from .jacobian import frechet_jv
-
+        """J(x) @ p by frechet_jv, whose base is the residual r = -f(x)."""
         out, cost = frechet_jv(self.prob, x, p, r, self.probe, p_norm=p_norm, x_inf=x_inf)
         self.count += cost
         return out
 
     def slope(self, x: np.ndarray, r: np.ndarray, d: np.ndarray) -> float:
-        from .jacobian import descent_check
-
-        val, cost = descent_check(self.prob, x, r, d, self.probe)
+        """<J(x)^T r, d> = <r, J(x) d> from one probe whose base is r = -f(x),
+        so no f(x) is formed. A positive value means d is a descent
+        direction for phi = 0.5 ||f||^2."""
+        jd, cost = frechet_jv(self.prob, x, d, r, self.probe)
         self.count += cost
-        return val
+        return float(r @ jd)
 
     def phi(self, x: np.ndarray) -> float:
         """Objective evaluation, charged like a function evaluation."""

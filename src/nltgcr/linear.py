@@ -221,12 +221,24 @@ def add_direction(window: WindowPair, p, v, *, r0_norm: float, p_norm: Optional[
     return s, b
 
 
-def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions,
-                 workspace: Optional[WindowPair] = None):
+def _start(A: LinearOperator, b, x0, hist: KrylovHistory):
+    """The start of a linear solve: checks b and x0, forms r_0 = b - A x0
+    and records iterate 0 in hist. Returns (x0, r_0, the reference norm of
+    the convergence test): ||b||, or ||r_0|| when b = 0."""
     b = check_finite(np.asarray(b, dtype=float), "b")
     x = check_finite(np.asarray(x0, dtype=float), "x0").copy()
-    if b.shape[0] != A.dim or x.shape[0] != A.dim:
+    if b.shape != (A.dim,) or x.shape != (A.dim,):
         raise ValueError("dimension mismatch between operator, b, and x0")
+    # A @ 0 = 0 by linearity; skipping the apply also spares matrix-free
+    # operators a probe along the zero vector.
+    r = b.copy() if not np.any(x) else b - A.apply(x)
+    rnorm = float(np.linalg.norm(r))
+    hist.record(r, x, rnorm)
+    return x, r, float(np.linalg.norm(b)) or rnorm
+
+
+def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions,
+                 workspace: Optional[WindowPair] = None):
     # At most max_iters directions are built; gcr_solve explains the dim bound.
     capacity = min(m or A.dim, opts.max_iters)
     if workspace is None:
@@ -245,15 +257,10 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
     # U[i, t] = b_it / s_t, so x0 + alpha @ P = x0 + sum_t (z_t / s_t) r_t
     # with U z = alpha.
     U = np.eye(capacity) if workspace is not None and capacity == opts.max_iters else None
-    # A @ 0 = 0 by linearity; skipping the apply also spares matrix-free
-    # operators a probe along the zero vector.
-    r = b.copy() if not np.any(x) else b - A.apply(x)
+    x, r, ref = _start(A, b, x0, hist)
     # r_0 and the v rows give back every residual of a residual-basis solve.
     r0 = r
-    rnorm = float(np.linalg.norm(r))
-    hist.record(r, x, rnorm)
-    # With b = 0 the residual is measured against its start.
-    ref = float(np.linalg.norm(b)) or rnorm
+    rnorm = hist.norms[0]
 
     if rnorm <= opts.tol_rel * ref:
         hist.converged = True
@@ -401,13 +408,9 @@ def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
     if not A.is_symmetric:
         raise ValueError("cr_solve requires an operator declared symmetric")
     opts = opts or LinearOptions()
-    b = check_finite(np.asarray(b, dtype=float), "b")
-    x = check_finite(np.asarray(x0, dtype=float), "x0").copy()
     hist = KrylovHistory()
-    r = b - A.apply(x)
-    rnorm = float(np.linalg.norm(r))
-    hist.record(r, x, rnorm)
-    ref = float(np.linalg.norm(b)) or rnorm
+    x, r, ref = _start(A, b, x0, hist)
+    rnorm = hist.norms[0]
     if rnorm <= opts.tol_rel * ref:
         hist.converged = True
         return x, hist

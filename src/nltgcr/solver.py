@@ -84,7 +84,7 @@ def nltgcr_solve(
 def _steps(ev, x, fx, target, opts, mode, observer):
     window = WindowPair(opts.window_m)
     ls = opts.linesearch
-    # r = -f(x) is also the base of every probe at x (jacobian.frechet_jv),
+    # r = -f(x) is also the base of every probe at x (core.frechet_jv),
     # so f(x) itself is not kept.
     r = -fx
     del fx
@@ -92,9 +92,11 @@ def _steps(ev, x, fx, target, opts, mode, observer):
     # ||f(x0)||: a direction probed along a residual at rounding level
     # against it collapses (linear.add_direction).
     r0_norm = math.sqrt(r2)
-    # The LIN-mode Jacobian anchor: x, r and ||x||_inf there. Every LIN-mode
-    # probe until the anchor moves scales by its max-norm.
-    anchor_x, anchor_r, anchor_inf = x, r, float(np.abs(x).max())
+    # The LIN-mode Jacobian anchor: x, r and ||x||_inf there, None in NL
+    # mode, which probes at x. Every LIN-mode probe until the anchor moves
+    # scales by its max-norm.
+    anchor_x, anchor_r, anchor_inf = (
+        (x, r, float(np.abs(x).max())) if mode == "LIN" else (None, None, None))
     lin_steps = 0
     restarts_left = MAX_BREAKDOWN_RESTARTS
 
@@ -234,7 +236,8 @@ def _steps(ev, x, fx, target, opts, mode, observer):
             r = -ev.f(x)
             r2 = float(r @ r)
         if reanchor:
-            anchor_x, anchor_r, anchor_inf = x, r, float(np.abs(x).max())
+            anchor_x, anchor_r, anchor_inf = (
+                (x, r, float(np.abs(x).max())) if mode == "LIN" else (None, None, None))
         if reanchor or periodic_restart or pending_restart:
             seed_window()
         else:

@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -277,6 +281,32 @@ class TestNewtonKrylov:
         assert trace.final().resnorm <= 1e-8 * trace.records[0].resnorm
         window_bytes = 50 * bp.dim * 8
         assert peak < 1.6 * window_bytes
+
+    def test_accepted_trial_f_is_released_before_the_next_inner_solve(self):
+        # The line search's f(x_new) lives on only as r = -f(x_new): by the
+        # first Jv probe of the next outer step it is freed. The last
+        # evaluation before the observer is the accepted trial's.
+        bp = BratuProblem(grid_n=20)
+        last, pending, dead = [None], [None], []
+
+        def f(x):
+            if pending[0] is not None:
+                gc.collect()
+                dead.append(pending[0]() is None)
+                pending[0] = None
+            out = bp.f(x)
+            last[0] = weakref.ref(out)
+            return out
+
+        def observe(rep):
+            assert rep["alpha"] == 1.0
+            pending[0] = last[0]
+
+        newton_krylov_solve(
+            dataclasses.replace(bp.problem(), eval_f=f), np.zeros(bp.dim), inner_m=50,
+            eta0=0.9, opts=SolverOptions(tol_rel=1e-8, max_iters=25), observer=observe,
+        )
+        assert len(dead) > 2 and all(dead)
 
     def test_non_descent_raises_after_one_slope_probe(self):
         # f(x) = 1 + 2|x| has its kink at x0 = 0. The inner probe along

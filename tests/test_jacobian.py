@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from nltgcr import (
     BratuProblem,
+    EvalCounter,
     JvProbe,
     NonlinearProblem,
-    descent_check,
     frechet_jv,
     make_linear_problem,
 )
-from nltgcr.jacobian import FRECHET_EPS_SCALE
+from nltgcr.core import FRECHET_EPS_SCALE
 
 
 def _affine_problem(n=8, seed=0):
@@ -133,8 +133,9 @@ class TestResidualBase:
         want = (prob.eval_f(x + eps * p) - fx) / eps
         jv, fev = frechet_jv(prob, x, p, -fx, JvProbe())
         assert fev == 1 and jv.tobytes() == want.tobytes()
-        val, fev = descent_check(prob, x, -fx, p, JvProbe())
-        assert fev == 1 and val == float(-fx @ want)
+        ev = EvalCounter(prob, JvProbe())
+        val = ev.slope(x, -fx, p)
+        assert ev.count == 1 and val == float(-fx @ want)
 
     def test_the_old_keyword_is_refused(self):
         prob = NonlinearProblem(dim=2, eval_f=lambda x: x)
@@ -147,8 +148,9 @@ class TestDescentCheck:
         # f(x) = x, r = -x, d = -x at x = (1, 1): <r, J d> = <x, x> = 2.
         prob = NonlinearProblem(dim=2, eval_f=lambda x: x)
         x = np.array([1.0, 1.0])
-        val, fev = descent_check(prob, x, -x, -x, JvProbe())
-        assert fev == 1
+        ev = EvalCounter(prob, JvProbe())
+        val = ev.slope(x, -x, -x)
+        assert ev.count == 1
         assert val == pytest.approx(2.0, rel=1e-6)
 
     def test_orthogonal_direction_gives_near_zero(self):
@@ -159,12 +161,10 @@ class TestDescentCheck:
         r = -prob.eval_f(x)
         w = A.T @ r
         d = np.array([-w[1], w[0]])  # orthogonal to J^T r
-        val, _ = descent_check(prob, x, r, d, JvProbe())
+        val = EvalCounter(prob, JvProbe()).slope(x, r, d)
         assert abs(val) <= 1e-6 * np.linalg.norm(r) * np.linalg.norm(d)
 
     def test_bratu_first_step_direction_is_descent(self):
-        from nltgcr import EvalCounter
-
         bp = BratuProblem(grid_n=10)
         prob = bp.problem()
         ev = EvalCounter(prob)
@@ -175,5 +175,5 @@ class TestDescentCheck:
         p = r / np.linalg.norm(v)
         vn = v / np.linalg.norm(v)
         d = float(vn @ r) * p
-        val, _ = descent_check(prob, x, r, d, JvProbe())
+        val = EvalCounter(prob, JvProbe()).slope(x, r, d)
         assert val > 0.0

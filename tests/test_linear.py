@@ -97,6 +97,14 @@ class TestGcr:
         with pytest.raises(ValueError):
             gcr_solve(op, np.ones(5), np.zeros(4))
 
+    @pytest.mark.parametrize("solve", [gcr_solve, cr_solve], ids=["gcr", "cr"])
+    @pytest.mark.parametrize("b", [np.ones(1), np.ones((5, 1))], ids=["short", "column"])
+    def test_b_that_would_broadcast_rejected(self, solve, b):
+        # numpy broadcasts either b against A x0; a solve must not.
+        op = LinearOperator.from_matrix(np.eye(5), is_symmetric=True)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve(op, b, np.zeros(5))
+
 
 class TestTgcr:
     def test_huge_window_matches_full_gcr(self):
@@ -181,6 +189,14 @@ class TestCr:
         x, h = cr_solve(op, b, np.zeros(5))
         assert h.iterations == 1
         np.testing.assert_allclose(x, b, atol=1e-14)
+
+    def test_zero_start_takes_no_apply_for_the_first_residual(self):
+        # r_0 = b when x0 = 0, as in gcr_solve: one apply per direction.
+        calls = []
+        op = LinearOperator(dim=5, apply=lambda v: calls.append(v) or v, is_symmetric=True)
+        x, h = cr_solve(op, np.ones(5), np.zeros(5))
+        assert h.iterations == 1 and len(calls) == 1
+        np.testing.assert_allclose(x, np.ones(5), atol=1e-14)
 
     def test_indefinite_two_by_two_solved_exactly(self):
         A = np.diag([-1.0, 2.0])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nltgcr import (
     BratuProblem,
     BreakdownError,
+    EvalCounter,
     JvProbe,
     LineSearchOptions,
     NonFiniteError,
@@ -27,7 +28,6 @@ from nltgcr import (
 )
 from nltgcr import solver
 from nltgcr.core import SOLVE_FAILURES
-from nltgcr.jacobian import descent_check
 from oracles import frobenius_gap
 
 
@@ -292,6 +292,24 @@ class TestAdaptiveSwitch:
         assert trace.final().resnorm <= opts.tol_rel * trace.records[0].resnorm
         assert len(alive) > 2 and not any(alive[it] for it in alive if it >= 2)
 
+    def test_nonlinear_solve_releases_r0(self):
+        # Only LIN-mode probes read the Jacobian anchor, so a nonlinear
+        # solve keeps none: r_0, the first step's r_old, is freed once the
+        # observer lets go of it.
+        bp, prob = _bratu(20)
+        first = []
+        alive = {}
+
+        def observe(state):
+            if state["iter"] == 1:
+                first.append(weakref.ref(state["r_old"]))
+            gc.collect()
+            alive[state["iter"]] = first[0]() is not None
+
+        opts = SolverOptions(window_m=10, linesearch=LineSearchOptions())
+        nltgcr_solve(prob, np.ones(bp.dim), opts, observer=observe)
+        assert len(alive) > 3 and not any(alive[it] for it in alive if it >= 3)
+
 
 class TestResidualIdentities:
     def test_window_projection_identities_on_bratu(self):
@@ -511,7 +529,7 @@ class TestTruncatedUpdate:
             a = float(w.v_matrix()[:, -1] @ r)
             if len(checks) < 100 and a != 0.0:
                 d = a * w.p_matrix()[:, -1]
-                val, _ = descent_check(prob, x, r, d, JvProbe())
+                val = EvalCounter(prob, JvProbe()).slope(x, r, d)
                 checks.append((val, a))
 
         opts = SolverOptions(

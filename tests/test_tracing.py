@@ -62,3 +62,7 @@ def test_traced_newton_krylov():
     assert out["linear.tgcr_solve.inner_iters"] >= iters
     assert out["linesearch.backtrack.trials_per_call"] >= 1.0
     assert out["fevals.jv_probe"] > 0
+    # One slope probe per outer step, charged as a slope probe: its f
+    # evaluation's direct parent span is EvalCounter.slope, not .jv.
+    assert out["fevals.slope_probe"] == iters
+    assert sum(out[f"fevals.{p}"] for p in tracing.PURPOSES) == trace.final().fevals
