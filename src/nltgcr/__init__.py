@@ -21,7 +21,6 @@ from .core import (
     ConvergenceTrace,
     DivergenceError,
     EvalCounter,
-    JvProbe,
     LineSearchOptions,
     NonFiniteError,
     NonlinearProblem,
@@ -29,7 +28,6 @@ from .core import (
     SolverOptions,
     TraceRecord,
     WindowPair,
-    frechet_jv,
 )
 from .identities import (
     InducedInverseReport,

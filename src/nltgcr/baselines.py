@@ -223,14 +223,15 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer, adapt_
             if delta is None or float(np.linalg.norm(delta)) == 0.0:
                 raise
         # backtrack raises NotDescentError on a slope <= 0. A shorter delta
-        # would not help: frechet_jv scales its step by 1 / ||delta||, so it
+        # would not help: the probe scales its step by 1 / ||delta||, so it
         # probes the same point and returns the same slope, scaled.
         slope = ev.slope(x, r, delta)
         res = backtrack(ev.f, x, delta, r, slope, ls)
         ls = update_alpha0(ls, res.steps)
-        # f(x) lives on only as r, not through the next inner solve.
+        # f(x) lives on only as r, and delta not at all, through the next
+        # inner solve.
         alpha, x, f_new = res.alpha, res.x_new, res.f_new
-        del res
+        del res, delta
         fnorm = float(np.linalg.norm(f_new))
         r = -f_new
         del f_new

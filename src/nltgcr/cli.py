@@ -21,14 +21,19 @@ from .baselines import (
     nesterov_solve,
     newton_krylov_solve,
 )
-from .core import SOLVE_FAILURES, DivergenceError, LineSearchOptions, SolverOptions
+from .core import (
+    SOLVE_FAILURES,
+    ConvergenceTrace,
+    DivergenceError,
+    LineSearchOptions,
+    SolverOptions,
+)
 from .identities import identity_observer
 from .problems import BratuProblem, LennardJonesProblem, logreg_make_synthetic
 from .solver import nltgcr_solve
 
 COMPARE_THRESHOLDS = (1e-4, 1e-6, 1e-8, 1e-10)
 SOLVERS = ("nltgcr", "aa", "newton-krylov", "broyden2", "nesterov", "ncg", "lbfgs")
-PROBLEMS = ("bratu", "lennard-jones", "logreg")
 
 
 class ConfigError(Exception):
@@ -265,8 +270,6 @@ def cmd_run(args) -> int:
 
 
 def _fevals_to_thresholds(path):
-    from .core import ConvergenceTrace
-
     trace = ConvergenceTrace.from_csv(path)
     if len(trace) == 0:
         raise ValueError("empty trace")

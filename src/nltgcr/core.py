@@ -7,8 +7,8 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -144,9 +144,6 @@ class SolverOptions:
             raise ValueError("restart_every must be >= 1 or None")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-
-    def with_(self, **kw) -> "SolverOptions":
-        return replace(self, **kw)
 
 
 class WindowPair:
@@ -370,81 +367,24 @@ class ConvergenceTrace:
         return trace
 
 
-@dataclass
-class JvProbe:
-    """Jacobian-vector product configuration.
-
-    Frechet mode approximates J(x) p with one forward difference; exact mode
-    calls the problem's exact_jv and costs no function evaluations.
-    """
-
-    mode: str = "frechet"
-
-    def __post_init__(self):
-        if self.mode not in ("frechet", "exact"):
-            raise ValueError("mode must be 'frechet' or 'exact'")
-
-
 # Relative step of the forward-difference probe (scaled by 1 + ||x||_inf).
 FRECHET_EPS_SCALE = 1e-7
-
-
-def frechet_jv(
-    prob: NonlinearProblem,
-    x: np.ndarray,
-    p: np.ndarray,
-    r: np.ndarray,
-    probe: JvProbe,
-    *,
-    p_norm: Optional[float] = None,
-    x_inf: Optional[float] = None,
-) -> Tuple[np.ndarray, int]:
-    """Approximate J(x) @ p, reusing the residual r = -f(x) the caller holds.
-
-    Frechet mode takes one forward difference (f(x + eps p) + r) / eps with
-    eps = FRECHET_EPS_SCALE * (1 + ||x||_inf) / ||p||_2 and costs 1 feval.
-    Negation is exact and a - b is a + (-b), so that is
-    (f(x + eps p) - f(x)) / eps to the bit. Exact mode delegates to the
-    problem's exact_jv and costs 0. `p_norm` is ||p||_2 and `x_inf` is
-    ||x||_inf when the caller has measured them already.
-
-    Returns (J(x) @ p, fevals_spent).
-    """
-    if probe.mode == "exact":
-        if prob.exact_jv is None:
-            raise ValueError("problem has no exact_jv but probe mode is 'exact'")
-        jv = prob.exact_jv(x, p)
-        if not all_finite(jv):
-            raise NonFiniteError("J(x) p is not finite", x=x)
-        return jv, 0
-    if p_norm is None:
-        p_norm = float(np.linalg.norm(p))
-    if p_norm == 0.0:
-        raise ValueError("cannot probe along a zero direction")
-    if x_inf is None:
-        x_inf = float(np.abs(x).max())
-    eps = FRECHET_EPS_SCALE * (1.0 + x_inf) / p_norm
-    shifted = eps * p
-    shifted += x
-    f_shift = prob.eval_f(shifted)
-    if not all_finite(f_shift):
-        raise NonFiniteError("f(x + eps*p) is not finite", x=shifted)
-    jv = f_shift + r
-    jv /= eps
-    return jv, 1
 
 
 class EvalCounter:
     """Counts function evaluations against a problem oracle.
 
     All solvers charge costs through this wrapper so their traces share one
-    accounting convention: each eval_f call is one feval, exact Jacobian
-    products are free.
+    accounting convention: each eval_f call is one feval, and so is each
+    forward-difference Jacobian-vector probe; with exact_jv every probe is
+    the problem's exact product and free.
     """
 
-    def __init__(self, prob: NonlinearProblem, probe: Optional[JvProbe] = None):
+    def __init__(self, prob: NonlinearProblem, exact_jv: bool = False):
+        if exact_jv and prob.exact_jv is None:
+            raise ValueError("problem has no exact_jv but probe mode is 'exact'")
         self.prob = prob
-        self.probe = probe or JvProbe()
+        self.exact_jv = exact_jv
         self.count = 0
 
     def f(self, x: np.ndarray) -> np.ndarray:
@@ -456,18 +396,47 @@ class EvalCounter:
 
     def jv(self, x: np.ndarray, p: np.ndarray, r: np.ndarray, *,
            p_norm: Optional[float] = None, x_inf: Optional[float] = None) -> np.ndarray:
-        """J(x) @ p by frechet_jv, whose base is the residual r = -f(x)."""
-        out, cost = frechet_jv(self.prob, x, p, r, self.probe, p_norm=p_norm, x_inf=x_inf)
-        self.count += cost
-        return out
+        """Approximate J(x) @ p, reusing the residual r = -f(x) the caller holds.
+
+        Takes one forward difference (f(x + eps p) + r) / eps with
+        eps = FRECHET_EPS_SCALE * (1 + ||x||_inf) / ||p||_2, charged 1 feval
+        once f(x + eps p) is known to be finite. Negation is exact and a - b
+        is a + (-b), so that is (f(x + eps p) - f(x)) / eps to the bit. With
+        exact_jv it returns the problem's exact_jv instead, free. `p_norm`
+        is ||p||_2 and `x_inf` is ||x||_inf when the caller has measured
+        them already.
+        """
+        if self.exact_jv:
+            jv = self.prob.exact_jv(x, p)
+            if not all_finite(jv):
+                raise NonFiniteError("J(x) p is not finite", x=x)
+            return jv
+        if p_norm is None:
+            p_norm = float(np.linalg.norm(p))
+        if p_norm == 0.0:
+            raise ValueError("cannot probe along a zero direction")
+        if x_inf is None:
+            x_inf = float(np.abs(x).max())
+        eps = FRECHET_EPS_SCALE * (1.0 + x_inf) / p_norm
+        shifted = eps * p
+        shifted += x
+        f_shift = self.prob.eval_f(shifted)
+        if not all_finite(f_shift):
+            raise NonFiniteError("f(x + eps*p) is not finite", x=shifted)
+        jv = f_shift + r
+        jv /= eps
+        self.count += 1
+        return jv
+
+    # slope probes through _probe, not jv, so a wrapper put around jv by
+    # name (a tracer's) sees the Jacobian-vector probes alone.
+    _probe = jv
 
     def slope(self, x: np.ndarray, r: np.ndarray, d: np.ndarray) -> float:
         """<J(x)^T r, d> = <r, J(x) d> from one probe whose base is r = -f(x),
         so no f(x) is formed. A positive value means d is a descent
         direction for phi = 0.5 ||f||^2."""
-        jd, cost = frechet_jv(self.prob, x, d, r, self.probe)
-        self.count += cost
-        return float(r @ jd)
+        return float(r @ self._probe(x, d, r))
 
     def phi(self, x: np.ndarray) -> float:
         """Objective evaluation, charged like a function evaluation."""
@@ -480,7 +449,7 @@ class EvalCounter:
         return val
 
 
-def drive(prob, x0, opts, steps, *args, probe=None, guard=False, start_mode="NL"):
+def drive(prob, x0, opts, steps, *args, exact_jv=False, guard=False, start_mode="NL"):
     """Run one solve: its start, stopping rule, trace and failure state.
 
     Checks x0, evaluates f(x0) and records it as iteration 0 (in start_mode),
@@ -499,7 +468,7 @@ def drive(prob, x0, opts, steps, *args, probe=None, guard=False, start_mode="NL"
     x = check_finite(np.asarray(x0, dtype=float), "x0").copy()
     if x.shape != (prob.dim,):
         raise ValueError(f"x0 must have length {prob.dim}")
-    ev = EvalCounter(prob, probe)
+    ev = EvalCounter(prob, exact_jv)
     trace = ConvergenceTrace()
     t0 = time.perf_counter()
 

@@ -49,7 +49,8 @@ class LinearOperator:
     def from_matrix(cls, A: np.ndarray, is_symmetric: Optional[bool] = None):
         A = np.asarray(A, dtype=float)
         if is_symmetric is None:
-            is_symmetric = bool(np.allclose(A, A.T, atol=1e-13 * max(1.0, np.abs(A).max())))
+            atol = 1e-13 * max(1.0, np.abs(A).max())
+            is_symmetric = bool(np.allclose(A, A.T, rtol=0.0, atol=atol))
         return cls(dim=A.shape[0], apply=lambda v: A @ v, is_symmetric=is_symmetric, mat=A)
 
 

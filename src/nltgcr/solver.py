@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import BreakdownError, JvProbe, NonlinearProblem, SolverOptions, WindowPair, drive
+from .core import BreakdownError, NonlinearProblem, SolverOptions, WindowPair, drive
 # orthogonalize_pair stays importable here: perfbench/tracing.py wraps it by this name.
 from .linear import add_direction, orthogonalize_pair  # noqa: F401
 from .linesearch import backtrack, backtrack_linearized, update_alpha0
@@ -44,7 +44,7 @@ def nltgcr_solve(
     prob: NonlinearProblem,
     x0: np.ndarray,
     opts: Optional[SolverOptions] = None,
-    probe: Optional[JvProbe] = None,
+    exact_jv: bool = False,
     observer: Optional[Callable[[dict], None]] = None,
 ):
     """Solve f(x) = 0 by the windowed conjugate-residual iteration.
@@ -75,16 +75,19 @@ def nltgcr_solve(
     newest pair was built along the previously observed r, with no restart
     since). identities.identity_observer checks the residual identities
     from it.
+
+    With `exact_jv` every direction is probed by the problem's exact_jv,
+    at no feval, instead of a forward difference (core.EvalCounter).
     """
     opts = opts or SolverOptions()
     mode = "LIN" if opts.variant == "linearized" else "NL"
-    return drive(prob, x0, opts, _steps, mode, observer, probe=probe, start_mode=mode)
+    return drive(prob, x0, opts, _steps, mode, observer, exact_jv=exact_jv, start_mode=mode)
 
 
 def _steps(ev, x, fx, target, opts, mode, observer):
     window = WindowPair(opts.window_m)
     ls = opts.linesearch
-    # r = -f(x) is also the base of every probe at x (core.frechet_jv),
+    # r = -f(x) is also the base of every probe at x (EvalCounter.jv),
     # so f(x) itself is not kept.
     r = -fx
     del fx

@@ -5,6 +5,7 @@ lines as they complete.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from nltgcr import (
     AaState,
     BratuProblem,
-    JvProbe,
+    EvalCounter,
     LennardJonesProblem,
     LineSearchOptions,
     NonlinearProblem,
@@ -21,7 +22,6 @@ from nltgcr import (
     aa_solve,
     broyden2_solve,
     check_semiconjugacy,
-    frechet_jv,
     gcr_solve,
     identity_observer,
     induced_inverse_checks,
@@ -271,15 +271,15 @@ def test_criterion_7_adaptive_variant_savings():
         window_m=1, tol_rel=1e-8, max_iters=600, restart_every=None,
         linesearch=LineSearchOptions(),
     )
-    _, tr_a = nltgcr_solve(prob, x0, base.with_(variant="adaptive"))
-    _, tr_n = nltgcr_solve(prob, x0, base.with_(variant="nonlinear"))
+    _, tr_a = nltgcr_solve(prob, x0, replace(base, variant="adaptive"))
+    _, tr_n = nltgcr_solve(prob, x0, replace(base, variant="nonlinear"))
     fe_a = tr_a.fevals_to_relative(1e-8)
     fe_n = tr_n.fevals_to_relative(1e-8)
     modes = [r.mode for r in tr_a.records]
     switched = any(a == "NL" and b == "LIN" for a, b in zip(modes, modes[1:]))
 
     x_l, tr_l = nltgcr_solve(
-        prob, x0, base.with_(variant="linearized", tol_rel=1e-10, max_iters=400)
+        prob, x0, replace(base, variant="linearized", tol_rel=1e-10, max_iters=400)
     )
     rel = tr_l.resnorms() / tr_l.records[0].resnorm
     plateaued = len(rel) >= 50 and float(rel[-50:].min()) > 1e-10
@@ -396,7 +396,7 @@ def test_criterion_10_gradient_and_jv_oracles():
     for _ in range(5):
         p = rng.standard_normal(bp.dim)
         q = rng.standard_normal(bp.dim)
-        approx, _ = frechet_jv(prob, u, p, -fu, JvProbe())
+        approx = EvalCounter(prob).jv(u, p, -fu)
         exact = bp.jv(u, p)
         jv_gap = max(jv_gap, float(np.linalg.norm(approx - exact) / np.linalg.norm(exact)))
         lhs = float(bp.jv(u, p) @ q)
@@ -426,7 +426,7 @@ def test_criterion_11_linear_limit_equivalence():
             prob, np.zeros(n),
             SolverOptions(window_m=m, tol_rel=1e-12, max_iters=60, restart_every=None,
                           variant=variant),
-            probe=JvProbe(mode="exact"),
+            exact_jv=True,
             observer=lambda s: xs.append(s["x"].copy()),
         )
         k = min(len(xs), len(hist.xs) - 1)

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+import nltgcr.baselines as baselines
 from nltgcr import (
     AaState,
     BratuProblem,
@@ -306,6 +307,27 @@ class TestNewtonKrylov:
             dataclasses.replace(bp.problem(), eval_f=f), np.zeros(bp.dim), inner_m=50,
             eta0=0.9, opts=SolverOptions(tol_rel=1e-8, max_iters=25), observer=observe,
         )
+        assert len(dead) > 2 and all(dead)
+
+    def test_inner_solution_is_released_before_the_next_inner_solve(self, monkeypatch):
+        # delta, the accepted inner solution, is read only by the slope and
+        # the line search: by the next outer step's inner solve it is freed.
+        # tgcr_solve is looked up at call time, so the wrapper sees each one.
+        bp = BratuProblem(grid_n=20)
+        inner = baselines.tgcr_solve
+        last, dead = [None], []
+
+        def tgcr_solve(*args, **kwargs):
+            if last[0] is not None:
+                gc.collect()
+                dead.append(last[0]() is None)
+            delta, hist = inner(*args, **kwargs)
+            last[0] = weakref.ref(delta)
+            return delta, hist
+
+        monkeypatch.setattr(baselines, "tgcr_solve", tgcr_solve)
+        newton_krylov_solve(bp.problem(), np.zeros(bp.dim), inner_m=50, eta0=0.9,
+                            opts=SolverOptions(tol_rel=1e-8, max_iters=25))
         assert len(dead) > 2 and all(dead)
 
     def test_non_descent_raises_after_one_slope_probe(self):

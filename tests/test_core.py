@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from nltgcr import (
     ConvergenceTrace,
     EvalCounter,
-    JvProbe,
     LineSearchOptions,
     NonFiniteError,
     NonlinearProblem,
@@ -323,7 +322,7 @@ class TestSolverOptions:
 class TestEvalCounter:
     def test_counts_f_and_frechet(self):
         prob = NonlinearProblem(dim=2, eval_f=lambda x: x * x)
-        ev = EvalCounter(prob, JvProbe())
+        ev = EvalCounter(prob)
         x = np.array([1.0, 2.0])
         fx = ev.f(x)
         assert ev.count == 1
@@ -336,7 +335,7 @@ class TestEvalCounter:
             eval_f=lambda x: x,
             exact_jv=lambda x, p: p,
         )
-        ev = EvalCounter(prob, JvProbe(mode="exact"))
+        ev = EvalCounter(prob, exact_jv=True)
         fx = ev.f(np.ones(2))
         ev.jv(np.ones(2), np.ones(2), -fx)
         assert ev.count == 1

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from nltgcr import (
     BratuProblem,
     EvalCounter,
-    JvProbe,
+    NonFiniteError,
     NonlinearProblem,
-    frechet_jv,
     make_linear_problem,
+    nltgcr_solve,
 )
 from nltgcr.core import FRECHET_EPS_SCALE
 
@@ -29,8 +29,9 @@ class TestFrechetJv:
         rng = np.random.default_rng(1)
         x = rng.standard_normal(8)
         p = rng.standard_normal(8)
-        jv, fev = frechet_jv(prob, x, p, -prob.eval_f(x), JvProbe())
-        assert fev == 1
+        ev = EvalCounter(prob)
+        jv = ev.jv(x, p, -prob.eval_f(x))
+        assert ev.count == 1
         truth = A @ p
         assert np.linalg.norm(jv - truth) <= 1e-6 * np.linalg.norm(truth)
 
@@ -39,8 +40,9 @@ class TestFrechetJv:
         # the product is (2, 0) up to O(eps).
         prob = NonlinearProblem(dim=2, eval_f=lambda x: x * x)
         x = np.array([1.0, 2.0])
-        jv, fev = frechet_jv(prob, x, np.array([1.0, 0.0]), -(x * x), JvProbe())
-        assert fev == 1
+        ev = EvalCounter(prob)
+        jv = ev.jv(x, np.array([1.0, 0.0]), -(x * x))
+        assert ev.count == 1
         np.testing.assert_allclose(jv, [2.0, 0.0], atol=1e-5)
 
     def test_bratu_probe_agrees_with_exact_jacobian(self):
@@ -50,33 +52,39 @@ class TestFrechetJv:
         for _ in range(5):
             u = 0.2 * rng.standard_normal(bp.dim)
             p = rng.standard_normal(bp.dim)
-            jv, _ = frechet_jv(prob, u, p, -prob.eval_f(u), JvProbe())
+            jv = EvalCounter(prob).jv(u, p, -prob.eval_f(u))
             truth = bp.jv(u, p)
             assert np.linalg.norm(jv - truth) <= 1e-6 * np.linalg.norm(truth)
 
     def test_exact_mode_costs_nothing(self):
         prob, A, b = _affine_problem()
         x = np.zeros(8)
-        jv, fev = frechet_jv(prob, x, np.ones(8), -prob.eval_f(x), JvProbe(mode="exact"))
-        assert fev == 0
+        ev = EvalCounter(prob, exact_jv=True)
+        jv = ev.jv(x, np.ones(8), -prob.eval_f(x))
+        assert ev.count == 0
         np.testing.assert_allclose(jv, A @ np.ones(8), atol=1e-14)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_exact_mode_non_finite_product_rejected(self, bad):
-        from nltgcr import NonFiniteError
-
         prob = NonlinearProblem(dim=2, eval_f=lambda x: x, exact_jv=lambda x, p: np.array([1.0, bad]))
         with pytest.raises(NonFiniteError, match="not finite"):
-            frechet_jv(prob, np.ones(2), np.ones(2), -np.ones(2), JvProbe(mode="exact"))
+            EvalCounter(prob, exact_jv=True).jv(np.ones(2), np.ones(2), -np.ones(2))
+
+    def test_exact_mode_without_exact_jv_is_refused_before_any_evaluation(self):
+        calls = []
+        prob = NonlinearProblem(dim=2, eval_f=lambda x: calls.append(1) or x)
+        with pytest.raises(ValueError, match="no exact_jv"):
+            EvalCounter(prob, exact_jv=True)
+        with pytest.raises(ValueError, match="no exact_jv"):
+            nltgcr_solve(prob, np.ones(2), exact_jv=True)
+        assert calls == []
 
     def test_zero_direction_rejected(self):
         prob = NonlinearProblem(dim=2, eval_f=lambda x: x)
         with pytest.raises(ValueError, match="zero direction"):
-            frechet_jv(prob, np.ones(2), np.zeros(2), -np.ones(2), JvProbe())
+            EvalCounter(prob).jv(np.ones(2), np.zeros(2), -np.ones(2))
 
     def test_non_finite_shifted_value_rejected(self):
-        from nltgcr import NonFiniteError
-
         def f(x):
             out = x.copy()
             if np.abs(x).max() > 1.0:
@@ -85,8 +93,11 @@ class TestFrechetJv:
 
         prob = NonlinearProblem(dim=1, eval_f=f)
         x = np.array([1.0])
+        ev = EvalCounter(prob)
         with pytest.raises(NonFiniteError, match="not finite"):
-            frechet_jv(prob, x, np.array([1e9]), -f(x), JvProbe())
+            ev.jv(x, np.array([1e9]), -f(x))
+        # A probe is charged only once its value is known to be finite.
+        assert ev.count == 0
 
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -96,8 +107,6 @@ class TestFrechetJv:
         # f(x) = 1e200 + x: its sum of squares overflows, yet every entry of
         # the shifted value is finite, so the probe goes through; a NaN or
         # inf entry in the shifted value still raises.
-        from nltgcr import NonFiniteError
-
         def f(x):
             out = 1e200 + x
             if bad is not None and x[0] != 0.0:
@@ -107,12 +116,13 @@ class TestFrechetJv:
         prob = NonlinearProblem(dim=4, eval_f=f)
         x = np.zeros(4)
         p = np.array([1.0, 0.0, 0.0, 0.0])
+        ev = EvalCounter(prob)
         if bad is None:
-            jv, fev = frechet_jv(prob, x, p, -f(x), JvProbe())
-            assert fev == 1 and np.all(np.isfinite(jv))
+            jv = ev.jv(x, p, -f(x))
+            assert ev.count == 1 and np.all(np.isfinite(jv))
         else:
             with pytest.raises(NonFiniteError, match="not finite"):
-                frechet_jv(prob, x, p, -f(x), JvProbe())
+                ev.jv(x, p, -f(x))
 
 
 # Entries that make f(x), f(x + eps p) and their difference zero in places,
@@ -131,16 +141,16 @@ class TestResidualBase:
         fx = prob.eval_f(x)
         eps = FRECHET_EPS_SCALE * (1.0 + float(np.abs(x).max())) / float(np.linalg.norm(p))
         want = (prob.eval_f(x + eps * p) - fx) / eps
-        jv, fev = frechet_jv(prob, x, p, -fx, JvProbe())
-        assert fev == 1 and jv.tobytes() == want.tobytes()
-        ev = EvalCounter(prob, JvProbe())
+        ev = EvalCounter(prob)
+        jv = ev.jv(x, p, -fx)
+        assert ev.count == 1 and jv.tobytes() == want.tobytes()
         val = ev.slope(x, -fx, p)
-        assert ev.count == 1 and val == float(-fx @ want)
+        assert ev.count == 2 and val == float(-fx @ want)
 
     def test_the_old_keyword_is_refused(self):
         prob = NonlinearProblem(dim=2, eval_f=lambda x: x)
         with pytest.raises(TypeError, match="f_x"):
-            frechet_jv(prob, np.ones(2), np.ones(2), f_x=np.ones(2), probe=JvProbe())
+            EvalCounter(prob).jv(np.ones(2), np.ones(2), f_x=np.ones(2))
 
 
 class TestDescentCheck:
@@ -148,7 +158,7 @@ class TestDescentCheck:
         # f(x) = x, r = -x, d = -x at x = (1, 1): <r, J d> = <x, x> = 2.
         prob = NonlinearProblem(dim=2, eval_f=lambda x: x)
         x = np.array([1.0, 1.0])
-        ev = EvalCounter(prob, JvProbe())
+        ev = EvalCounter(prob)
         val = ev.slope(x, -x, -x)
         assert ev.count == 1
         assert val == pytest.approx(2.0, rel=1e-6)
@@ -161,7 +171,7 @@ class TestDescentCheck:
         r = -prob.eval_f(x)
         w = A.T @ r
         d = np.array([-w[1], w[0]])  # orthogonal to J^T r
-        val = EvalCounter(prob, JvProbe()).slope(x, r, d)
+        val = EvalCounter(prob).slope(x, r, d)
         assert abs(val) <= 1e-6 * np.linalg.norm(r) * np.linalg.norm(d)
 
     def test_bratu_first_step_direction_is_descent(self):
@@ -175,5 +185,5 @@ class TestDescentCheck:
         p = r / np.linalg.norm(v)
         vn = v / np.linalg.norm(v)
         d = float(vn @ r) * p
-        val = EvalCounter(prob, JvProbe()).slope(x, r, d)
+        val = EvalCounter(prob).slope(x, r, d)
         assert val > 0.0

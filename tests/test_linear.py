@@ -9,7 +9,6 @@ import nltgcr.linear as linear
 import nltgcr.solver as solver_module
 from nltgcr import (
     BreakdownError,
-    JvProbe,
     LinearOperator,
     LinearOptions,
     NonlinearProblem,
@@ -420,6 +419,16 @@ class TestLinearOperator:
         B = np.array([[2.0, 1.0], [0.0, 3.0]])
         assert not LinearOperator.from_matrix(B).is_symmetric
 
+    def test_from_matrix_has_no_relative_slack(self):
+        # One entry off by 5e-6 of itself is far above the 1e-13 * max|A|
+        # tolerance, yet within allclose's default rtol of 1e-5.
+        A = np.array([[2.0, 1.0], [1.0, 3.0]])
+        A[0, 1] *= 1.0 + 5e-6
+        op = LinearOperator.from_matrix(A)
+        assert not op.is_symmetric
+        with pytest.raises(ValueError, match="declared symmetric"):
+            cr_solve(op, np.ones(2), np.zeros(2))
+
 
 def _snapshot(window):
     return len(window), window.oldest_index, window.p_matrix().copy(), window.v_matrix().copy()
@@ -529,7 +538,7 @@ class TestAddDirection:
         # window, then each of the MAX_BREAKDOWN_RESTARTS restarts a one-pair one.
         xs = []
         with pytest.raises(BreakdownError, match="window restarts exhausted") as info:
-            nltgcr_solve(prob, np.zeros(2), opts, probe=JvProbe(mode="exact"),
+            nltgcr_solve(prob, np.zeros(2), opts, exact_jv=True,
                          observer=lambda s: xs.append(s["x"]))
         (_, seeded, first), (before, after, out), (cleared, reseeded, again) = calls[:3]
         assert first is not None and seeded[0] == 1

@@ -5,7 +5,7 @@ import pytest
 
 from nltgcr import (
     BratuProblem,
-    JvProbe,
+    EvalCounter,
     LennardJonesProblem,
     LinearOperator,
     LinearOptions,
@@ -44,7 +44,7 @@ class TestBratu:
         n = bp.dim
         xs = []
         opts = SolverOptions(window_m=2, tol_rel=1e-10, max_iters=100, restart_every=None)
-        nltgcr_solve(prob, np.ones(n), opts, probe=JvProbe(mode="exact"),
+        nltgcr_solve(prob, np.ones(n), opts, exact_jv=True,
                      observer=lambda s: xs.append(s["x"].copy()))
         # f(u) = L u is linear, so the run must match the linear solver on L.
         op = LinearOperator(dim=n, apply=lambda v: bp.jv(np.zeros(n), v), is_symmetric=True)
@@ -231,9 +231,7 @@ class TestLogReg:
         for _ in range(3):
             p = rng.standard_normal(8)
             assert float(p @ lr.jv(theta, p)) > 0.0
-            from nltgcr import frechet_jv
-
-            jv_fd, _ = frechet_jv(prob, theta, p, -lr.grad(theta), JvProbe())
+            jv_fd = EvalCounter(prob).jv(theta, p, -lr.grad(theta))
             assert np.linalg.norm(jv_fd - lr.jv(theta, p)) <= 1e-5 * np.linalg.norm(p)
 
     def test_synthetic_generator_deterministic(self):

@@ -11,7 +11,6 @@ from nltgcr import (
     BratuProblem,
     BreakdownError,
     EvalCounter,
-    JvProbe,
     LineSearchOptions,
     NonFiniteError,
     NonlinearProblem,
@@ -59,7 +58,7 @@ class TestBasics:
             dim=1, eval_f=lambda x: x.copy(), exact_jv=lambda x, p: p.copy()
         )
         opts = SolverOptions(tol_rel=1e-14, max_iters=5)
-        x, trace = nltgcr_solve(prob, np.array([1.0]), opts, probe=JvProbe(mode="exact"))
+        x, trace = nltgcr_solve(prob, np.array([1.0]), opts, exact_jv=True)
         assert trace.final().iter == 1
         assert abs(x[0]) <= 1e-15
 
@@ -135,7 +134,7 @@ class TestLinearEquivalence:
             prob,
             np.zeros(n),
             opts,
-            probe=JvProbe(mode="exact"),
+            exact_jv=True,
             observer=lambda s: xs.append(s["x"].copy()),
         )
         _, hist = tgcr_solve(op, b, np.zeros(n), m=m, opts=LinearOptions(tol_rel=1e-12, max_iters=40))
@@ -157,7 +156,7 @@ class TestLinearEquivalence:
             prob,
             np.zeros(n),
             opts,
-            probe=JvProbe(mode="exact"),
+            exact_jv=True,
             observer=lambda s: xs.append(s["x"].copy()),
         )
         _, hist = tgcr_solve(op, b, np.zeros(n), m=m, opts=LinearOptions(tol_rel=1e-10, max_iters=40))
@@ -170,10 +169,10 @@ class TestLinearEquivalence:
         prob, op, b = _affine_problem(n=20, seed=5)
         opts = SolverOptions(window_m=2, tol_rel=1e-9, max_iters=40, restart_every=None)
         xs_nl, xs_lin = [], []
-        nltgcr_solve(prob, np.zeros(20), opts, probe=JvProbe(mode="exact"),
+        nltgcr_solve(prob, np.zeros(20), opts, exact_jv=True,
                      observer=lambda s: xs_nl.append(s["x"].copy()))
-        nltgcr_solve(prob, np.zeros(20), opts.with_(variant="linearized"),
-                     probe=JvProbe(mode="exact"),
+        nltgcr_solve(prob, np.zeros(20), dataclasses.replace(opts, variant="linearized"),
+                     exact_jv=True,
                      observer=lambda s: xs_lin.append(s["x"].copy()))
         k = min(len(xs_nl), len(xs_lin))
         for j in range(k):
@@ -188,7 +187,7 @@ class TestLinearEquivalence:
             window_m=3, tol_rel=1e-9, max_iters=25, restart_every=None, variant="linearized"
         )
         snaps = []
-        nltgcr_solve(prob, np.zeros(15), opts, probe=JvProbe(mode="exact"),
+        nltgcr_solve(prob, np.zeros(15), opts, exact_jv=True,
                      observer=lambda s: snaps.append((s["x"].copy(), s["r"].copy())))
         assert len(snaps) > 5
         r0n = np.linalg.norm(b)
@@ -223,7 +222,7 @@ class TestAdaptiveSwitch:
             linesearch=LineSearchOptions(),
         )
         diags = []
-        _, tr_adapt = nltgcr_solve(prob, x0, base.with_(variant="adaptive"), observer=identity_observer(diags))
+        _, tr_adapt = nltgcr_solve(prob, x0, dataclasses.replace(base, variant="adaptive"), observer=identity_observer(diags))
         _, tr_nl = nltgcr_solve(prob, x0, base)
         modes = [r.mode for r in tr_adapt.records]
         first_lin = modes.index("LIN") if "LIN" in modes else None
@@ -401,7 +400,7 @@ class TestResidualIdentities:
             signs.append((lhs, rhs))
 
         opts = SolverOptions(window_m=3, tol_rel=1e-11, max_iters=200, restart_every=None)
-        nltgcr_solve(prob, np.zeros(bp.dim), opts, probe=JvProbe(mode="exact"), observer=watch)
+        nltgcr_solve(prob, np.zeros(bp.dim), opts, exact_jv=True, observer=watch)
         assert len(gaps) > 10
         assert max(gaps[-10:]) <= 1e-8
         assert max(gaps) <= 1e-3
@@ -506,7 +505,7 @@ class TestTruncatedUpdate:
         opts = SolverOptions(
             window_m=1, tol_rel=1e-10, max_iters=60, restart_every=None, truncated_update=True
         )
-        nltgcr_solve(prob, np.zeros(n), opts, probe=JvProbe(mode="exact"),
+        nltgcr_solve(prob, np.zeros(n), opts, exact_jv=True,
                      observer=lambda s: xs.append(s["x"].copy()))
         _, hist = cr_solve(op, b, np.zeros(n), LinearOptions(tol_rel=1e-10, max_iters=60))
         k = min(len(xs), len(hist.xs) - 1)
@@ -529,7 +528,7 @@ class TestTruncatedUpdate:
             a = float(w.v_matrix()[:, -1] @ r)
             if len(checks) < 100 and a != 0.0:
                 d = a * w.p_matrix()[:, -1]
-                val = EvalCounter(prob, JvProbe()).slope(x, r, d)
+                val = EvalCounter(prob).slope(x, r, d)
                 checks.append((val, a))
 
         opts = SolverOptions(
@@ -648,7 +647,7 @@ class TestOneCoefficientStep:
         opts = SolverOptions(window_m=2, tol_rel=1e-12, max_iters=2, restart_every=None,
                              variant="linearized")
         steps = []
-        x, trace = nltgcr_solve(prob, np.zeros(3), opts, probe=JvProbe(mode="exact"),
+        x, trace = nltgcr_solve(prob, np.zeros(3), opts, exact_jv=True,
                                 observer=_watch(steps))
         np.testing.assert_array_equal(calls[1], e[1])
         np.testing.assert_array_equal(calls[2], e[1])  # the reseed, along the same r1
@@ -705,7 +704,7 @@ class TestOneCoefficientStep:
             worst.append(float(np.abs(full).max()) / (k * n * u * max(norms[-k:])))
 
         try:
-            nltgcr_solve(prob, x0, opts, probe=JvProbe(mode=probe), observer=observe)
+            nltgcr_solve(prob, x0, opts, exact_jv=probe == "exact", observer=observe)
         except SOLVE_FAILURES:
             pass
         assert max(worst, default=0.0) <= 4.0
