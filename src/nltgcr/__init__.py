@@ -7,8 +7,6 @@ deterministic benchmark problems used to compare them.
 """
 
 from .baselines import (
-    AaState,
-    aa_multisecant_check,
     aa_solve,
     broyden2_solve,
     lbfgs_solve,

@@ -4,9 +4,9 @@ Nesterov's accelerated gradient, Fletcher-Reeves NCG, and L-BFGS."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
 from itertools import count
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -19,10 +19,8 @@ from .core import (
     WindowPair,
     drive,
 )
-from .linear import LinearOperator, LinearOptions, tgcr_solve
+from .linear import LinearOperator, LinearOptions, add_direction, tgcr_solve
 from .linesearch import backtrack, backtrack_phi, update_alpha0
-
-CONDITION_BOUND = 1e12
 
 # Each solver below is its argument checks plus core.drive, which owns the
 # start, the stopping rule, the trace and the failure state; its iteration
@@ -34,47 +32,27 @@ CONDITION_BOUND = 1e12
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AaState:
-    """Last-m difference pairs for Anderson mixing."""
-
-    beta_mix: float
-    m: int
-    dx_cols: List[np.ndarray] = field(default_factory=list)
-    df_cols: List[np.ndarray] = field(default_factory=list)
-
-    def push(self, dx, df):
-        self.dx_cols.append(dx)
-        self.df_cols.append(df)
-        if len(self.dx_cols) > self.m:
-            self.dx_cols.pop(0)
-            self.df_cols.pop(0)
-
-    def drop_oldest(self):
-        self.dx_cols.pop(0)
-        self.df_cols.pop(0)
-
-    def X(self):
-        return np.stack(self.dx_cols, axis=1)
-
-    def F(self):
-        return np.stack(self.df_cols, axis=1)
-
-
 def aa_solve(
     prob: NonlinearProblem,
     x0,
     m: int,
     beta: float,
     opts: Optional[SolverOptions] = None,
-    observer: Optional[Callable[[AaState], None]] = None,
+    observer: Optional[Callable[[WindowPair], None]] = None,
 ):
     """Anderson acceleration: mix the last m difference pairs.
 
-    Solves theta = argmin ||f_j - F theta|| by dense least squares, then
-    x_{j+1} = x_j + beta f_j - (X + beta F) theta. With m = 0 this is the
-    plain fixed-point iteration. Ill-conditioned windows drop their oldest
-    columns; divergence past 1e8 of the initial residual raises.
+    The step x_{j+1} = x_j + beta f_j - (X + beta F) theta, with theta =
+    argmin ||f_j - F theta|| over the dx and df columns X and F, is taken in
+    QR form (Walker & Ni, SINUM 49, 2011). Each step refills one window
+    through add_direction, newest pair first: its v rows V are the df
+    columns orthonormalized and its p rows P the same combinations of the
+    dx columns, so the step is x_j + beta f_j - (P + beta V) V^T f_j. The
+    refill stops at the first pair that collapses (add_direction's relative
+    test), so it and every older pair sit out the step. With m = 0, or no
+    pair kept, this is the plain step x_j + beta f_j. The observer is called
+    after each mixed step with its window, which is reused and must not be
+    kept. Divergence past 1e8 of the initial residual raises.
 
     beta must keep the underlying map x + beta f(x) stable: stiff gradient
     systems need it small (1e-3 for the Lennard-Jones cluster, 0.1 for the
@@ -86,38 +64,28 @@ def aa_solve(
 
 
 def _aa_steps(ev, x, fx, target, opts, m, beta, observer):
-    state = AaState(beta_mix=beta, m=m)
+    # The last m raw (dx, df) pairs, oldest first, and the window each step
+    # rebuilds from them.
+    pairs = deque(maxlen=m)
+    window = WindowPair(max(m, 1))
     while True:
-        if len(state.dx_cols) == 0:
-            x_new = x + beta * fx
-        else:
-            while len(state.dx_cols) > 1 and np.linalg.cond(state.F()) > CONDITION_BOUND:
-                state.drop_oldest()
-            F = state.F()
-            X = state.X()
-            theta, *_ = np.linalg.lstsq(F, fx, rcond=None)
-            x_new = x + beta * fx - (X + beta * F) @ theta
+        window.clear()
+        for dx, df in reversed(pairs):
+            # r0_norm 0: only the rule on ||df'|| / ||df|| decides.
+            if add_direction(window, dx, df, r0_norm=0.0) is None:
+                break
+        x_new = x + beta * fx
+        if len(window):
+            P, V = window.rows()
+            y = V @ fx
+            x_new -= y @ P + beta * (y @ V)
         f_new = ev.f(x_new)
-        if m > 0:
-            state.push(x_new - x, f_new - fx)
+        # With m = 0 the deque keeps nothing.
+        pairs.append((x_new - x, f_new - fx))
         x, fx = x_new, f_new
-        if observer is not None and state.dx_cols:
-            observer(state)
+        if observer is not None and len(window):
+            observer(window)
         yield x, float(np.linalg.norm(fx)), 1.0, "NL"
-
-
-def aa_multisecant_check(state: AaState) -> float:
-    """Max-norm violation of G F = X for the Anderson inverse-Jacobian
-    G = -beta I + (X + beta F) (F^T F)^{-1} F^T, computed in factored form."""
-    F = state.F()
-    X = state.X()
-    G_gram = F.T @ F
-    try:
-        S = np.linalg.solve(G_gram, F.T @ F)
-    except np.linalg.LinAlgError as err:
-        raise ValueError("singular Gram matrix in multi-secant check") from err
-    GF = -state.beta_mix * F + (X + state.beta_mix * F) @ S
-    return float(np.abs(GF - X).max())
 
 
 # ---------------------------------------------------------------------------
@@ -383,40 +351,34 @@ def lbfgs_solve(
 
 def _lbfgs_steps(ev, x, fx, target, opts, m):
     ls = opts.linesearch or LineSearchOptions()
-    s_list: List[np.ndarray] = []
-    y_list: List[np.ndarray] = []
-    rho_list: List[float] = []
+    # The last m curvature pairs (s, y, 1 / <s, y>), oldest first.
+    pairs = deque(maxlen=m)
     phi_x = ev.phi(x) if ev.prob.eval_phi is not None else None
     g = fx
     while True:
         q = g.copy()
         alphas = []
-        for s, yv, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+        for s, yv, rho in reversed(pairs):
             a = rho * float(s @ q)
             q -= a * yv
             alphas.append(a)
-        if s_list:
-            gamma = float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
+        if pairs:
+            s, yv, _ = pairs[-1]
+            gamma = float(s @ yv) / float(yv @ yv)
             q *= gamma
-        for (s, yv, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+        for (s, yv, rho), a in zip(pairs, reversed(alphas)):
             b = rho * float(yv @ q)
             q += (a - b) * s
         d = -q
         x_new, g_new, phi_x, alpha, steps, reset = _gradient_step(ev, x, g, d, ls, phi_x)
         if reset:
-            s_list, y_list, rho_list = [], [], []
+            pairs.clear()
         ls = update_alpha0(ls, steps)
         s = x_new - x
         yv = g_new - g
         sy = float(s @ yv)
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
-            s_list.append(s)
-            y_list.append(yv)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > m:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+            pairs.append((s, yv, 1.0 / sy))
         x = x_new
         g = g_new
         yield x, float(np.linalg.norm(g)), alpha, "NL"

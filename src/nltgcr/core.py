@@ -382,7 +382,7 @@ class EvalCounter:
 
     def __init__(self, prob: NonlinearProblem, exact_jv: bool = False):
         if exact_jv and prob.exact_jv is None:
-            raise ValueError("problem has no exact_jv but probe mode is 'exact'")
+            raise ValueError("exact_jv=True but the problem has no exact_jv")
         self.prob = prob
         self.exact_jv = exact_jv
         self.count = 0

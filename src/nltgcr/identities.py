@@ -223,11 +223,12 @@ def identity_observer(records: List[dict]) -> Callable[[dict], None]:
     """An nltgcr_solve observer that appends to `records` one JSON-friendly
     dict of residual-identity violations per iteration: item1_vt_rtilde
     (max|V^T r_tilde|), window_defect, secant_max and nochange_max and, unless
-    the update is truncated, least_squares_gap (y against a dense lstsq) and
-    item4_y_reconstruction (y rebuilt from the previous r_tilde and z).
-    item3_vr, |v_new . r_tilde - v_new . r_old| for the pair built after
-    iteration k, lands in record k when iteration k + 1 is observed, so the
-    last record has none. The secant probes and lstsq slow a solve 5-6x.
+    the update is truncated, least_squares_gap (y against the normal
+    equations' solution) and item4_y_reconstruction (y rebuilt from the
+    previous r_tilde and z). item3_vr, |v_new . r_tilde - v_new . r_old| for
+    the pair built after iteration k, lands in record k when iteration k + 1
+    is observed, so the last record has none. The checks slow a solve
+    several times over (README.md).
     """
     prev = {}
 
@@ -245,9 +246,9 @@ def identity_observer(records: List[dict]) -> Callable[[dict], None]:
                 rhs = -(V.T @ prev["z"])
                 rhs[-1] += float(V[:, -1] @ prev["r_tilde"])
                 rec["item4_y_reconstruction"] = float(np.abs(y - rhs).max())
-            # The orthonormal-window shortcut must agree with a dense
-            # least-squares solve of min ||r - V y||.
-            y_ls, *_ = np.linalg.lstsq(V, r_old, rcond=None)
+            # y = V^T r must agree with min ||r - V y|| solved by the normal
+            # equations, well conditioned while V^T V stays near I.
+            y_ls = np.linalg.solve(V.T @ V, V.T @ r_old)
             rec["least_squares_gap"] = float(np.abs(y - y_ls).max())
         rep = secant_property_check(window, seed=s["iter"])
         rec.update(resnorm=float(np.linalg.norm(s["r"])), step_size=s["step"],

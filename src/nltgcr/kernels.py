@@ -102,7 +102,9 @@ def lj_energy(pos: np.ndarray) -> float:
 
 def lj_gradient(pos: np.ndarray) -> np.ndarray:
     """sum_j c_ij (x_i - x_j) = x_i sum_j c_ij - (C x)_i, one matrix product,
-    with c_ij = 24 r^-8 - 48 r^-14 (zero on the diagonal, where r2 is inf)."""
+    with c_ij = 24 r^-8 - 48 r^-14 (zero on the diagonal, where r2 is inf).
+    The sum is taken on pos centred on its mean: far from the origin the
+    two terms are large and nearly equal, and their difference cancels."""
     c = _pair_r2(pos)
     np.reciprocal(c, out=c)
     inv6 = c * c
@@ -111,6 +113,7 @@ def lj_gradient(pos: np.ndarray) -> np.ndarray:
     inv6 *= -48.0
     inv6 += 24.0
     c *= inv6
+    pos = pos - pos.mean(0)
     return c.sum(1)[:, None] * pos - c @ pos
 
 

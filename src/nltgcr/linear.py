@@ -1,14 +1,14 @@
 """Residual-minimizing linear solvers: full GCR, truncated GCR, and CR.
 
 The truncated and full solvers share one direction step, add_direction,
-with the nonlinear solver: classical Gram-Schmidt against a WindowPair
-whose stored A p_i rows it keeps orthonormal, the one precondition of
-every Gram-Schmidt here. A first pass that kept ||v'|| >= skip_eta(k, n)
-||v|| cannot have left a projection above REORTH_REL on such rows, so the
-step makes three passes over the window (project, subtract, update p);
-below skip_eta it takes a second pass without testing for one. The
-classical conjugate residual recurrence is implemented separately so the
-two can cross-check each other on symmetric operators.
+with the nonlinear solver and Anderson acceleration: classical Gram-Schmidt
+against a WindowPair whose stored A p_i rows it keeps orthonormal, the one
+precondition of every Gram-Schmidt here. A first pass that kept ||v'|| >=
+skip_eta(k, n) ||v|| cannot have left a projection above REORTH_REL on such
+rows, so the step makes three passes over the window (project, subtract,
+update p); below skip_eta it takes a second pass without testing for one.
+The classical conjugate residual recurrence is implemented separately so
+the two can cross-check each other on symmetric operators.
 
 A workspace solve that cannot evict keeps residuals instead of
 directions (tgcr_solve): A R_k = A P_k B^(k) gives R_k = P_k B^(k), so
@@ -49,7 +49,7 @@ class LinearOperator:
     def from_matrix(cls, A: np.ndarray, is_symmetric: Optional[bool] = None):
         A = np.asarray(A, dtype=float)
         if is_symmetric is None:
-            atol = 1e-13 * max(1.0, np.abs(A).max())
+            atol = 1e-13 * np.abs(A).max()
             is_symmetric = bool(np.allclose(A, A.T, rtol=0.0, atol=atol))
         return cls(dim=A.shape[0], apply=lambda v: A @ v, is_symmetric=is_symmetric, mat=A)
 
@@ -193,17 +193,18 @@ def orthogonalize_pair(p, v, P, V, lo, hi):
 
 def add_direction(window: WindowPair, p, v, *, r0_norm: float, p_norm: Optional[float] = None,
                   residual_basis: bool = False):
-    """The direction step of TGCR, nlTGCR and the Newton-Krylov inner solve.
+    """The direction step of TGCR, nlTGCR, the Newton-Krylov inner solve and AA.
 
     Orthogonalizes the raw pair (p, v = A p) against the window and pushes
     it divided by ||v|| unless it collapses (BREAKDOWN_TOL); `r0_norm` is
     the norm of the solve's first residual, against which p is at rounding
-    level. The window's v rows must be orthonormal, as they are when every
-    pair since its last clear came through this step; the norm-drop rule
-    of skip_eta decides the second Gram-Schmidt pass. `p_norm` is ||p||
-    when the caller has measured it already. With `residual_basis`, only
-    the v row is pushed and Gram-Schmidt skips the p update; the caller
-    forms its iterate from its residuals and the coefficients (tgcr_solve).
+    level (with 0, only a zero p collapses by that test). The window's v
+    rows must be orthonormal, as they are when every pair since its last
+    clear came through this step; the norm-drop rule of skip_eta decides
+    the second Gram-Schmidt pass. `p_norm` is ||p|| when the caller has
+    measured it already. With `residual_basis`, only the v row is pushed
+    and Gram-Schmidt skips the p update; the caller forms its iterate from
+    its residuals and the coefficients (tgcr_solve).
     Returns None on collapse, with the window unchanged; otherwise (||v||,
     the array of Gram-Schmidt coefficients in window order, oldest first).
     """

@@ -11,14 +11,12 @@ import numpy as np
 import pytest
 
 from nltgcr import (
-    AaState,
     BratuProblem,
     EvalCounter,
     LennardJonesProblem,
     LineSearchOptions,
     NonlinearProblem,
     SolverOptions,
-    aa_multisecant_check,
     aa_solve,
     broyden2_solve,
     check_semiconjugacy,
@@ -34,8 +32,11 @@ from nltgcr import (
     newton_krylov_solve,
     nltgcr_solve,
     reconstruction_defects,
+    secant_property_check,
     tgcr_solve,
+    WindowPair,
 )
+from nltgcr.linear import add_direction
 from nltgcr.linesearch import backtrack, sufficient_decrease, update_alpha0
 from oracles import central_diff_gradient, krylov_min_resnorm, newton_cr_reference
 
@@ -141,24 +142,24 @@ def test_criterion_4_secant_suites():
     worst_secant = max(d["secant_max"] for d in diags)
     worst_nochange = max(d["nochange_max"] for d in diags)
 
-    # Anderson multi-secant identity on run windows and random windows
+    # Anderson's multisecant identity G F = X on run windows and random
+    # windows. In the window's orthonormal basis G = -beta I + (P + beta V) V^T,
+    # so it is G V = P: the secant identity of P V^T.
     worst_aa = 0.0
-    states = []
+
+    def watch_aa(window):
+        nonlocal worst_aa
+        worst_aa = max(worst_aa, secant_property_check(window).secant_max)
+
     prob, op, b = _affine(8, seed=21)
     aa_solve(prob, np.zeros(8), m=3, beta=0.4,
-             opts=SolverOptions(tol_rel=1e-9, max_iters=30),
-             observer=lambda s: states.append((s.X().copy(), s.F().copy())))
-    for X, F in states[1:]:
-        st = AaState(beta_mix=0.4, m=3)
-        for i in range(X.shape[1]):
-            st.push(X[:, i], F[:, i])
-        worst_aa = max(worst_aa, aa_multisecant_check(st))
+             opts=SolverOptions(tol_rel=1e-9, max_iters=30), observer=watch_aa)
     rng = np.random.default_rng(0)
     for _ in range(5):
-        st = AaState(beta_mix=0.1, m=3)
+        window = WindowPair(3)
         for _c in range(3):
-            st.push(rng.standard_normal(8), rng.standard_normal(8))
-        worst_aa = max(worst_aa, aa_multisecant_check(st))
+            add_direction(window, rng.standard_normal(8), rng.standard_normal(8), r0_norm=0.0)
+        watch_aa(window)
 
     # Broyden-II secant and no-change per step
     worst_b2 = 0.0

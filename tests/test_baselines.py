@@ -7,14 +7,12 @@ import pytest
 
 import nltgcr.baselines as baselines
 from nltgcr import (
-    AaState,
     BratuProblem,
     LineSearchOptions,
     NonFiniteError,
     NonlinearProblem,
     NotDescentError,
     SolverOptions,
-    aa_multisecant_check,
     aa_solve,
     broyden2_solve,
     lbfgs_solve,
@@ -23,7 +21,10 @@ from nltgcr import (
     nesterov_solve,
     newton_krylov_solve,
     nltgcr_solve,
+    secant_property_check,
+    WindowPair,
 )
+from nltgcr.linear import add_direction
 from oracles import broyden1_update, central_diff_gradient
 
 
@@ -82,28 +83,66 @@ class TestAndersonAcceleration:
                             opts=SolverOptions(tol_rel=1e-12, max_iters=20))
         assert np.all(np.diff(trace.fevals()) == 1)
 
-    def test_multisecant_identity_single_column(self):
-        rng = np.random.default_rng(3)
-        state = AaState(beta_mix=0.1, m=1)
-        state.push(rng.standard_normal(6), rng.standard_normal(6))
-        assert aa_multisecant_check(state) <= 1e-12
+    def test_constant_f_takes_plain_steps(self):
+        # Every df is zero, so every pair collapses and no window forms.
+        prob = NonlinearProblem(dim=3, eval_f=lambda x: np.ones(3))
+        calls = []
+        x, trace = aa_solve(prob, np.zeros(3), m=2, beta=0.5,
+                            opts=SolverOptions(max_iters=5), observer=calls.append)
+        assert trace.final().iter == 5
+        np.testing.assert_array_equal(x, 2.5 * np.ones(3))
+        assert calls == []
 
-    def test_multisecant_identity_random_window(self):
-        rng = np.random.default_rng(4)
-        state = AaState(beta_mix=0.1, m=3)
-        for _ in range(3):
-            state.push(rng.standard_normal(8), rng.standard_normal(8))
-        assert aa_multisecant_check(state) <= 1e-8
+    @staticmethod
+    def _window(rng, k, n):
+        """A window refilled as aa_solve refills it, from k random raw
+        (dx, df) pairs, newest first; returns it with X and F, oldest first."""
+        X, F = rng.standard_normal((n, k)), rng.standard_normal((n, k))
+        window = WindowPair(k)
+        for i in reversed(range(k)):
+            assert add_direction(window, X[:, i], F[:, i], r0_norm=0.0) is not None
+        return window, X, F
 
-    def test_multisecant_beta_zero_reduces_to_projection_form(self):
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_window_keeps_the_multisecant_identity(self, k):
+        # G F = X for G = -beta I + (P + beta V) V^T, which is G V = P.
+        window, X, F = self._window(np.random.default_rng(3 + k), k, 8)
+        assert secant_property_check(window).secant_max <= 1e-12
+        P, V = window.p_matrix(), window.v_matrix()
+        beta = 0.1
+        GF = -beta * F + (P + beta * V) @ (V.T @ F)
+        assert np.abs(GF - X).max() <= 1e-12 * np.abs(X).max()
+
+    def test_window_step_is_the_least_squares_step(self):
+        # (P + beta V) V^T f = (X + beta F) theta, theta = argmin ||f - F theta||.
         rng = np.random.default_rng(5)
-        state = AaState(beta_mix=0.0, m=3)
-        for _ in range(3):
-            state.push(rng.standard_normal(8), rng.standard_normal(8))
-        X, F = state.X(), state.F()
-        G = X @ np.linalg.solve(F.T @ F, F.T)
-        assert np.abs(G @ F - X).max() <= 1e-8
-        assert aa_multisecant_check(state) <= 1e-8
+        window, X, F = self._window(rng, 3, 8)
+        f = rng.standard_normal(8)
+        theta, *_ = np.linalg.lstsq(F, f, rcond=None)
+        P, V = window.p_matrix(), window.v_matrix()
+        for beta in (0.0, 0.4):
+            np.testing.assert_allclose((P + beta * V) @ (V.T @ f), (X + beta * F) @ theta,
+                                       rtol=0, atol=1e-12)
+
+    def test_observer_sees_windows_with_the_secant_identity(self):
+        prob, op, b = _affine(8, seed=21, kind="nonsymmetric")
+        sizes = []
+
+        def watch(window):
+            sizes.append(len(window))
+            assert secant_property_check(window).secant_max <= 1e-8
+
+        aa_solve(prob, np.zeros(8), m=3, beta=-0.1,
+                 opts=SolverOptions(tol_rel=1e-9, max_iters=30), observer=watch)
+        assert sizes[:3] == [1, 2, 3] and max(sizes) == 3
+
+    def test_bratu_count(self):
+        # Scaled Bratu 30x30, beta 0.1, m 10: the count of the dense
+        # least-squares implementation, unchanged by the QR form.
+        bp = BratuProblem(grid_n=30, lam=0.5, scaled=True)
+        _, trace = aa_solve(bp.minimization_problem(), np.zeros(bp.dim), m=10, beta=0.1,
+                            opts=SolverOptions(tol_rel=1e-6, max_iters=2000))
+        assert (trace.final().iter, trace.final().fevals) == (555, 556)
 
     def test_converges_on_bratu_but_costs_more_than_windowed_cr(self):
         from nltgcr import BratuProblem, LineSearchOptions, nltgcr_solve

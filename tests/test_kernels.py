@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nltgcr import kernels
@@ -105,6 +105,15 @@ def clusters(draw):
     return lattice + rng.uniform(-0.19, 0.19, (n, 3)) + offset
 
 
+def _far_cluster():
+    """A 32-atom draw of clusters() 1e3 from the origin on which the
+    uncentred gradient sum left |sum_i g_i| at 1.07e-12 of the force scale."""
+    rng = np.random.default_rng(126)
+    sites = rng.permutation(64)[:32]
+    lattice = np.stack([sites // 16, sites // 4 % 4, sites % 4], axis=1) * 1.2
+    return lattice + rng.uniform(-0.19, 0.19, (32, 3)) + 1e3
+
+
 def _pair_magnitudes(pos):
     """Sum over pairs of |pair energy|, and the largest per-atom sum of
     |pair force|: the sizes that any summation order's rounding scales with."""
@@ -119,6 +128,7 @@ def _pair_magnitudes(pos):
 
 @settings(max_examples=100, deadline=None)
 @given(pos=clusters())
+@example(pos=_far_cluster())
 def test_lj_kernels_match_the_pair_loop_oracle(pos):
     energy_scale, force_scale = _pair_magnitudes(pos)
     assert abs(kernels.lj_energy(pos) - lj_energy_pairs(pos)) <= 1e-12 * energy_scale

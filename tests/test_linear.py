@@ -429,6 +429,15 @@ class TestLinearOperator:
         with pytest.raises(ValueError, match="declared symmetric"):
             cr_solve(op, np.ones(2), np.zeros(2))
 
+    def test_from_matrix_has_no_absolute_slack(self):
+        # A tiny nonsymmetric matrix is nonsymmetric: the tolerance scales
+        # with max|A| alone, so its asymmetry 1e-14 is not below it.
+        op = LinearOperator.from_matrix(1e-14 * np.array([[2.0, 1.0], [0.0, 3.0]]))
+        assert not op.is_symmetric
+        with pytest.raises(ValueError, match="declared symmetric"):
+            cr_solve(op, np.ones(2), np.zeros(2))
+        assert LinearOperator.from_matrix(np.zeros((3, 3))).is_symmetric
+
 
 def _snapshot(window):
     return len(window), window.oldest_index, window.p_matrix().copy(), window.v_matrix().copy()

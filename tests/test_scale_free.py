@@ -22,11 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nltgcr import (
+    BratuProblem,
     BreakdownError,
     LineSearchOptions,
     LogRegProblem,
     NonlinearProblem,
     SolverOptions,
+    aa_solve,
     make_linear_problem,
     newton_krylov_solve,
     nltgcr_solve,
@@ -108,6 +110,31 @@ def test_logreg_converges_where_the_absolute_test_collapsed(solver):
     prob = NonlinearProblem(dim=dim, eval_f=f)
     _, trace = SOLVERS[solver](prob, np.zeros(dim))
     assert trace.final().resnorm <= 1e-8 * trace.records[0].resnorm
+
+
+def _aa_counts(f, dim, beta, scale):
+    """(iterations, fevals) of Anderson acceleration on scale * f with the
+    mixing parameter beta / scale, which leaves the map x + beta f(x)."""
+    prob = NonlinearProblem(dim=dim, eval_f=lambda x: scale * f(x))
+    _, trace = aa_solve(prob, np.zeros(dim), m=10, beta=beta / scale,
+                        opts=SolverOptions(tol_rel=1e-6, max_iters=1000))
+    return trace.final().iter, trace.final().fevals
+
+
+@pytest.mark.parametrize("instance", ["affine-0", "affine-1", "affine-2", "bratu"])
+def test_aa_counts_do_not_depend_on_the_scale_of_f(instance):
+    # AA drops a pair by add_direction's relative collapse test, so no
+    # decision depends on the size of f; under a scale that is not a power
+    # of two only the rounding of the steps changes.
+    if instance == "bratu":
+        bp = BratuProblem(grid_n=30, lam=0.5, scaled=True)
+        f, dim, beta = bp.minimization_problem().eval_f, bp.dim, 0.1
+    else:
+        (f, dim), beta = _affine(int(instance[-1])), -0.1
+    counts = _aa_counts(f, dim, beta, 1.0)
+    assert counts[0] < 1000
+    for scale in (1e-6, 1e6):
+        assert _aa_counts(f, dim, beta, scale) == counts
 
 
 if __name__ == "__main__":
