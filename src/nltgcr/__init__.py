@@ -27,17 +27,7 @@ from .core import (
     TraceRecord,
     WindowPair,
 )
-from .identities import (
-    InducedInverseReport,
-    SemiConjugacyReport,
-    build_B_matrix,
-    build_H_matrix,
-    check_semiconjugacy,
-    identity_observer,
-    induced_inverse_checks,
-    reconstruction_defects,
-    secant_property_check,
-)
+from .identities import identity_observer, secant_property_check
 from .linear import (
     KrylovHistory,
     LinearOperator,
@@ -51,7 +41,6 @@ from .problems import (
     BratuProblem,
     LennardJonesProblem,
     LogRegProblem,
-    logreg_load_csv,
     logreg_make_synthetic,
     make_linear_problem,
 )

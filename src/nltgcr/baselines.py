@@ -141,28 +141,26 @@ def newton_krylov_solve(
     eta0: float = 0.9,
     opts: Optional[SolverOptions] = None,
     observer: Optional[Callable[[dict], None]] = None,
-    adapt_eta: bool = True,
 ):
     """Inexact Newton: each outer step solves J(x) d = -f(x) with the
     truncated residual-minimizing solver, stopping the inner iteration at
     the forcing tolerance eta_j, then backtracks along d.
 
-    With adapt_eta, eta follows the quadratic Eisenstat-Walker choice
-    eta_j = 0.9 (||f_j|| / ||f_{j-1}||)^2 with the usual safeguard and a
-    0.9 cap; otherwise it stays fixed at eta0, which must lie in (0, 1)
-    (eta0 ~ 0 forces full-depth inner solves). Inner matrix-vector products
+    eta starts at eta0, which must lie in (0, 1), and then follows the
+    quadratic Eisenstat-Walker choice eta_j = 0.9 (||f_j|| / ||f_{j-1}||)^2
+    with the usual safeguard and a 0.9 cap. Inner matrix-vector products
     are Frechet probes charged one feval each. Every inner solve runs in one
-    window allocated per call and keeps only scalars in its history.
+    window allocated per call.
     """
     if inner_m < 1:
         raise ValueError("inner_m must be >= 1")
     if not 0.0 < eta0 < 1.0:
         raise ValueError("eta0 must be in (0, 1)")
     return drive(prob, x0, opts or SolverOptions(), _newton_krylov_steps, inner_m, eta0,
-                 observer, adapt_eta)
+                 observer)
 
 
-def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer, adapt_eta):
+def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer):
     ls = opts.linesearch or LineSearchOptions()
     fnorm_prev = float(np.linalg.norm(fx))
     # One window for every inner solve: a fresh one per outer step would be
@@ -216,12 +214,11 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer, adapt_
                 }
             )
         yield x, fnorm, alpha, "NL"
-        if adapt_eta:
-            eta_new = EW_GAMMA * (fnorm / fnorm_prev) ** 2
-            safeguard = EW_GAMMA * eta * eta
-            if safeguard > EW_SAFEGUARD_FLOOR:
-                eta_new = max(eta_new, safeguard)
-            eta = min(eta_new, EW_ETA_MAX)
+        eta_new = EW_GAMMA * (fnorm / fnorm_prev) ** 2
+        safeguard = EW_GAMMA * eta * eta
+        if safeguard > EW_SAFEGUARD_FLOOR:
+            eta_new = max(eta_new, safeguard)
+        eta = min(eta_new, EW_ETA_MAX)
         fnorm_prev = fnorm
 
 

@@ -48,6 +48,8 @@ class LinearOperator:
     @classmethod
     def from_matrix(cls, A: np.ndarray, is_symmetric: Optional[bool] = None):
         A = np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"A must be a square matrix, got shape {A.shape}")
         if is_symmetric is None:
             atol = 1e-13 * np.abs(A).max()
             is_symmetric = bool(np.allclose(A, A.T, rtol=0.0, atol=atol))
@@ -111,41 +113,27 @@ def skip_eta(k: int, n: int) -> float:
 
 
 class KrylovHistory:
-    """The record of a linear solve, in the normalized basis.
+    """The record of a linear solve, in scalars.
 
-    Every history keeps the residual norm of each iterate (`norms`, the
-    values the convergence test computed), the step lengths, the scales,
-    the orthogonalization coefficients and the converged/truncated flags
+    `norms` holds the residual norm of each iterate (the values the
+    convergence test computed); then the step lengths, the scales, the
+    orthogonalization coefficients and the converged/truncated flags
     (truncated: the window has evicted a direction of this solve):
     `betas[t]` holds direction t's Gram-Schmidt coefficients against
     directions t - len(betas[t]) .. t - 1 (CR: its recurrence's scalar).
-    A full history also keeps every residual and iterate (R, xs) and, for
-    GCR and TGCR, the solve's window. tgcr_solve with a workspace returns
-    one that keeps neither (keep_vectors=False, no window).
-
-    The algorithms store p_i and v_i = A p_i divided by `scales[i]`, so
-    that the v rows are unit vectors. identities.py forms the classical
-    unnormalized matrices from the window and the scales.
+    GCR and TGCR also hand back the solve's window, except tgcr_solve in a
+    caller's workspace. The algorithms store p_i and v_i = A p_i divided by
+    `scales[i]`, so that the v rows are unit vectors.
     """
 
-    def __init__(self, window: Optional[WindowPair] = None, keep_vectors: bool = True):
+    def __init__(self, window: Optional[WindowPair] = None):
         self.window = window
-        self.keep_vectors = keep_vectors
         self.norms: List[float] = []
-        self.R: List[np.ndarray] = []
-        self.xs: List[np.ndarray] = []
         self.scales: List[float] = []
         self.alphas: List[float] = []
         self.betas: List[np.ndarray] = []
         self.truncated = False
         self.converged = False
-
-    def record(self, r: np.ndarray, x: np.ndarray, resnorm: float) -> None:
-        """Append iterate k: its residual norm, and r and x if kept."""
-        self.norms.append(resnorm)
-        if self.keep_vectors:
-            self.R.append(r)
-            self.xs.append(x)
 
     @property
     def iterations(self) -> int:
@@ -225,7 +213,7 @@ def add_direction(window: WindowPair, p, v, *, r0_norm: float, p_norm: Optional[
 
 def _start(A: LinearOperator, b, x0, hist: KrylovHistory):
     """The start of a linear solve: checks b and x0, forms r_0 = b - A x0
-    and records iterate 0 in hist. Returns (x0, r_0, the reference norm of
+    and records its norm in hist. Returns (x0, r_0, the reference norm of
     the convergence test): ||b||, or ||r_0|| when b = 0."""
     b = check_finite(np.asarray(b, dtype=float), "b")
     x = check_finite(np.asarray(x0, dtype=float), "x0").copy()
@@ -235,7 +223,7 @@ def _start(A: LinearOperator, b, x0, hist: KrylovHistory):
     # operators a probe along the zero vector.
     r = b.copy() if not np.any(x) else b - A.apply(x)
     rnorm = float(np.linalg.norm(r))
-    hist.record(r, x, rnorm)
+    hist.norms.append(rnorm)
     return x, r, float(np.linalg.norm(b)) or rnorm
 
 
@@ -253,7 +241,7 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
             )
         window = workspace
         window.clear()
-        hist = KrylovHistory(keep_vectors=False)
+        hist = KrylovHistory()
     # A workspace that cannot evict keeps the residual basis: pair t holds
     # only its v row, and r_t / s_t = P_t + sum_i U[i, t] P_i with
     # U[i, t] = b_it / s_t, so x0 + alpha @ P = x0 + sum_t (z_t / s_t) r_t
@@ -345,8 +333,7 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
         r = r - alpha * v_j
         rnorm = math.sqrt(r @ r)
         hist.alphas.append(alpha)
-        # In the residual basis x stays x0; a workspace history does not keep it.
-        hist.record(r, x, rnorm)
+        hist.norms.append(rnorm)
         if rnorm <= opts.tol_rel * ref:
             hist.converged = True
             break
@@ -367,10 +354,10 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
 def gcr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
     """Full GCR: minimizes ||b - A x|| over x0 + span of all directions.
 
-    Returns (x, history) with the complete orthogonalization table so the
-    upper-triangular and bidiagonal reconstructions can be formed. The
-    window is allocated up front for min(max_iters, dim) directions: past
-    dim orthonormal v columns a new v collapses to rounding noise, so a
+    Returns (x, history); the history's window holds every direction and
+    its betas the complete orthogonalization table. The window is
+    allocated up front for min(max_iters, dim) directions: past dim
+    orthonormal v columns a new v collapses to rounding noise, so a
     solve does not reach dim + 1 directions in practice; one that does
     evicts the oldest like TGCR with m = dim and is marked truncated.
     """
@@ -381,19 +368,18 @@ def tgcr_solve(A: LinearOperator, b, x0, m: int, opts: Optional[LinearOptions] =
                workspace: Optional[WindowPair] = None):
     """Truncated GCR: orthogonalizes only against the last m directions.
 
-    The window is allocated up front for min(m, max_iters) directions, and
-    the history keeps every residual, iterate and direction. A caller that
-    solves many systems of one size can pass a WindowPair of exactly that
-    capacity as `workspace` (any other capacity raises ValueError): the
-    solve clears it and runs in it, numbering its directions from 0, and
-    returns a history of scalars only, the residual norms, alphas, scales,
-    betas and flags, with no vectors and no reference to the workspace.
-    The scalars are the same floats either way, and so is the iterate when
-    the workspace can evict (m < max_iters). When it cannot, it keeps the
-    residual basis, one v row per direction, until a step stalls (module
-    docstring); the iterate, returned or carried by BreakdownError, equals
-    the full history's up to rounding, and to the bit once a step has
-    stalled. The workspace's rows are scratch after the solve.
+    The window is allocated up front for min(m, max_iters) directions and
+    handed back in the history. A caller that solves many systems of one
+    size can pass a WindowPair of exactly that capacity as `workspace` (any
+    other capacity raises ValueError): the solve clears it and runs in it,
+    numbering its directions from 0, and its history holds no reference to
+    the workspace. The scalars are the same floats either way, and so is
+    the iterate when the workspace can evict (m < max_iters). When it
+    cannot, it keeps the residual basis, one v row per direction, until a
+    step stalls (module docstring); the iterate, returned or carried by
+    BreakdownError, equals the one without a workspace up to rounding, and
+    to the bit once a step has stalled. The workspace's rows are scratch
+    after the solve.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -423,9 +409,10 @@ def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
     for j in range(opts.max_iters):
         denom = float(Ap @ Ap)
         # add_direction's two relative rules: A p against the A r it was
-        # built from, and r against the first residual.
+        # built from, and r against the first residual. On an indefinite A,
+        # r . A r = 0 makes the step zero and the next beta 0 / 0.
         if (math.sqrt(denom) <= BREAKDOWN_TOL * math.sqrt(float(Ar @ Ar))
-                or rnorm <= BREAKDOWN_TOL * hist.norms[0]):
+                or rnorm <= BREAKDOWN_TOL * hist.norms[0] or rAr == 0.0):
             raise BreakdownError(
                 f"CR direction collapsed at step {j}",
                 residual=r.copy(),
@@ -438,7 +425,7 @@ def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
         r = r - alpha * Ap
         rnorm = float(np.linalg.norm(r))
         hist.alphas.append(alpha)
-        hist.record(r, x, rnorm)
+        hist.norms.append(rnorm)
         if rnorm <= opts.tol_rel * ref:
             hist.converged = True
             break

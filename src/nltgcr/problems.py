@@ -7,7 +7,6 @@ instances may share a problem object safely.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -243,19 +242,6 @@ def logreg_make_synthetic(
     prob_pos = _sigmoid(X @ theta_star)
     y = np.where(rng.uniform(size=n_samples) < prob_pos, 1.0, -1.0)
     return LogRegProblem(X=X, y=y, lambda_reg=lambda_reg)
-
-
-def logreg_load_csv(path, lambda_reg: float = 1e-2) -> LogRegProblem:
-    """Rows are `label,feat1,...,featd` with label in {-1, 1}."""
-    labels = []
-    feats = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            labels.append(float(row[0]))
-            feats.append([float(v) for v in row[1:]])
-    return LogRegProblem(X=np.array(feats), y=np.array(labels), lambda_reg=lambda_reg)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 Everything here is deliberately implemented from scratch (dense algebra,
 Arnoldi bases, finite differences, bisection, loops over atom pairs) so
-it shares no code path with the solvers and kernels it checks.
+it shares no code path with the solvers and kernels it checks. The
+exception is the section on a linear solve's matrix identities, which
+reads the solve's own history and window and replays its arithmetic.
 """
 
 import math
-from typing import List, NamedTuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -191,6 +194,196 @@ def frobenius_gap(window, seed=0, n_samples=10):
         Gp = G + Z - (Z @ V) @ V.T
         gap = min(gap, float(np.linalg.norm(Gp)) - base)
     return gap
+
+
+# ---------------------------------------------------------------------------
+# The matrix identities of a linear solve (GCR and TGCR), from its history.
+# A history keeps scalars only; the residuals are replayed from the window's
+# v rows and the iterates rerun, both to the bit. The solvers store p_i and
+# A p_i divided by scales[i]; only these checks undo that. They form dense
+# matrices and are meant for operators with n <= 200.
+# ---------------------------------------------------------------------------
+
+
+def _dense(A):
+    if A.mat is not None:
+        return A.mat
+    eye = np.eye(A.dim)
+    return np.stack([A.apply(eye[:, i]) for i in range(A.dim)], axis=1)
+
+
+def full_window(hist):
+    """The window of a history that kept every direction it built: its
+    column j is direction j, and it has one column per scale."""
+    if hist.window is None:
+        raise ValueError("this history keeps no direction window")
+    if hist.truncated:
+        raise ValueError("the reconstructions need a full (untruncated) history")
+    return hist.window
+
+
+def replay_residuals(hist, A, b, x0):
+    """The residuals r_0 .. r_k of a GCR or TGCR solve of A x = b from x0,
+    from its history and full window. r_0 is formed as the solve forms it
+    (b itself when x0 = 0, else b - A x0) and r_{t+1} = r_t - alpha_t v_t
+    as its loop does, so every r_t is the bytes the solve measured."""
+    V = full_window(hist).v_matrix().T
+    b = np.asarray(b, dtype=float)
+    r = b.copy() if not np.any(x0) else b - A.apply(np.asarray(x0, dtype=float))
+    R = [r]
+    for alpha, v in zip(hist.alphas, V):
+        r = r - alpha * v
+        R.append(r)
+    return R
+
+
+def rerun_iterates(solve, x0, k):
+    """The iterates x_0 .. x_k of a linear solve: x0, then for each j the
+    x that solve(j) returns, solve(j) being the same solve with
+    max_iters = j. A solve cut at step j returns the iterate it would have
+    carried on from, so x_j is its own, to the bit."""
+    return [np.array(x0, dtype=float)] + [solve(j)[0] for j in range(1, k + 1)]
+
+
+def build_B_matrix(hist):
+    """Unit-diagonal upper triangular B with R_k = P_k B (unnormalized P).
+
+    Requires the complete orthogonalization table, so truncated histories
+    are rejected.
+    """
+    full_window(hist)
+    scales = np.array(hist.scales)
+    B = np.eye(len(scales))
+    for t, b in enumerate(hist.betas):
+        B[:t, t] = b / scales[:t]
+    return B
+
+
+def build_H_matrix(hist):
+    """Lower bidiagonal (k+2) x (k+1) H with A P_k = R_{k+1} H (unnormalized).
+
+    Column j holds 1/alpha_j on the diagonal and -1/alpha_j below it.
+    """
+    full_window(hist)
+    k = len(hist.alphas) - 1
+    H = np.zeros((k + 2, k + 1))
+    for j in range(k + 1):
+        a = hist.alphas[j] / hist.scales[j]
+        if a == 0.0:
+            raise ValueError(f"alpha_{j} is zero; H is undefined")
+        H[j, j] = 1.0 / a
+        H[j + 1, j] = -1.0 / a
+    return H
+
+
+def reconstruction_defects(hist, A, b, x0):
+    """Max-norm errors of the two matrix reconstructions R=PB and AP=RH of
+    a solve of A x = b from x0."""
+    B = build_B_matrix(hist)
+    H = build_H_matrix(hist)
+    window = full_window(hist)
+    k = len(hist.scales) - 1
+    # R_{k+1}: a solve that stopped after step k has r_{k+1} too.
+    R = np.stack(replay_residuals(hist, A, b, x0)[: k + 2], axis=1)
+    scales = np.array(hist.scales)
+    err_b = float(np.abs(R[:, : k + 1] - (window.p_matrix() * scales) @ B).max())
+    err_h = float(np.abs(window.v_matrix() * scales - R @ H).max())
+    return err_b, err_h
+
+
+@dataclass(frozen=True)
+class SemiConjugacyReport:
+    lower_violation: float
+    offdiag_violation: Optional[float] = None
+
+
+def check_semiconjugacy(hist, A, b, x0):
+    """Largest strictly-lower entry of R^T A R; off-diagonal too if symmetric.
+
+    Full GCR residuals make R^T A R upper triangular, and diagonal when A
+    is symmetric.
+    """
+    R = np.stack(replay_residuals(hist, A, b, x0), axis=1)
+    AR = np.stack([A.apply(R[:, i]) for i in range(R.shape[1])], axis=1)
+    M = R.T @ AR
+    lower = float(np.abs(np.tril(M, k=-1)).max()) if M.shape[0] > 1 else 0.0
+    off = None
+    if A.is_symmetric:
+        off = float(np.abs(M - np.diag(np.diag(M))).max()) if M.shape[0] > 1 else 0.0
+    return SemiConjugacyReport(lower_violation=lower, offdiag_violation=off)
+
+
+@dataclass(frozen=True)
+class InducedInverseReport:
+    """Deviations of the approximate inverse B_k = P_k V_k^T from its
+    projector identities."""
+
+    ab_equals_projector: float
+    inverts_on_span_v: float
+    projector_symmetry: float
+    left_inverse_on_span_p: float
+    idempotent_ba: float
+    oblique_orthogonality: float
+
+    def max_deviation(self) -> float:
+        return max(
+            self.ab_equals_projector,
+            self.inverts_on_span_v,
+            self.projector_symmetry,
+            self.left_inverse_on_span_p,
+            self.idempotent_ba,
+            self.oblique_orthogonality,
+        )
+
+
+def induced_inverse_checks(hist, A, k=None, n_probes=5, seed=0):
+    """Check the projector identities induced by B_k = P_k V_k^T.
+
+    Uses the normalized direction columns (V has orthonormal columns) and a
+    dense direct solve as the inversion oracle. Assumes the history came
+    from a solve started at x0 = 0.
+    """
+    window = full_window(hist)
+    if k is None:
+        k = len(hist.scales) - 1
+    P = window.p_matrix()[:, : k + 1]
+    V = window.v_matrix()[:, : k + 1]
+    Ad = _dense(A)
+    n = Ad.shape[0]
+    Bk = P @ V.T
+    pi = V @ V.T
+    rng = np.random.default_rng(seed)
+
+    dev_ab = float(np.abs(Ad @ Bk - pi).max())
+    dev_sym = float(np.abs(pi - pi.T).max())
+
+    dev_inv = 0.0
+    dev_left = 0.0
+    dev_oblique = 0.0
+    BA = Bk @ Ad
+    dev_idem = float(np.abs(BA @ BA - BA).max())
+    for _ in range(n_probes):
+        z = rng.standard_normal(n)
+        z /= np.linalg.norm(z)
+        piz = pi @ z
+        w = np.linalg.solve(Ad, piz)
+        dev_inv = max(dev_inv, float(np.abs(Bk @ piz - w).max()))
+        y = rng.standard_normal(k + 1)
+        xp = P @ y
+        scale = max(1.0, float(np.abs(xp).max()))
+        dev_left = max(dev_left, float(np.abs(BA @ xp - xp).max()) / scale)
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        w2 = Ad @ (u - BA @ u)
+        dev_oblique = max(dev_oblique, float(np.abs(V.T @ w2).max()))
+    return InducedInverseReport(
+        ab_equals_projector=dev_ab,
+        inverts_on_span_v=dev_inv,
+        projector_symmetry=dev_sym,
+        left_inverse_on_span_p=dev_left,
+        idempotent_ba=dev_idem,
+        oblique_orthogonality=dev_oblique,
+    )
 
 
 def bratu_residual_2d(u, lam, h):

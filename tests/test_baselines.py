@@ -269,8 +269,7 @@ class TestNewtonKrylov:
 
     def test_forcing_enabled_succeeds_on_cluster_and_comparison_recorded(self):
         # The indefinite cluster Hessian punishes deep frozen-point inner
-        # solves; the adaptive forcing run must succeed, and the fixed
-        # near-zero forcing run's cost is recorded alongside for comparison.
+        # solves; the Eisenstat-Walker forcing run must succeed.
         from nltgcr import LennardJonesProblem
 
         lj = LennardJonesProblem(rng_seed=7)
@@ -280,17 +279,7 @@ class TestNewtonKrylov:
         x, tr = newton_krylov_solve(prob, x0, inner_m=20, eta0=0.9, opts=opts)
         assert tr.final().resnorm <= 1e-7 * tr.records[0].resnorm
         assert np.abs(prob.eval_f(x)).max() <= 1e-4
-        fe_forcing = tr.fevals_to_relative(1e-6)
-        assert fe_forcing is not None
-        try:
-            _, tr_fixed = newton_krylov_solve(
-                prob, x0, inner_m=20, eta0=1e-12, opts=opts, adapt_eta=False
-            )
-            fe_fixed = tr_fixed.fevals_to_relative(1e-6)
-        except Exception as err:  # a hard failure is itself the degradation
-            fe_fixed = f"failed: {type(err).__name__}"
-        print(f"newton-krylov on cluster: forcing {fe_forcing} fevals "
-              f"vs fixed-eta {fe_fixed}")
+        assert tr.fevals_to_relative(1e-6) is not None
 
     @pytest.mark.parametrize("eta0", [0.0, -0.5, 1.0, 1.5])
     def test_eta0_outside_unit_interval_rejected(self, eta0):

@@ -5,15 +5,18 @@ from nltgcr import (
     LinearOperator,
     LinearOptions,
     WindowPair,
+    cr_solve,
+    gcr_solve,
+    make_linear_problem,
+    tgcr_solve,
+)
+from oracles import (
     build_B_matrix,
     build_H_matrix,
     check_semiconjugacy,
-    cr_solve,
-    gcr_solve,
     induced_inverse_checks,
-    make_linear_problem,
     reconstruction_defects,
-    tgcr_solve,
+    replay_residuals,
 )
 
 
@@ -34,7 +37,7 @@ class TestBMatrix:
         op, b, h = _run_gcr(n=10, seed=5, steps=3)
         B = build_B_matrix(h)
         k = len(h.scales) - 1
-        R = np.stack(h.R[: k + 1], axis=1)
+        R = np.stack(replay_residuals(h, op, b, np.zeros(10))[: k + 1], axis=1)
         defect = np.abs(R - (h.window.p_matrix() * h.scales) @ B).max()
         assert defect <= 1e-10
 
@@ -61,7 +64,7 @@ class TestBMatrix:
         _, h = tgcr_solve(op, b, np.zeros(6), m=2)
         assert h.truncated and len(h.scales) > len(h.window)
         with pytest.raises(ValueError, match="untruncated"):
-            reconstruction_defects(h, op)
+            reconstruction_defects(h, op, b, np.zeros(6))
 
 
 class TestHMatrix:
@@ -77,7 +80,7 @@ class TestHMatrix:
 
     def test_ap_factors_through_residuals(self):
         op, b, h = _run_gcr(n=8, seed=3)
-        err_b, err_h = reconstruction_defects(h, op)
+        err_b, err_h = reconstruction_defects(h, op, b, np.zeros(8))
         assert err_b <= 1e-10
         assert err_h <= 1e-10
 
@@ -86,14 +89,14 @@ class TestHMatrix:
         op, b = make_linear_problem("nonsymmetric", 12, seed=1)
         _, h = tgcr_solve(op, b, np.zeros(12), m=40)
         assert not h.truncated and len(h.window) == len(h.scales)
-        err_b, err_h = reconstruction_defects(h, op)
+        err_b, err_h = reconstruction_defects(h, op, b, np.zeros(12))
         assert err_b <= 1e-10
         assert err_h <= 1e-10
 
     def test_symmetric_product_is_lower_bidiagonal(self):
         op, b, h = _run_gcr(kind="spd", n=10, seed=4)
         k = len(h.scales) - 1
-        R = np.stack(h.R[: k + 1], axis=1)
+        R = np.stack(replay_residuals(h, op, b, np.zeros(10))[: k + 1], axis=1)
         AP = h.window.v_matrix() * h.scales
         AR = op.mat @ R
         M = AR.T @ AP
@@ -104,18 +107,18 @@ class TestHMatrix:
 class TestSemiConjugacy:
     def test_single_residual_has_no_violation(self):
         op, b, h = _run_gcr(n=5, steps=0, tol=1e30)
-        rep = check_semiconjugacy(h, op)
+        rep = check_semiconjugacy(h, op, b, np.zeros(5))
         assert rep.lower_violation == 0.0
 
     def test_nonsymmetric_lower_triangle_vanishes(self):
         op, b, h = _run_gcr(kind="nonsymmetric", n=15, seed=6)
-        rep = check_semiconjugacy(h, op)
+        rep = check_semiconjugacy(h, op, b, np.zeros(15))
         assert rep.lower_violation <= 1e-10
         assert rep.offdiag_violation is None
 
     def test_symmetric_residuals_are_conjugate(self):
         op, b, h = _run_gcr(kind="spd", n=15, seed=7)
-        rep = check_semiconjugacy(h, op)
+        rep = check_semiconjugacy(h, op, b, np.zeros(15))
         assert rep.offdiag_violation is not None
         assert rep.offdiag_violation <= 1e-10
 
@@ -145,20 +148,18 @@ class TestInducedInverse:
 
 
 HISTORY_CHECKS = {
-    "build_B_matrix": lambda h, op: build_B_matrix(h),
-    "build_H_matrix": lambda h, op: build_H_matrix(h),
-    "reconstruction_defects": reconstruction_defects,
-    "check_semiconjugacy": check_semiconjugacy,
-    "induced_inverse_checks": induced_inverse_checks,
+    "build_B_matrix": lambda h, op, b: build_B_matrix(h),
+    "build_H_matrix": lambda h, op, b: build_H_matrix(h),
+    "reconstruction_defects": lambda h, op, b: reconstruction_defects(h, op, b, np.zeros(10)),
+    "check_semiconjugacy": lambda h, op, b: check_semiconjugacy(h, op, b, np.zeros(10)),
+    "induced_inverse_checks": lambda h, op, b: induced_inverse_checks(h, op),
 }
 
 
-# A workspace history keeps no vectors and a CR history no window; CR keeps
-# R, all that check_semiconjugacy reads.
+# A workspace history and a CR history hand back no window, and every
+# check reads one: the residuals are replayed from its v rows.
 @pytest.mark.parametrize(
-    "source, check",
-    [("workspace", c) for c in HISTORY_CHECKS]
-    + [("cr", c) for c in HISTORY_CHECKS if c != "check_semiconjugacy"],
+    "source, check", [(s, c) for s in ("workspace", "cr") for c in HISTORY_CHECKS]
 )
 def test_history_without_vectors_rejected(source, check):
     op, b = make_linear_problem("spd", 10, seed=0)
@@ -169,4 +170,4 @@ def test_history_without_vectors_rejected(source, check):
                           workspace=WindowPair(2))
         assert h.iterations > 2
     with pytest.raises(ValueError, match="keeps no"):
-        HISTORY_CHECKS[check](h, op)
+        HISTORY_CHECKS[check](h, op, b)

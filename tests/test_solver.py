@@ -27,7 +27,7 @@ from nltgcr import (
 )
 from nltgcr import solver
 from nltgcr.core import SOLVE_FAILURES
-from oracles import frobenius_gap
+from oracles import frobenius_gap, rerun_iterates
 
 
 def _affine_problem(n=30, seed=0, kind="spd"):
@@ -137,12 +137,17 @@ class TestLinearEquivalence:
             exact_jv=True,
             observer=lambda s: xs.append(s["x"].copy()),
         )
-        _, hist = tgcr_solve(op, b, np.zeros(n), m=m, opts=LinearOptions(tol_rel=1e-12, max_iters=40))
-        k = min(len(xs), len(hist.xs) - 1)
+
+        def solve(max_iters):
+            return tgcr_solve(op, b, np.zeros(n), m=m,
+                              opts=LinearOptions(tol_rel=1e-12, max_iters=max_iters))
+
+        x_lin = rerun_iterates(solve, np.zeros(n), solve(40)[1].iterations)
+        k = min(len(xs), len(x_lin) - 1)
         assert k > 5
         for j in range(k):
-            scale = max(1.0, np.abs(hist.xs[j + 1]).max())
-            assert np.abs(xs[j] - hist.xs[j + 1]).max() <= 1e-12 * scale
+            scale = max(1.0, np.abs(x_lin[j + 1]).max())
+            assert np.abs(xs[j] - x_lin[j + 1]).max() <= 1e-12 * scale
 
     def test_nonlinear_variant_tracks_tgcr_iterates(self):
         n = 30
@@ -159,11 +164,16 @@ class TestLinearEquivalence:
             exact_jv=True,
             observer=lambda s: xs.append(s["x"].copy()),
         )
-        _, hist = tgcr_solve(op, b, np.zeros(n), m=m, opts=LinearOptions(tol_rel=1e-10, max_iters=40))
-        k = min(len(xs), len(hist.xs) - 1)
+
+        def solve(max_iters):
+            return tgcr_solve(op, b, np.zeros(n), m=m,
+                              opts=LinearOptions(tol_rel=1e-10, max_iters=max_iters))
+
+        x_lin = rerun_iterates(solve, np.zeros(n), solve(40)[1].iterations)
+        k = min(len(xs), len(x_lin) - 1)
         for j in range(k):
-            scale = max(1.0, np.abs(hist.xs[j + 1]).max())
-            assert np.abs(xs[j] - hist.xs[j + 1]).max() <= 1e-10 * scale
+            scale = max(1.0, np.abs(x_lin[j + 1]).max())
+            assert np.abs(xs[j] - x_lin[j + 1]).max() <= 1e-10 * scale
 
     def test_variants_agree_on_affine_problems(self):
         prob, op, b = _affine_problem(n=20, seed=5)
@@ -507,10 +517,14 @@ class TestTruncatedUpdate:
         )
         nltgcr_solve(prob, np.zeros(n), opts, exact_jv=True,
                      observer=lambda s: xs.append(s["x"].copy()))
-        _, hist = cr_solve(op, b, np.zeros(n), LinearOptions(tol_rel=1e-10, max_iters=60))
-        k = min(len(xs), len(hist.xs) - 1)
+
+        def solve(max_iters):
+            return cr_solve(op, b, np.zeros(n), LinearOptions(tol_rel=1e-10, max_iters=max_iters))
+
+        x_cr = rerun_iterates(solve, np.zeros(n), solve(60)[1].iterations)
+        k = min(len(xs), len(x_cr) - 1)
         for j in range(k):
-            assert np.abs(xs[j] - hist.xs[j + 1]).max() <= 1e-8 * max(1.0, np.abs(hist.xs[j + 1]).max())
+            assert np.abs(xs[j] - x_cr[j + 1]).max() <= 1e-8 * max(1.0, np.abs(x_cr[j + 1]).max())
 
     def test_descent_along_truncated_direction_on_bratu(self):
         # The truncated update steps along d = <v, r> p for the newest pair;
