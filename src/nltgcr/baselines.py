@@ -180,14 +180,12 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer):
             is_symmetric=False,
         )
         inner_opts = LinearOptions(tol_rel=eta, max_iters=inner_m)
-        try:
-            delta, ihist = tgcr_solve(op, r, np.zeros_like(x), m=inner_m, opts=inner_opts,
-                                      workspace=window)
-        except BreakdownError as err:
-            delta = err.x
-            ihist = err.history
-            if delta is None or float(np.linalg.norm(delta)) == 0.0:
-                raise
+        delta, ihist = tgcr_solve(op, r, np.zeros_like(x), m=inner_m, opts=inner_opts,
+                                  workspace=window)
+        # An inner breakdown after a step is a shorter inner solve; one
+        # before any step leaves nothing to search along.
+        if ihist.breakdown and float(np.linalg.norm(delta)) == 0.0:
+            raise BreakdownError(f"direction collapsed at step {ihist.iterations}")
         # backtrack raises NotDescentError on a slope <= 0. A shorter delta
         # would not help: the probe scales its step by 1 / ||delta||, so it
         # probes the same point and returns the same slope, scaled.

@@ -33,7 +33,6 @@ from .problems import BratuProblem, LennardJonesProblem, logreg_make_synthetic
 from .solver import nltgcr_solve
 
 COMPARE_THRESHOLDS = (1e-4, 1e-6, 1e-8, 1e-10)
-SOLVERS = ("nltgcr", "aa", "newton-krylov", "broyden2", "nesterov", "ncg", "lbfgs")
 
 
 class ConfigError(Exception):
@@ -64,6 +63,14 @@ def _flag(raw):
     return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
 
 
+def _size(raw):
+    """A problem size: an int >= 1, so a run never builds an empty problem."""
+    n = int(raw)
+    if n < 1:
+        raise ValueError(raw)
+    return n
+
+
 def _restart(raw):
     """`none` or `off` (never restart), else an int."""
     return None if raw.strip().lower() in ("none", "off") else int(raw)
@@ -81,7 +88,7 @@ def _problem_maker(section):
     """Read the problem options; returns seed -> (problem, x0)."""
     name = _get(section, "problem")
     if name == "bratu":
-        kw = _given(section, grid_n=("grid_n", int), lam=("lambda", float),
+        kw = _given(section, grid_n=("grid_n", _size), lam=("lambda", float),
                     scaled=("scaled", _flag))
         form = _get(section, "form", "roots")
         if form not in ("roots", "minimization"):
@@ -97,7 +104,7 @@ def _problem_maker(section):
 
         return make
     if name == "lennard-jones":
-        kw = _given(section, cells_per_side=("cells", int),
+        kw = _given(section, cells_per_side=("cells", _size),
                     perturbation_scale=("perturbation", float))
 
         def make(seed):
@@ -106,7 +113,7 @@ def _problem_maker(section):
 
         return make
     if name == "logreg":
-        kw = _given(section, n_samples=("samples", int), n_features=("features", int),
+        kw = _given(section, n_samples=("samples", _size), n_features=("features", _size),
                     lambda_reg=("reg", float))
 
         def make(seed):
@@ -216,7 +223,7 @@ def cmd_run(args) -> int:
             return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary_rows = []
+    summary = []
     for name, run in runs:
         for rep in range(run.reps):
             prob, x0 = run.make_problem(run.seed + rep)
@@ -239,32 +246,15 @@ def cmd_run(args) -> int:
                 trace.to_csv(out_dir / f"{name}_rep{rep}.csv")
                 fev = trace.fevals_to_relative(run.tol)
                 final = trace.final().resnorm
-            summary_rows.append(
-                {
-                    "solver": run.solver,
-                    "problem": run.problem,
-                    "fevals_to_tol": "-" if fev is None else str(fev),
-                    "final_resnorm": f"{final:.16e}",
-                    "wallclock_s": f"{wall:.6f}",
-                    "run": name,
-                    "rep": rep,
-                    "note": note,
-                }
-            )
+            fev = "-" if fev is None else fev
+            summary.append(f"{run.solver},{run.problem},{fev},{final:.16e},{wall:.6f}\n")
+            tag = f" [{note}]" if note else ""
+            print(f"{name} rep{rep}: solver={run.solver} problem={run.problem} "
+                  f"fevals_to_tol={fev} final={final:.16e}{tag}")
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w") as fh:
         fh.write("solver,problem,fevals_to_tol,final_resnorm,wallclock_s\n")
-        for row in summary_rows:
-            fh.write(
-                f"{row['solver']},{row['problem']},{row['fevals_to_tol']},"
-                f"{row['final_resnorm']},{row['wallclock_s']}\n"
-            )
-    for row in summary_rows:
-        tag = f" [{row['note']}]" if row["note"] else ""
-        print(
-            f"{row['run']} rep{row['rep']}: solver={row['solver']} problem={row['problem']} "
-            f"fevals_to_tol={row['fevals_to_tol']} final={row['final_resnorm']}{tag}"
-        )
+        fh.writelines(summary)
     print(f"wrote {summary_path}")
     return 0
 

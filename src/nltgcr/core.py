@@ -17,19 +17,9 @@ MODES = ("NL", "LIN")
 
 
 class BreakdownError(RuntimeError):
-    """New search direction collapsed (||v|| below the breakdown tolerance).
-
-    Carries the residual at the point of breakdown so the caller can tell a
-    lucky breakdown (residual already tiny) from an unlucky one.
-    """
-
-    def __init__(self, message, residual=None, resnorm=None, x=None, history=None, trace=None):
-        super().__init__(message)
-        self.residual = residual
-        self.resnorm = resnorm
-        self.x = x
-        self.history = history
-        self.trace = trace
+    """No search direction could be built: nlTGCR's seed collapsed or its
+    window restarts ran out, or a Newton-Krylov inner solve broke down
+    before its first step. drive attaches the last x and frozen trace."""
 
 
 class DivergenceError(RuntimeError):
@@ -44,12 +34,8 @@ class NotDescentError(RuntimeError):
 
 
 class NonFiniteError(RuntimeError):
-    """A function evaluation produced NaN or Inf. Carries last good state."""
-
-    def __init__(self, message, x=None, trace=None):
-        super().__init__(message)
-        self.x = x
-        self.trace = trace
+    """A function evaluation produced NaN or Inf; drive attaches the last x
+    and frozen trace."""
 
 
 # Every way a solve can fail after x0; ValueError covers evaluations outside a
@@ -388,10 +374,14 @@ class EvalCounter:
         self.count = 0
 
     def f(self, x: np.ndarray) -> np.ndarray:
+        """f(x), charged one feval. A result not of x's shape raises
+        ValueError, a non-finite one NonFiniteError."""
         self.count += 1
         fx = self.prob.eval_f(x)
+        if np.shape(fx) != x.shape:
+            raise ValueError(f"f(x) has shape {np.shape(fx)}, expected {x.shape}")
         if not all_finite(fx):
-            raise NonFiniteError("f(x) is not finite", x=x)
+            raise NonFiniteError("f(x) is not finite")
         return fx
 
     def jv(self, x: np.ndarray, p: np.ndarray, r: np.ndarray, *,
@@ -409,7 +399,7 @@ class EvalCounter:
         if self.exact_jv:
             jv = self.prob.exact_jv(x, p)
             if not all_finite(jv):
-                raise NonFiniteError("J(x) p is not finite", x=x)
+                raise NonFiniteError("J(x) p is not finite")
             return jv
         if p_norm is None:
             p_norm = float(np.linalg.norm(p))
@@ -422,7 +412,7 @@ class EvalCounter:
         shifted += x
         f_shift = self.prob.eval_f(shifted)
         if not all_finite(f_shift):
-            raise NonFiniteError("f(x + eps*p) is not finite", x=shifted)
+            raise NonFiniteError("f(x + eps*p) is not finite")
         jv = f_shift + r
         jv /= eps
         self.count += 1
@@ -445,7 +435,7 @@ class EvalCounter:
         self.count += 1
         val = float(self.prob.eval_phi(x))
         if not np.isfinite(val):
-            raise NonFiniteError("phi(x) is not finite", x=x)
+            raise NonFiniteError("phi(x) is not finite")
         return val
 
 

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .core import BreakdownError, WindowPair, check_finite
+from .core import WindowPair, check_finite
 
 
 @dataclass
@@ -117,8 +117,11 @@ class KrylovHistory:
 
     `norms` holds the residual norm of each iterate (the values the
     convergence test computed); then the step lengths, the scales, the
-    orthogonalization coefficients and the converged/truncated flags
-    (truncated: the window has evicted a direction of this solve):
+    orthogonalization coefficients and the flags: `converged` (norms[-1]
+    <= tol_rel ||b||, or tol_rel ||r_0|| when b = 0), `breakdown` (the
+    next direction collapsed; the solve stopped and returned its iterate)
+    and `truncated` (the window has evicted a direction of this solve).
+    A solve that sets neither of the first two ran max_iters steps.
     `betas[t]` holds direction t's Gram-Schmidt coefficients against
     directions t - len(betas[t]) .. t - 1 (CR: its recurrence's scalar).
     GCR and TGCR also hand back the solve's window, except tgcr_solve in a
@@ -134,6 +137,7 @@ class KrylovHistory:
         self.betas: List[np.ndarray] = []
         self.truncated = False
         self.converged = False
+        self.breakdown = False
 
     @property
     def iterations(self) -> int:
@@ -211,10 +215,11 @@ def add_direction(window: WindowPair, p, v, *, r0_norm: float, p_norm: Optional[
     return s, b
 
 
-def _start(A: LinearOperator, b, x0, hist: KrylovHistory):
-    """The start of a linear solve: checks b and x0, forms r_0 = b - A x0
-    and records its norm in hist. Returns (x0, r_0, the reference norm of
-    the convergence test): ||b||, or ||r_0|| when b = 0."""
+def _start(A: LinearOperator, b, x0, hist: KrylovHistory, tol_rel: float):
+    """The start of a linear solve: checks b and x0, forms r_0 = b - A x0,
+    records its norm in hist and whether that is converged already. Returns
+    (x0, r_0, the convergence target): tol_rel ||b||, or tol_rel ||r_0||
+    when b = 0."""
     b = check_finite(np.asarray(b, dtype=float), "b")
     x = check_finite(np.asarray(x0, dtype=float), "x0").copy()
     if b.shape != (A.dim,) or x.shape != (A.dim,):
@@ -224,7 +229,9 @@ def _start(A: LinearOperator, b, x0, hist: KrylovHistory):
     r = b.copy() if not np.any(x) else b - A.apply(x)
     rnorm = float(np.linalg.norm(r))
     hist.norms.append(rnorm)
-    return x, r, float(np.linalg.norm(b)) or rnorm
+    target = tol_rel * (float(np.linalg.norm(b)) or rnorm)
+    hist.converged = rnorm <= target
+    return x, r, target
 
 
 def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions,
@@ -247,13 +254,12 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
     # U[i, t] = b_it / s_t, so x0 + alpha @ P = x0 + sum_t (z_t / s_t) r_t
     # with U z = alpha.
     U = np.eye(capacity) if workspace is not None and capacity == opts.max_iters else None
-    x, r, ref = _start(A, b, x0, hist)
+    x, r, target = _start(A, b, x0, hist, opts.tol_rel)
     # r_0 and the v rows give back every residual of a residual-basis solve.
     r0 = r
     rnorm = hist.norms[0]
 
-    if rnorm <= opts.tol_rel * ref:
-        hist.converged = True
+    if hist.converged:
         return x, hist
 
     def _residuals():
@@ -304,27 +310,24 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
             x_k = x_k + alpha * p
         return x_k
 
-    def _new_direction(t: int):
-        """Build direction t from the current residual; raises on breakdown."""
+    def _new_direction(t: int) -> bool:
+        """Build direction t from the current residual; False on breakdown."""
         built = add_direction(window, r, A.apply(r), r0_norm=hist.norms[0], p_norm=rnorm,
                               residual_basis=U is not None)
         if built is None:
-            raise BreakdownError(
-                f"direction collapsed at step {t}",
-                residual=r.copy(),
-                resnorm=rnorm,
-                x=_iterate().copy(),
-                history=hist,
-            )
+            hist.breakdown = True
+            return False
         s, coeffs = built
         hist.scales.append(s)
         hist.betas.append(coeffs)
         hist.truncated = len(window) < len(hist.scales)
         if U is not None:
             U[:t, t] = coeffs / s
+        return True
 
-    _new_direction(0)
     for j in range(opts.max_iters):
+        if not _new_direction(j):
+            break
         P, V = window.rows()
         v_j = V[window.newest_slot]
         alpha = float(r @ v_j)
@@ -334,12 +337,10 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
         rnorm = math.sqrt(r @ r)
         hist.alphas.append(alpha)
         hist.norms.append(rnorm)
-        if rnorm <= opts.tol_rel * ref:
+        if rnorm <= target:
             hist.converged = True
             break
-        if j + 1 >= opts.max_iters:
-            break
-        if U is not None and rnorm > STALL_RATIO * hist.norms[-2]:
+        if U is not None and j + 1 < opts.max_iters and rnorm > STALL_RATIO * hist.norms[-2]:
             # Near stagnation r_{t+1} and r_t are almost parallel and U
             # ill-conditioned, so back substitution would lose the accuracy
             # the direction basis keeps: the rest of the solve builds
@@ -347,7 +348,6 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
             # Algorithms 53, 2010).
             x = _leave_residual_basis()
             U = None
-        _new_direction(j + 1)
     return _iterate(), hist
 
 
@@ -355,9 +355,10 @@ def gcr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
     """Full GCR: minimizes ||b - A x|| over x0 + span of all directions.
 
     Returns (x, history); the history's window holds every direction and
-    its betas the complete orthogonalization table. The window is
-    allocated up front for min(max_iters, dim) directions: past dim
-    orthonormal v columns a new v collapses to rounding noise, so a
+    its betas the complete orthogonalization table. A collapsed direction
+    stops the solve at the iterate reached, with history.breakdown set. The
+    window is allocated up front for min(max_iters, dim) directions: past
+    dim orthonormal v columns a new v collapses to rounding noise, so a
     solve does not reach dim + 1 directions in practice; one that does
     evicts the oldest like TGCR with m = dim and is marked truncated.
     """
@@ -376,10 +377,10 @@ def tgcr_solve(A: LinearOperator, b, x0, m: int, opts: Optional[LinearOptions] =
     the workspace. The scalars are the same floats either way, and so is
     the iterate when the workspace can evict (m < max_iters). When it
     cannot, it keeps the residual basis, one v row per direction, until a
-    step stalls (module docstring); the iterate, returned or carried by
-    BreakdownError, equals the one without a workspace up to rounding, and
-    to the bit once a step has stalled. The workspace's rows are scratch
-    after the solve.
+    step stalls (module docstring); the iterate equals the one without a
+    workspace up to rounding, and to the bit once a step has stalled. The
+    workspace's rows are scratch after the solve. A breakdown stops the
+    solve as in gcr_solve.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -391,42 +392,36 @@ def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
 
     Maintains p, Ap through the standard coupled recurrence with one
     operator application per iteration. Rejects operators not declared
-    symmetric.
+    symmetric. A collapse (the loop's three-way test) stops it as in gcr_solve.
     """
     if not A.is_symmetric:
         raise ValueError("cr_solve requires an operator declared symmetric")
     opts = opts or LinearOptions()
     hist = KrylovHistory()
-    x, r, ref = _start(A, b, x0, hist)
+    x, r, target = _start(A, b, x0, hist, opts.tol_rel)
     rnorm = hist.norms[0]
-    if rnorm <= opts.tol_rel * ref:
-        hist.converged = True
+    if hist.converged:
         return x, hist
     p = r.copy()
     Ar = A.apply(r)
     Ap = Ar.copy()
     rAr = float(r @ Ar)
-    for j in range(opts.max_iters):
+    for _ in range(opts.max_iters):
         denom = float(Ap @ Ap)
         # add_direction's two relative rules: A p against the A r it was
         # built from, and r against the first residual. On an indefinite A,
         # r . A r = 0 makes the step zero and the next beta 0 / 0.
         if (math.sqrt(denom) <= BREAKDOWN_TOL * math.sqrt(float(Ar @ Ar))
                 or rnorm <= BREAKDOWN_TOL * hist.norms[0] or rAr == 0.0):
-            raise BreakdownError(
-                f"CR direction collapsed at step {j}",
-                residual=r.copy(),
-                resnorm=rnorm,
-                x=x,
-                history=hist,
-            )
+            hist.breakdown = True
+            break
         alpha = rAr / denom
         x = x + alpha * p
         r = r - alpha * Ap
         rnorm = float(np.linalg.norm(r))
         hist.alphas.append(alpha)
         hist.norms.append(rnorm)
-        if rnorm <= opts.tol_rel * ref:
+        if rnorm <= target:
             hist.converged = True
             break
         Ar = A.apply(r)

@@ -19,6 +19,11 @@ from .linear import LinearOperator
 _EXP_OVERFLOW = 700.0  # exp argument beyond which float64 overflows
 
 
+def _check_size(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Bratu problem: lap(u) + lam * exp(u) = 0 on the unit square, zero Dirichlet
 # boundary, 5-point centered differences on a grid_n x grid_n interior grid.
@@ -38,6 +43,9 @@ class BratuProblem:
     grid_n: int = 100
     lam: float = 0.5
     scaled: bool = False
+
+    def __post_init__(self):
+        _check_size("grid_n", self.grid_n)
 
     @property
     def h(self) -> float:
@@ -126,6 +134,9 @@ class LennardJonesProblem:
     perturbation_scale: float = 0.05
     rng_seed: int = 0
     lattice_constant: float = FCC_LATTICE_CONSTANT
+
+    def __post_init__(self):
+        _check_size("cells_per_side", self.cells_per_side)
 
     @property
     def atoms(self) -> int:
@@ -236,6 +247,8 @@ def logreg_make_synthetic(
     n_samples: int = 2000, n_features: int = 500, seed: int = 0, lambda_reg: float = 1e-2
 ) -> LogRegProblem:
     """Gaussian features with labels drawn from a planted logistic model."""
+    _check_size("n_samples", n_samples)
+    _check_size("n_features", n_features)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n_samples, n_features)) / np.sqrt(n_features)
     theta_star = rng.standard_normal(n_features)

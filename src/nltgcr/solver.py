@@ -119,13 +119,11 @@ def _steps(ev, x, fx, target, opts, mode, observer):
         nonlocal restarts_left
         if restart:
             if restarts_left <= 0:
-                raise BreakdownError("window restarts exhausted", residual=r.copy(),
-                                     resnorm=math.sqrt(r2))
+                raise BreakdownError("window restarts exhausted")
             restarts_left -= 1
         window.clear()
         if not build_direction():
-            raise BreakdownError("seed direction collapsed", residual=r.copy(),
-                                 resnorm=math.sqrt(r2))
+            raise BreakdownError("seed direction collapsed")
 
     seed_window()
     fresh = False  # the window's newest pair extends the previous step

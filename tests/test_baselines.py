@@ -8,6 +8,7 @@ import pytest
 import nltgcr.baselines as baselines
 from nltgcr import (
     BratuProblem,
+    BreakdownError,
     LineSearchOptions,
     NonFiniteError,
     NonlinearProblem,
@@ -375,6 +376,37 @@ class TestNewtonKrylov:
         assert len(calls) == 3 and calls[0] == 0.0 and calls[1] < 0.0
         assert sum(c > 0.0 for c in calls) == 1
         assert info.value.trace.frozen and info.value.x.tolist() == [0.0]
+
+    def test_inner_breakdown_before_a_step_raises_at_x0(self):
+        # A constant f has J = 0: the first inner direction collapses, so
+        # there is no step to search along.
+        x0 = np.array([0.5, -1.0])
+        prob = NonlinearProblem(dim=2, eval_f=lambda x: np.array([1.0, 2.0]))
+        with pytest.raises(BreakdownError, match="direction collapsed at step 0") as info:
+            newton_krylov_solve(prob, x0)
+        trace = info.value.trace
+        assert trace.frozen and len(trace) == 1 and trace.final().iter == 0
+        assert info.value.x.tobytes() == x0.tobytes()
+
+    def test_inner_breakdown_after_a_step_keeps_the_step(self):
+        # f(x) = u (sum(x) - 1) has the one-dimensional range span(u): one
+        # inner step leaves r at rounding level, above the forcing tolerance
+        # 1e-20 ||r_0||, and the next inner direction collapses. The outer
+        # solve takes that step, which solves f(x) = 0 to the probe's accuracy.
+        u = np.array([1.0, 2.0, -1.0])
+        prob = NonlinearProblem(dim=3, eval_f=lambda x: u * (x.sum() - 1.0))
+        reports = []
+        x, trace = newton_krylov_solve(prob, np.zeros(3), inner_m=5, eta0=1e-20,
+                                       opts=SolverOptions(tol_rel=1e-8, max_iters=5),
+                                       observer=reports.append)
+        (rep,) = reports
+        # Neither converged nor capped: the inner solve broke down.
+        assert rep["inner_steps"] == 1 and not rep["cap_hit"]
+        assert rep["inner_resnorms"][-1] > rep["forcing_rhs"]
+        assert rep["alpha"] == 1.0
+        assert trace.final().iter == 1
+        assert trace.final().resnorm <= 1e-8 * trace.records[0].resnorm
+        assert abs(x.sum() - 1.0) <= 1e-8
 
     def test_eta_floor_keeps_inner_solves_shallow_early(self):
         bp = BratuProblem(grid_n=20)

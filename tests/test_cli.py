@@ -367,6 +367,27 @@ max_iters = 200
             assert captured.out == ""
             assert not out.exists()
 
+    def test_problem_size_below_one_stops_before_any_solve(self, tmp_path, capsys):
+        # An empty problem used to run as a failed solve with a cryptic
+        # message, or (cells = 0) to end the batch with a traceback.
+        good = BASE_CONFIG.replace("[bratu-small]", "[good]").replace("grid_n = 15", "grid_n = 8")
+        cases = [
+            (BASE_CONFIG.replace("grid_n = 15", "grid_n = 0"), "grid_n"),
+            (BASE_CONFIG.replace("grid_n = 15", "grid_n = -3"), "grid_n"),
+            ("[bratu-small]\nproblem = lennard-jones\ncells = 0\nsolver = nltgcr\n", "cells"),
+            ("[bratu-small]\nproblem = logreg\nsamples = 0\nsolver = lbfgs\n", "samples"),
+            ("[bratu-small]\nproblem = logreg\nfeatures = 0\nsolver = lbfgs\n", "features"),
+        ]
+        for i, (section, key) in enumerate(cases):
+            out = tmp_path / f"o{i}"
+            rc = main(["run", str(_write(tmp_path, good + "\n" + section)), "--out", str(out)])
+            captured = capsys.readouterr()
+            assert rc == 2, section
+            assert captured.err.startswith("error: run 'bratu-small': ")
+            assert f"bad value for '{key}'" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
+
 
 class TestCompare:
     def _trace_csv(self, tmp_path, name, resnorms, start_fev=1):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from nltgcr import (
     SolverOptions,
     TraceRecord,
     WindowPair,
+    nltgcr_solve,
 )
 from nltgcr.linear import add_direction
 
@@ -320,6 +323,23 @@ class TestSolverOptions:
 
 
 class TestEvalCounter:
+    @pytest.mark.parametrize(
+        "f, shape",
+        [(lambda x: x[:2], (2,)), (lambda x: x[:, None], (3, 1)), (lambda x: float(x @ x), ())],
+        ids=["short", "column", "scalar"],
+    )
+    def test_f_of_another_shape_is_rejected(self, f, shape):
+        prob = NonlinearProblem(dim=3, eval_f=f)
+        message = re.escape(f"f(x) has shape {shape}, expected (3,)")
+        with pytest.raises(ValueError, match=message):
+            EvalCounter(prob).f(np.ones(3))
+        # In a solve it is a failure at x0 that carries x0 and the empty
+        # frozen trace, as bench run records it.
+        with pytest.raises(ValueError, match=message) as info:
+            nltgcr_solve(prob, np.ones(3))
+        assert info.value.trace.frozen and len(info.value.trace) == 0
+        np.testing.assert_array_equal(info.value.x, np.ones(3))
+
     def test_counts_f_and_frechet(self):
         prob = NonlinearProblem(dim=2, eval_f=lambda x: x * x)
         ev = EvalCounter(prob)

@@ -90,11 +90,10 @@ class TestGcr:
         op = LinearOperator.from_matrix(np.eye(8))
         rng = np.random.default_rng(5)
         b = rng.standard_normal(8)
-        with pytest.raises(BreakdownError) as info:
-            gcr_solve(op, b, np.zeros(8), LinearOptions(tol_rel=1e-30, max_iters=10))
-        err = info.value
-        assert err.resnorm / np.linalg.norm(b) <= 1e-8
-        assert err.residual is not None
+        x, h = gcr_solve(op, b, np.zeros(8), LinearOptions(tol_rel=1e-30, max_iters=10))
+        assert h.breakdown and not h.converged
+        assert h.norms[-1] / np.linalg.norm(b) <= 1e-8
+        assert np.linalg.norm(b - op.mat @ x) / np.linalg.norm(b) <= 1e-8
 
     def test_dimension_mismatch_rejected(self):
         op = LinearOperator.from_matrix(np.eye(4))
@@ -205,13 +204,12 @@ class TestCr:
         op = LinearOperator.from_matrix(np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]))
         b = np.random.default_rng(0).standard_normal(6)
         opts = LinearOptions(tol_rel=1e-30, max_iters=20)
-        errs = []
-        for scale in (1.0, 2.0**k):
-            with pytest.raises(BreakdownError, match="step 3") as info:
-                cr_solve(op, scale * b, np.zeros(6), opts)
-            errs.append(info.value)
-        assert (errs[1].x / 2.0**k).tobytes() == errs[0].x.tobytes()
-        assert errs[1].resnorm / 2.0**k == errs[0].resnorm
+        runs = [cr_solve(op, scale * b, np.zeros(6), opts) for scale in (1.0, 2.0**k)]
+        (x, h), (x_scaled, h_scaled) = runs
+        assert h.breakdown and h.iterations == 3
+        assert h_scaled.breakdown and h_scaled.iterations == 3
+        assert (x_scaled / 2.0**k).tobytes() == x.tobytes()
+        assert h_scaled.norms[-1] / 2.0**k == h.norms[-1]
 
     def test_zero_r_dot_ar_is_a_breakdown(self):
         # diag(1, -1) and b = (1, 1): r . A r = 0, so the step would be
@@ -219,24 +217,22 @@ class TestCr:
         # next direction collapses.
         op = LinearOperator.from_matrix(np.diag([1.0, -1.0]))
         b = np.ones(2)
-        with pytest.raises(BreakdownError, match="step 0") as info:
-            cr_solve(op, b, np.zeros(2))
-        err = info.value
-        assert err.x.tobytes() == np.zeros(2).tobytes()
-        assert err.resnorm == np.sqrt(2.0) and err.history.norms == [np.sqrt(2.0)]
-        np.testing.assert_array_equal(err.residual, b)
-        with pytest.raises(BreakdownError, match="step 1"):
-            gcr_solve(op, b, np.zeros(2))
+        x, h = cr_solve(op, b, np.zeros(2))
+        assert h.breakdown and h.iterations == 0
+        assert x.tobytes() == np.zeros(2).tobytes()
+        assert h.norms[-1] == np.sqrt(2.0) and h.norms == [np.sqrt(2.0)]
+        np.testing.assert_array_equal(b - op.mat @ x, b)
+        _, h = gcr_solve(op, b, np.zeros(2))
+        assert h.breakdown and h.iterations == 1
 
     def test_breakdown_carries_iterate_and_history(self):
         # A = 0: the first direction collapses before any step is taken.
         op = LinearOperator.from_matrix(np.zeros((3, 3)), is_symmetric=True)
         x0 = np.zeros(3)
-        with pytest.raises(BreakdownError, match="step 0") as info:
-            cr_solve(op, np.ones(3), x0)
-        err = info.value
-        assert err.x.tobytes() == x0.tobytes()
-        assert err.history.norms == [np.sqrt(3.0)]
+        x, h = cr_solve(op, np.ones(3), x0)
+        assert h.breakdown and h.iterations == 0
+        assert x.tobytes() == x0.tobytes()
+        assert h.norms == [np.sqrt(3.0)]
 
 
 def _window_instance(k, n, seed, near_span=False):
@@ -521,13 +517,13 @@ class TestAddDirection:
         calls = self._spy(monkeypatch, linear)
         op = LinearOperator.from_matrix(np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]))
         b = np.random.default_rng(0).standard_normal(6)
-        with pytest.raises(BreakdownError) as info:
-            tgcr_solve(op, b, np.zeros(6), m=2, opts=LinearOptions(tol_rel=1e-30, max_iters=20))
+        _, h = tgcr_solve(op, b, np.zeros(6), m=2, opts=LinearOptions(tol_rel=1e-30, max_iters=20))
+        assert h.breakdown
         before, after, out = calls[-1]
         assert out is None and all(c[2] is not None for c in calls[:-1])
         assert before[:2] == (2, 1)
         _assert_same_window(before, after)
-        _assert_same_window(before, _snapshot(info.value.history.window))
+        _assert_same_window(before, _snapshot(h.window))
 
     def test_nltgcr_restarts_window_after_collapse(self, monkeypatch):
         # f(0) = (-1, 0) with J(0) = I, so the first step lands on (1, 0)
@@ -573,6 +569,43 @@ class TestAddDirection:
         np.testing.assert_allclose(info.value.x, [1.0, 0.0], atol=1e-15)
 
 
+class TestStopContract:
+    """Every linear solve ends in exactly one stated way: converged, broke
+    down, or ran its max_iters steps without converging."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        solver=st.sampled_from(["gcr", "tgcr", "tgcr-workspace", "cr"]),
+        kind=st.sampled_from(["spd", "nonsymmetric", "indefinite"]),
+        n=st.integers(1, 30),
+        m=st.integers(1, 8),
+        max_iters=st.integers(1, 40),
+        tol=st.sampled_from([1e-8, 1e-30]),
+        random_x0=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_outcome_and_converged_means_the_target_is_met(
+        self, solver, kind, n, m, max_iters, tol, random_x0, seed
+    ):
+        if solver == "cr" and kind == "nonsymmetric":
+            kind = "spd"
+        op, b = make_linear_problem(kind, n, seed=seed)
+        x0 = np.random.default_rng(seed).standard_normal(n) if random_x0 else np.zeros(n)
+        opts = LinearOptions(tol_rel=tol, max_iters=max_iters)
+        if solver == "gcr":
+            _, h = gcr_solve(op, b, x0, opts)
+        elif solver == "cr":
+            _, h = cr_solve(op, b, x0, opts)
+        else:
+            w = WindowPair(min(m, max_iters)) if solver == "tgcr-workspace" else None
+            _, h = tgcr_solve(op, b, x0, m=m, opts=opts, workspace=w)
+        ran_out = h.iterations == max_iters and not h.converged
+        assert [h.converged, h.breakdown, ran_out].count(True) == 1
+        # A breakdown stops the solve before its last step.
+        assert not h.breakdown or h.iterations < max_iters
+        assert h.converged == (h.norms[-1] <= tol * float(np.linalg.norm(b)))
+
+
 class TestLinearOptions:
     @pytest.mark.parametrize(
         "kw", [dict(max_iters=0), dict(max_iters=-1), dict(tol_rel=0.0), dict(tol_rel=-1.0)]
@@ -586,15 +619,12 @@ class TestLinearOptions:
 
 def _scalars(x, h):
     return (x.tobytes(), h.resnorms().tobytes(), h.iterations, h.alphas, h.scales,
-            [b.tobytes() for b in h.betas], h.converged, h.truncated)
+            [b.tobytes() for b in h.betas], h.converged, h.truncated, h.breakdown)
 
 
 def _run(op, b, m, opts, workspace=None):
-    """(x, history) of a tgcr solve, or of its BreakdownError."""
-    try:
-        return tgcr_solve(op, b, np.zeros(op.dim), m=m, opts=opts, workspace=workspace)
-    except BreakdownError as err:
-        return err.x, err.history
+    """(x, history) of a tgcr solve from x0 = 0."""
+    return tgcr_solve(op, b, np.zeros(op.dim), m=m, opts=opts, workspace=workspace)
 
 
 # make_linear_problem's kinds and three more: "few-eigenvalues" (GCR ends
@@ -655,7 +685,7 @@ class TestWorkspace:
     )
     def test_same_floats_as_full_history(self, kind, n, m, max_iters, tol, seed):
         # "few-eigenvalues" with tol 1e-30 collapses a direction, so the
-        # comparison covers BreakdownError histories too.
+        # comparison covers breakdown histories too.
         op, b = _workspace_problem(kind, n, seed)
         opts = LinearOptions(tol_rel=tol, max_iters=max_iters)
         w = WindowPair(min(m, max_iters))
@@ -796,16 +826,15 @@ class TestWorkspace:
         op = LinearOperator.from_matrix(np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]))
         b = np.random.default_rng(0).standard_normal(6)
         opts = LinearOptions(tol_rel=1e-30, max_iters=20)
-        errs = []
-        for workspace in (None, WindowPair(2)):
-            with pytest.raises(BreakdownError) as info:
-                tgcr_solve(op, b, np.zeros(6), m=2, opts=opts, workspace=workspace)
-            errs.append(info.value)
-        full, ws = errs
-        assert ws.history.window is None
-        assert _scalars(ws.x, ws.history) == _scalars(full.x, full.history)
-        assert ws.resnorm == full.resnorm
-        np.testing.assert_array_equal(ws.residual, full.residual)
+        (x_full, full), (x_ws, ws) = [
+            tgcr_solve(op, b, np.zeros(6), m=2, opts=opts, workspace=workspace)
+            for workspace in (None, WindowPair(2))
+        ]
+        assert full.breakdown and ws.breakdown
+        assert ws.window is None
+        assert _scalars(x_ws, ws) == _scalars(x_full, full)
+        assert ws.norms[-1] == full.norms[-1]
+        np.testing.assert_array_equal(b - op.mat @ x_ws, b - op.mat @ x_full)
 
     @pytest.mark.parametrize("capacity", [1, 4, 6])
     def test_wrong_capacity_rejected(self, capacity):

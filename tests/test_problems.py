@@ -290,3 +290,21 @@ class TestLinearFixtures:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             make_linear_problem("bogus", 4, seed=0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: BratuProblem(grid_n=0), "grid_n must be >= 1, got 0"),
+        (lambda: BratuProblem(grid_n=-3), "grid_n must be >= 1, got -3"),
+        (lambda: LennardJonesProblem(cells_per_side=0), "cells_per_side must be >= 1, got 0"),
+        (lambda: logreg_make_synthetic(n_samples=0), "n_samples must be >= 1, got 0"),
+        (lambda: logreg_make_synthetic(n_features=0), "n_features must be >= 1, got 0"),
+    ],
+    ids=["bratu-0", "bratu-neg", "lj-0", "logreg-samples", "logreg-features"],
+)
+def test_problem_sizes_below_one_rejected(make, message):
+    # An empty grid, cluster or data set has nothing to solve: each used
+    # to surface later as a cryptic failure inside a solve.
+    with pytest.raises(ValueError, match=message):
+        make()
