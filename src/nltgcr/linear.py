@@ -18,11 +18,12 @@ of Walker & Zhou, "A simpler GMRES", NLAA 1, 1994; its stability:
 Jiranek, Rozloznik & Gutknecht, SIMAX 30, 2008). It does not store the
 residuals either: r_{t+1} = r_t - alpha_t v_t gives each one back from
 r_0 and the v rows, replayed with the loop's own floats, so the window
-holds one row per direction, as GMRES does. Near stagnation successive
-residuals are almost parallel and B^(k) ill-conditioned, so a step that
-keeps more than STALL_RATIO of ||r|| rebuilds the directions the
-direction basis would hold, to the bit, and the rest of the solve
-updates p and x at every step.
+holds one row per direction, as GMRES does. At exit the replay writes each
+r_{t+1} over the v_t it was the last to read, so the workspace's v rows
+hold residuals after the solve. Near stagnation successive residuals are
+almost parallel and B^(k) ill-conditioned, so a step that keeps more than
+STALL_RATIO of ||r|| rebuilds the directions the direction basis would
+hold, to the bit, and the rest of the solve updates p and x at every step.
 """
 
 from __future__ import annotations
@@ -85,9 +86,6 @@ KEPT_FLOOR = 0.2
 # solves on scaled Bratu keep at most 0.994 of ||r|| per step, so they stay
 # in the residual basis.
 STALL_RATIO = 0.999
-# A residual-basis solve replays its residuals in blocks of this many rows,
-# one buffer and one product per block.
-REPLAY_ROWS = 8
 
 
 def skip_eta(k: int, n: int) -> float:
@@ -123,7 +121,8 @@ class KrylovHistory:
     and `truncated` (the window has evicted a direction of this solve).
     A solve that sets neither of the first two ran max_iters steps.
     `betas[t]` holds direction t's Gram-Schmidt coefficients against
-    directions t - len(betas[t]) .. t - 1 (CR: its recurrence's scalar).
+    directions t - len(betas[t]) .. t - 1 (CR: the recurrence's scalar
+    that built direction t + 1).
     GCR and TGCR also hand back the solve's window, except tgcr_solve in a
     caller's workspace. The algorithms store p_i and v_i = A p_i divided by
     `scales[i]`, so that the v rows are unit vectors.
@@ -226,7 +225,7 @@ def _start(A: LinearOperator, b, x0, hist: KrylovHistory, tol_rel: float):
         raise ValueError("dimension mismatch between operator, b, and x0")
     # A @ 0 = 0 by linearity; skipping the apply also spares matrix-free
     # operators a probe along the zero vector.
-    r = b.copy() if not np.any(x) else b - A.apply(x)
+    r = b if not np.any(x) else b - A.apply(x)
     rnorm = float(np.linalg.norm(r))
     hist.norms.append(rnorm)
     target = tol_rel * (float(np.linalg.norm(b)) or rnorm)
@@ -262,49 +261,45 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
     if hist.converged:
         return x, hist
 
-    def _residuals():
-        """The residuals r_0 .. r_{k-1} of the k steps so far, as (t, R):
-        blocks of rows r_t .. r_{t + len(R) - 1} in one buffer of
-        REPLAY_ROWS rows. Each r_{t+1} is replayed as the loop formed it,
-        r_t - alpha_t * v_t with the same floats, so it is the same bytes.
-        In the residual basis the window holds one v row per alpha, in
-        window order (nothing was evicted)."""
-        k = len(hist.alphas)
+    def _replay(dest):
+        """Write r_{t+1} = r_t - alpha_t v_t into dest[t] for every step but
+        the last, with the loop's own operations and floats, so that each
+        row is the bytes the loop held. In the residual basis the window
+        holds one v row per alpha, in window order (nothing was evicted);
+        dest may be those rows, each r_{t+1} overwriting the v_t it was the
+        last to read."""
         V = window.rows()[1]
-        buf = np.empty((min(REPLAY_ROWS, k), r0.shape[0]))
         prev = r0
-        for t in range(0, k, len(buf)):
-            R = buf[: k - t]
-            for i, row in enumerate(R, t):
-                if i:
-                    np.subtract(prev, np.multiply(V[i - 1], hist.alphas[i - 1], out=row), out=row)
-                else:
-                    row[:] = r0
-                prev = row
-            yield t, R
+        for t, alpha in enumerate(hist.alphas[:-1]):
+            np.subtract(prev, np.multiply(V[t], alpha, out=dest[t]), out=dest[t])
+            prev = dest[t]
 
     def _iterate():
         """x0 plus the steps taken so far. On a triangular U, LU with
         partial pivoting never swaps a row, so the solve is a back
-        substitution."""
+        substitution. The residual basis forms r_1 .. r_{k-1} in its own
+        v rows, which leaves the workspace holding them."""
         k = len(hist.alphas)
         if U is None or not k:
             return x
         w = np.linalg.solve(U[:k, :k], hist.alphas) / hist.scales
-        out = x.copy()
-        for t, R in _residuals():
-            out += w[t : t + len(R)] @ R
+        V = window.rows()[1]
+        _replay(V)
+        out = x + w[0] * r0
+        out += w[1:] @ V[: k - 1]
         return out
 
     def _leave_residual_basis():
         """Give the pairs the directions the direction basis builds,
         P_t = (r_t - sum_i b_it P_i) / s_t, and return x0 plus the steps
-        taken so far, summed as it sums them. Every operand is the same
-        float, so the rest of the solve is the direction basis's to the bit."""
+        taken so far, summed as it sums them. Each P row first holds r_t,
+        then its direction; every operand is the same float, so the rest of
+        the solve is the direction basis's to the bit."""
         P = window.add_p_rows()
-        for t, R in _residuals():
-            for i, row in enumerate(R, t):
-                np.divide(row - np.dot(hist.betas[i], P[:i]), hist.scales[i], out=P[i])
+        P[0] = r0
+        _replay(P[1:])
+        for t, row in enumerate(P):
+            np.divide(row - np.dot(hist.betas[t], P[:t]), hist.scales[t], out=row)
         x_k = x
         for alpha, p in zip(hist.alphas, P):
             x_k = x_k + alpha * p
@@ -379,8 +374,9 @@ def tgcr_solve(A: LinearOperator, b, x0, m: int, opts: Optional[LinearOptions] =
     cannot, it keeps the residual basis, one v row per direction, until a
     step stalls (module docstring); the iterate equals the one without a
     workspace up to rounding, and to the bit once a step has stalled. The
-    workspace's rows are scratch after the solve. A breakdown stops the
-    solve as in gcr_solve.
+    workspace's rows are scratch after the solve: a residual-basis exit
+    overwrites its v rows with the residuals the iterate is summed from. A
+    breakdown stops the solve as in gcr_solve.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -402,11 +398,19 @@ def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
     rnorm = hist.norms[0]
     if hist.converged:
         return x, hist
-    p = r.copy()
-    Ar = A.apply(r)
-    Ap = Ar.copy()
-    rAr = float(r @ Ar)
-    for _ in range(opts.max_iters):
+    # Step j builds its direction at the top, as in _tgcr_engine, so a solve
+    # that runs out of max_iters forms no A r it will not use.
+    for j in range(opts.max_iters):
+        Ar = A.apply(r)
+        rAr_new = float(r @ Ar)
+        if j:
+            beta = rAr_new / rAr
+            hist.betas.append(beta)
+            p = r + beta * p
+            Ap = Ar + beta * Ap
+        else:
+            p, Ap = r, Ar
+        rAr = rAr_new
         denom = float(Ap @ Ap)
         # add_direction's two relative rules: A p against the A r it was
         # built from, and r against the first residual. On an indefinite A,
@@ -424,11 +428,4 @@ def cr_solve(A: LinearOperator, b, x0, opts: Optional[LinearOptions] = None):
         if rnorm <= target:
             hist.converged = True
             break
-        Ar = A.apply(r)
-        rAr_new = float(r @ Ar)
-        beta = rAr_new / rAr
-        hist.betas.append(beta)
-        p = r + beta * p
-        Ap = Ar + beta * Ap
-        rAr = rAr_new
     return x, hist

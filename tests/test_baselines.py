@@ -292,10 +292,10 @@ class TestNewtonKrylov:
         # Every inner solve runs in one window of inner_m * n doubles, one v
         # row per direction (the residual basis stores no P rows), and keeps
         # no residuals or iterates, so no outer step holds a second one. The
-        # rest of the peak is a few vectors, the 8-row buffer the iterate is
-        # summed from and the inner solve's coefficient arrays (up to
-        # inner_m^2 / 2 doubles), about 0.47 of a window at this small n.
-        # With a P row per direction the peak was 2.47 windows.
+        # rest of the peak is a few vectors and the inner solves'
+        # coefficient arrays (inner_m^2 doubles in U, about as much in two
+        # histories' betas), about 0.3 of a window at this small n. With a
+        # P row per direction the peak was 2.47 windows.
         import tracemalloc
 
         bp = BratuProblem(grid_n=40, lam=0.5, scaled=True)
@@ -311,6 +311,34 @@ class TestNewtonKrylov:
         assert trace.final().resnorm <= 1e-8 * trace.records[0].resnorm
         window_bytes = 50 * bp.dim * 8
         assert peak < 1.6 * window_bytes
+
+    def test_peak_memory_in_n_vectors(self):
+        # The peak is in a Jv probe of an inner solve, 60.4 n-vectors here:
+        # - the window's inner_m v rows; the exit replays the residuals the
+        #   iterate is summed from into those rows, so it adds none;
+        # - five vectors live through every inner solve: the outer x and
+        #   r = -f(x), the inner x0 = 0 and its copy, and the residual r_t;
+        # - three in the probe: x + eps p, the stencil's output and exp(u);
+        # - U (inner_m^2 doubles) and the betas of this and the previous
+        #   inner history (about inner_m^2 / 2 doubles each, plus array
+        #   headers), 1.7 n-vectors at n = 3600.
+        # That is inner_m + 9.7, and small objects bring it to 60.4; the
+        # bound leaves 1.6 n-vectors. An 8-row replay buffer at the exit
+        # and a copy of b at the start would put it at 68.5.
+        import tracemalloc
+
+        bp = BratuProblem(grid_n=60, lam=0.5, scaled=True)
+        prob = bp.minimization_problem()
+        opts = SolverOptions(tol_rel=1e-8, max_iters=40)
+        tracemalloc.start()
+        try:
+            _, trace = newton_krylov_solve(prob, np.zeros(bp.dim), inner_m=50, eta0=0.9,
+                                           opts=opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.final().resnorm <= 1e-8 * trace.records[0].resnorm
+        assert peak <= (50 + 12) * bp.dim * 8
 
     def test_accepted_trial_f_is_released_before_the_next_inner_solve(self):
         # The line search's f(x_new) lives on only as r = -f(x_new): by the

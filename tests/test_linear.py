@@ -184,6 +184,18 @@ class TestCr:
         assert h.iterations == 1 and len(calls) == 1
         np.testing.assert_allclose(x, np.ones(5), atol=1e-14)
 
+    def test_running_out_of_steps_takes_one_apply_per_step(self):
+        # After its last allowed step CR forms no A r, beta or direction, so
+        # a max_iters exit records one beta fewer than its steps, as a
+        # converged solve does.
+        op, b = make_linear_problem("spd", 30, seed=0)
+        calls = []
+        counted = LinearOperator(dim=30, apply=lambda v: calls.append(v) or op.apply(v),
+                                 is_symmetric=True)
+        _, h = cr_solve(counted, b, np.zeros(30), LinearOptions(tol_rel=1e-12, max_iters=5))
+        assert not h.converged and not h.breakdown and h.iterations == 5
+        assert len(calls) == 5 and len(h.betas) == 4
+
     def test_indefinite_two_by_two_solved_exactly(self):
         A = np.diag([-1.0, 2.0])
         op = LinearOperator.from_matrix(A, is_symmetric=True)
@@ -704,11 +716,12 @@ class TestWorkspace:
                 # P = U^{-T} Q, Q the rows r_t / s_t, the full path forms P
                 # by forward substitution, then x0 + alpha @ P, a (k + 1)-term
                 # sum; the residual basis back-substitutes for
-                # z = U^{-1} alpha, then sums x0 + sum_t (z_t / s_t) r_t in
-                # blocks of rows. A triangular solve has backward error
-                # |dU| <= gamma_k |U| (Higham, Accuracy and Stability,
-                # Thm 8.5), which puts at most gamma_k |P|^T |U| |z| into x on
-                # either path; each sum, in any order of its terms, adds
+                # z = U^{-1} alpha, then sums x0 + sum_t (z_t / s_t) r_t, the
+                # r_0 term first and the rest in one product. A triangular
+                # solve has backward error |dU| <= gamma_k |U| (Higham,
+                # Accuracy and Stability, Thm 8.5), which puts at most
+                # gamma_k |P|^T |U| |z| into x on either path; each sum, in
+                # any order of its terms, adds
                 # gamma_{k+1} (|x0| + |P|^T |alpha|) or
                 # gamma_{k+1} (|x0| + |Q|^T |z|), and rounding z_t / s_t adds
                 # u |Q|^T |z|. With |alpha| <= |U| |z|, |Q|^T <= |P|^T |U|
@@ -794,8 +807,12 @@ class TestWorkspace:
         assert x.tobytes() == x_full.tobytes()
 
     def test_residual_basis_stores_one_row_per_direction(self):
-        # m v rows, r_0 and a few vectors, the replay's 8-row buffer among
-        # them; a P row per direction would add m more.
+        # m v rows, which the exit's residuals are replayed into, and at
+        # most six n-vectors at a time: x0, its copy and r_t throughout;
+        # during a step A r_t and Gram-Schmidt's temporaries, at exit the
+        # iterate and its temporary. U (m^2 doubles) and the coefficients
+        # (about m^2 / 2) add 0.6 of an n-vector here. A P row per
+        # direction would add m more, and an 8-row replay buffer 8.
         n, m = 4000, 40
         d = np.linspace(1.0, 100.0, n)
         op = LinearOperator(dim=n, apply=lambda v: d * v, is_symmetric=True)
@@ -810,9 +827,33 @@ class TestWorkspace:
             tracemalloc.stop()
         # It ran all m steps and never left the residual basis.
         assert h.iterations == m and w.rows()[0] is None
-        assert peak <= (m + 16) * n * 8
+        assert peak <= (m + 7) * n * 8
         # The iterate formed from the replayed residuals is the solve's.
         assert abs(np.linalg.norm(b - d * x) - h.norms[-1]) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_residual_basis_keeps_its_accuracy_on_an_ill_conditioned_operator(self, seed):
+        # The 1-D Laplacian has condition number 6.5e4 at n = 400. At these
+        # seeds no step stalls, so x is summed from the replayed r_t, which
+        # keeps the gap between ||b - A x|| and the last recorded norm at
+        # most that of the full path (0.05-0.3 of it). Writing x in the
+        # [r_0, V] basis instead, x0 + (sum_t w_t) r_0 -
+        # sum_i (alpha_i sum_{t > i} w_t) v_i, puts it about 4e4 times over
+        # (Jiranek, Rozloznik & Gutknecht, SIMAX 30, 2008). The operators
+        # above, with condition numbers up to about 10, cannot tell the two
+        # apart.
+        n = 400
+        lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        op = LinearOperator.from_matrix(lap)
+        b = lap @ np.random.default_rng(seed).standard_normal(n)
+        opts = LinearOptions(tol_rel=1e-13, max_iters=n)
+        w = WindowPair(n)
+        x_ws, h_ws = _run(op, b, n, opts, workspace=w)
+        x_full, h_full = _run(op, b, n, opts)
+        assert h_ws.converged and w.rows()[0] is None
+        gap_ws, gap_full = (abs(float(np.linalg.norm(b - lap @ x)) - h.norms[-1])
+                            for x, h in ((x_ws, h_ws), (x_full, h_full)))
+        assert gap_ws <= 2.0 * gap_full
 
     def test_evicting_solve_matches(self):
         op, b = make_linear_problem("nonsymmetric", 40, seed=3)
