@@ -4,6 +4,7 @@ Nesterov's accelerated gradient, Fletcher-Reeves NCG, and L-BFGS."""
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import count
 from typing import Callable, Optional
@@ -180,8 +181,8 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer):
             is_symmetric=False,
         )
         inner_opts = LinearOptions(tol_rel=eta, max_iters=inner_m)
-        delta, ihist = tgcr_solve(op, r, np.zeros_like(x), m=inner_m, opts=inner_opts,
-                                  workspace=window)
+        delta, ihist = tgcr_solve(op, r, np.broadcast_to(0.0, x.shape), m=inner_m,
+                                  opts=inner_opts, workspace=window)
         # An inner breakdown after a step is a shorter inner solve; one
         # before any step leaves nothing to search along.
         if ihist.breakdown and float(np.linalg.norm(delta)) == 0.0:
@@ -192,11 +193,10 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer):
         slope = ev.slope(x, r, delta)
         res = backtrack(ev.f, x, delta, r, slope, ls)
         ls = update_alpha0(ls, res.steps)
-        # f(x) lives on only as r, and delta not at all, through the next
-        # inner solve.
-        alpha, x, f_new = res.alpha, res.x_new, res.f_new
+        # f(x) lives on only as r, and delta and ihist not at all, through
+        # the next inner solve. The search measured ||f(x_new)||^2 already.
+        alpha, x, f_new, fnorm = res.alpha, res.x_new, res.f_new, math.sqrt(res.merit)
         del res, delta
-        fnorm = float(np.linalg.norm(f_new))
         r = -f_new
         del f_new
         if observer is not None:
@@ -211,6 +211,7 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer):
                     "alpha": alpha,
                 }
             )
+        del ihist
         yield x, fnorm, alpha, "NL"
         eta_new = EW_GAMMA * (fnorm / fnorm_prev) ** 2
         safeguard = EW_GAMMA * eta * eta

@@ -218,9 +218,10 @@ def _start(A: LinearOperator, b, x0, hist: KrylovHistory, tol_rel: float):
     """The start of a linear solve: checks b and x0, forms r_0 = b - A x0,
     records its norm in hist and whether that is converged already. Returns
     (x0, r_0, the convergence target): tol_rel ||b||, or tol_rel ||r_0||
-    when b = 0."""
+    when b = 0. x0 is read, never copied or written (no solver updates its
+    iterate in place); a solve that takes no step returns it as given."""
     b = check_finite(np.asarray(b, dtype=float), "b")
-    x = check_finite(np.asarray(x0, dtype=float), "x0").copy()
+    x = check_finite(np.asarray(x0, dtype=float), "x0")
     if b.shape != (A.dim,) or x.shape != (A.dim,):
         raise ValueError("dimension mismatch between operator, b, and x0")
     # A @ 0 = 0 by linearity; skipping the apply also spares matrix-free
@@ -251,8 +252,8 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
     # A workspace that cannot evict keeps the residual basis: pair t holds
     # only its v row, and r_t / s_t = P_t + sum_i U[i, t] P_i with
     # U[i, t] = b_it / s_t, so x0 + alpha @ P = x0 + sum_t (z_t / s_t) r_t
-    # with U z = alpha.
-    U = np.eye(capacity) if workspace is not None and capacity == opts.max_iters else None
+    # with U z = alpha. U is formed at exit, from the betas and scales.
+    residual = workspace is not None and capacity == opts.max_iters
     x, r, target = _start(A, b, x0, hist, opts.tol_rel)
     # r_0 and the v rows give back every residual of a residual-basis solve.
     r0 = r
@@ -280,9 +281,12 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
         substitution. The residual basis forms r_1 .. r_{k-1} in its own
         v rows, which leaves the workspace holding them."""
         k = len(hist.alphas)
-        if U is None or not k:
+        if not residual or not k:
             return x
-        w = np.linalg.solve(U[:k, :k], hist.alphas) / hist.scales
+        U = np.eye(k)
+        for t in range(1, k):
+            U[:t, t] = hist.betas[t] / hist.scales[t]
+        w = np.linalg.solve(U, hist.alphas) / hist.scales
         V = window.rows()[1]
         _replay(V)
         out = x + w[0] * r0
@@ -305,10 +309,10 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
             x_k = x_k + alpha * p
         return x_k
 
-    def _new_direction(t: int) -> bool:
-        """Build direction t from the current residual; False on breakdown."""
+    def _new_direction() -> bool:
+        """Build the next direction from the current residual; False on breakdown."""
         built = add_direction(window, r, A.apply(r), r0_norm=hist.norms[0], p_norm=rnorm,
-                              residual_basis=U is not None)
+                              residual_basis=residual)
         if built is None:
             hist.breakdown = True
             return False
@@ -316,17 +320,15 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
         hist.scales.append(s)
         hist.betas.append(coeffs)
         hist.truncated = len(window) < len(hist.scales)
-        if U is not None:
-            U[:t, t] = coeffs / s
         return True
 
     for j in range(opts.max_iters):
-        if not _new_direction(j):
+        if not _new_direction():
             break
         P, V = window.rows()
         v_j = V[window.newest_slot]
         alpha = float(r @ v_j)
-        if U is None:
+        if not residual:
             x = x + alpha * P[window.newest_slot]
         r = r - alpha * v_j
         rnorm = math.sqrt(r @ r)
@@ -335,14 +337,14 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
         if rnorm <= target:
             hist.converged = True
             break
-        if U is not None and j + 1 < opts.max_iters and rnorm > STALL_RATIO * hist.norms[-2]:
+        if residual and j + 1 < opts.max_iters and rnorm > STALL_RATIO * hist.norms[-2]:
             # Near stagnation r_{t+1} and r_t are almost parallel and U
             # ill-conditioned, so back substitution would lose the accuracy
             # the direction basis keeps: the rest of the solve builds
             # directions (the adaptive rule of Jiranek & Rozloznik, Numer.
             # Algorithms 53, 2010).
             x = _leave_residual_basis()
-            U = None
+            residual = False
     return _iterate(), hist
 
 

@@ -173,13 +173,14 @@ def _steps(ev, x, fx, target, opts, mode, observer):
             if ls is not None:
                 res = backtrack(ev.f, x, d, r, float(y @ y), ls, rnorm2=r2)
                 ls = update_alpha0(ls, res.steps)
-                step, x, r, pending_restart = res.alpha, res.x_new, -res.f_new, not res.satisfied
+                step, x, r, r2 = res.alpha, res.x_new, -res.f_new, res.merit
+                pending_restart = not res.satisfied
                 del res
             else:
                 x = x + d
                 r = -ev.f(x)
+                r2 = float(r @ r)
             del d
-            r2 = float(r @ r)
             resnorm = math.sqrt(r2)
             if adaptive:
                 r_lin = r_old - Vy if step == 1.0 else r_old - step * Vy

@@ -618,6 +618,66 @@ class TestStopContract:
         assert h.converged == (h.norms[-1] <= tol * float(np.linalg.norm(b)))
 
 
+def _solve_with(solver, op, b, x0, opts):
+    if solver == "gcr":
+        return gcr_solve(op, b, x0, opts)
+    if solver == "cr":
+        return cr_solve(op, b, x0, opts)
+    # "tgcr-5" evicts; "tgcr-workspace" cannot, so it keeps the residual basis.
+    m = 5 if solver == "tgcr-5" else opts.max_iters
+    w = WindowPair(m) if solver == "tgcr-workspace" else None
+    return tgcr_solve(op, b, x0, m=m, opts=opts, workspace=w)
+
+
+class TestReadOnlyStart:
+    """No linear solve writes or copies x0: a read-only start, a broadcast
+    zero view included, gives the bytes a writable one gives."""
+
+    SOLVERS = ["gcr", "tgcr", "tgcr-5", "tgcr-workspace", "cr"]
+
+    @staticmethod
+    def _read_only(x):
+        x = x.copy()
+        x.setflags(write=False)
+        return x
+
+    @staticmethod
+    def _bytes(solver, op, b, x0, opts):
+        x, h = _solve_with(solver, op, b, x0, opts)
+        # CR's betas are floats, the others' arrays.
+        return (x.tobytes(), h.resnorms().tobytes(), h.alphas, h.scales,
+                [np.asarray(c).tobytes() for c in h.betas], h.converged, h.breakdown)
+
+    # cyclic-shift at seed 67 stalls, so the workspace solve leaves the
+    # residual basis and sums its directions from x0; cr_solve needs a
+    # symmetric operator.
+    @pytest.mark.parametrize("solver, kind, n, seed", [
+        *((s, "spd", 20, 0) for s in SOLVERS),
+        *((s, "cyclic-shift", 10, 67) for s in SOLVERS if s != "cr"),
+    ])
+    def test_a_read_only_start_gives_the_same_bytes(self, solver, kind, n, seed):
+        op, b = _workspace_problem(kind, n, seed)
+        opts = LinearOptions(tol_rel=1e-10, max_iters=n)
+        ref = self._bytes(solver, op, b, np.zeros(n), opts)
+        for x0 in (np.broadcast_to(0.0, n), self._read_only(np.zeros(n))):
+            assert self._bytes(solver, op, b, x0, opts) == ref
+        start = np.random.default_rng(seed).standard_normal(n)
+        ref = self._bytes(solver, op, b, start.copy(), opts)
+        x0 = self._read_only(start)
+        assert self._bytes(solver, op, b, x0, opts) == ref
+        assert x0.tobytes() == start.tobytes()
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_a_solve_that_takes_no_step_returns_x0(self, solver):
+        op, b = make_linear_problem("spd", 10, seed=0)
+        opts = LinearOptions(tol_rel=1e-8, max_iters=10)
+        x0 = self._read_only(np.linalg.solve(op.mat, b))
+        x, h = _solve_with(solver, op, b, x0, opts)
+        assert h.converged and h.iterations == 0 and x.tobytes() == x0.tobytes()
+        x, h = _solve_with(solver, op, np.zeros(10), np.broadcast_to(0.0, 10), opts)
+        assert h.converged and h.iterations == 0 and x.tobytes() == bytes(80)
+
+
 class TestLinearOptions:
     @pytest.mark.parametrize(
         "kw", [dict(max_iters=0), dict(max_iters=-1), dict(tol_rel=0.0), dict(tol_rel=-1.0)]
@@ -808,11 +868,13 @@ class TestWorkspace:
 
     def test_residual_basis_stores_one_row_per_direction(self):
         # m v rows, which the exit's residuals are replayed into, and at
-        # most six n-vectors at a time: x0, its copy and r_t throughout;
+        # most five n-vectors at a time: x0 (not copied) and r_t throughout;
         # during a step A r_t and Gram-Schmidt's temporaries, at exit the
-        # iterate and its temporary. U (m^2 doubles) and the coefficients
-        # (about m^2 / 2) add 0.6 of an n-vector here. A P row per
-        # direction would add m more, and an 8-row replay buffer 8.
+        # iterate and its temporary. The coefficients (about m^2 / 2
+        # doubles) add 0.2 of an n-vector here: m + 4.9, measured. The
+        # bound leaves 0.6. A copy of x0 and a U of m^2 doubles allocated
+        # at the start put it at m + 5.9; a P row per direction would add
+        # m more, and an 8-row replay buffer 8.
         n, m = 4000, 40
         d = np.linspace(1.0, 100.0, n)
         op = LinearOperator(dim=n, apply=lambda v: d * v, is_symmetric=True)
@@ -827,7 +889,7 @@ class TestWorkspace:
             tracemalloc.stop()
         # It ran all m steps and never left the residual basis.
         assert h.iterations == m and w.rows()[0] is None
-        assert peak <= (m + 7) * n * 8
+        assert peak <= (m + 5.5) * n * 8
         # The iterate formed from the replayed residuals is the solve's.
         assert abs(np.linalg.norm(b - d * x) - h.norms[-1]) <= 1e-12 * np.linalg.norm(b)
 

@@ -2,13 +2,16 @@
 name and reads fields of their results. A rename or a changed result shape
 breaks it; these small traced solves make that fail here."""
 
+import inspect
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import nltgcr.linear
 import nltgcr.solver
-from nltgcr import BratuProblem, LineSearchOptions, SolverOptions, newton_krylov_solve, nltgcr_solve
+from nltgcr import (BratuProblem, LineSearchOptions, SolverOptions, WindowPair,
+                    newton_krylov_solve, nltgcr_solve)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
@@ -66,3 +69,39 @@ def test_traced_newton_krylov():
     # evaluation's direct parent span is EvalCounter.slope, not .jv.
     assert out["fevals.slope_probe"] == iters
     assert sum(out[f"fevals.{p}"] for p in tracing.PURPOSES) == trace.final().fevals
+
+
+def test_every_target_exists_and_instrument_restores_it():
+    # setattr would add a missing name without complaint, and a traced run
+    # would then time nothing under it.
+    missing = [(getattr(o, "__name__", o), a) for o, a, _, _ in tracing.TARGETS
+               if not hasattr(o, a)]
+    assert not missing
+    originals = [getattr(o, a) for o, a, _, _ in tracing.TARGETS]
+    try:
+        with tracing.instrument(tracing.Tracer()):
+            wrapped = [getattr(o, a) for o, a, _, _ in tracing.TARGETS]
+            raise KeyboardInterrupt
+    except KeyboardInterrupt:
+        pass
+    assert all(w is not f for w, f in zip(wrapped, originals))
+    assert all(getattr(o, a) is f for (o, a, _, _), f in zip(tracing.TARGETS, originals))
+
+
+def test_orthogonalize_pair_keeps_the_layout_the_byte_count_reads():
+    # _orthogonalize_bytes unpacks (p, v, P, V, lo, hi) from the positional
+    # arguments, as add_direction passes them.
+    params = inspect.signature(nltgcr.linear.orthogonalize_pair).parameters
+    assert list(params) == ["p", "v", "P", "V", "lo", "hi"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+    n, k = 30, 4
+    window = WindowPair(k)
+    rng = np.random.default_rng(0)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        for _ in range(k):
+            p = rng.standard_normal(n)
+            nltgcr.linear.add_direction(window, p, rng.standard_normal(n), r0_norm=1.0)
+    # Direction t is orthogonalized against the t pairs before it.
+    assert tracer.counters["linear.orthogonalize_pair.bytes_computed"] == (
+        4 * n * sum(range(k)) * tracing.F8)
