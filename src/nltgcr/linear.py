@@ -378,7 +378,7 @@ def tgcr_solve(A: LinearOperator, b, x0, m: int, opts: Optional[LinearOptions] =
     workspace up to rounding, and to the bit once a step has stalled. The
     workspace's rows are scratch after the solve: a residual-basis exit
     overwrites its v rows with the residuals the iterate is summed from. A
-    breakdown stops the solve as in gcr_solve.
+    breakdown stops the solve as in gcr_solve. x0 is read, never written.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
