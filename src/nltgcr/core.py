@@ -149,6 +149,9 @@ class WindowPair:
     A window holds P rows for all its pairs or for none: a pair pushed with
     p None has only its v row, and the P buffer is allocated at the first
     pair pushed with a p, or when add_p_rows gives v-only pairs their rows.
+    `gain` is the largest ||v|| / ||p|| of a raw pair that
+    linear.add_direction has seen since the last clear: the operator's
+    scale, against which a v' at rounding level collapses.
     """
 
     NORMALIZATION_TOL = 1e-10
@@ -164,6 +167,7 @@ class WindowPair:
         self._len = 0
         self.head = 0
         self.oldest_index = 0
+        self.gain = 0.0
 
     def __len__(self):
         return self._len
@@ -217,6 +221,7 @@ class WindowPair:
         self._len = 0
         self.head = 0
         self._has_p = True
+        self.gain = 0.0
 
     @property
     def newest_slot(self) -> int:

@@ -70,10 +70,12 @@ class LinearOptions:
 
 
 # A new direction collapses when its orthogonalized ||v'|| is at most
-# BREAKDOWN_TOL * ||v|| for the raw v (v fell into the window's span), or
-# the raw ||p|| at most BREAKDOWN_TOL * ||r_0|| (the residual reached
-# rounding level). Both are relative, so whether a direction collapses
-# does not depend on the scale of f. A Gram-Schmidt pass that kept skip_eta
+# BREAKDOWN_TOL * g ||p||, g the largest raw ||v|| / ||p|| the window has
+# seen since its last clear (v fell into the window's span, or A p is
+# itself rounding noise against the operator's scale), or the raw ||p|| at
+# most BREAKDOWN_TOL * ||r_0|| (the residual reached rounding level). Both
+# are relative, so whether a direction collapses does not depend on the
+# scale of f. A Gram-Schmidt pass that kept skip_eta
 # of ||v|| leaves no projection above REORTH_REL * ||v'||.
 BREAKDOWN_TOL = 1e-14
 REORTH_REL = 1e-8
@@ -187,7 +189,7 @@ def add_direction(window: WindowPair, p, v, *, r0_norm: float, p_norm: Optional[
     """The direction step of TGCR, nlTGCR, the Newton-Krylov inner solve and AA.
 
     Orthogonalizes the raw pair (p, v = A p) against the window and pushes
-    it divided by ||v|| unless it collapses (BREAKDOWN_TOL); `r0_norm` is
+    it divided by ||v'|| unless it collapses (BREAKDOWN_TOL); `r0_norm` is
     the norm of the solve's first residual, against which p is at rounding
     level (with 0, only a zero p collapses by that test). The window's v
     rows must be orthonormal, as they are when every pair since its last
@@ -206,7 +208,8 @@ def add_direction(window: WindowPair, p, v, *, r0_norm: float, p_norm: Optional[
     P, V = window.rows()
     p, v, b, s = orthogonalize_pair(p, v, None if residual_basis else P.T, V.T, 0, len(window))
     # On orthonormal rows the raw ||v||^2 is ||v'||^2 + b . b.
-    if s <= BREAKDOWN_TOL * math.sqrt(s * s + float(b @ b)):
+    window.gain = max(window.gain, math.sqrt(s * s + float(b @ b)) / p_norm)
+    if s <= BREAKDOWN_TOL * window.gain * p_norm:
         return None
     # Gram-Schmidt ran on the rows in storage order; the push moves the head.
     b = window.logical(b)

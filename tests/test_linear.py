@@ -537,6 +537,33 @@ class TestAddDirection:
         _assert_same_window(before, after)
         _assert_same_window(before, _snapshot(h.window))
 
+    @pytest.mark.parametrize("m, workspace", [(None, False), (20, False), (20, True)])
+    def test_a_rounding_level_a_r_collapses(self, m, workspace):
+        # A has rank 5: after five steps r lies (to rounding) in its null
+        # space, and A r is rounding noise, ||A r|| / ||r|| about 7e-16 of
+        # ||A||. Measured against the raw ||A r|| alone, that noise passes
+        # for a direction: the solve went on to max_iters and ended with
+        # ||b - A x|| = 1.0089 ||b||, worse than x0 = 0, while it recorded
+        # 0.937 ||b||. Against the window's gain it collapses at step 5.
+        n = 200
+        rng = np.random.default_rng(0)
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        d = np.zeros(n)
+        d[:5] = np.linspace(1.0, 2.0, 5)
+        A = (Q * d) @ Q.T
+        b = rng.standard_normal(n)
+        op = LinearOperator.from_matrix(A)
+        opts = LinearOptions(tol_rel=0.5, max_iters=20)
+        if m is None:
+            x, h = gcr_solve(op, b, np.zeros(n), opts)
+        else:
+            x, h = tgcr_solve(op, b, np.zeros(n), m=m, opts=opts,
+                              workspace=WindowPair(m) if workspace else None)
+        true = float(np.linalg.norm(b - A @ x))
+        assert h.breakdown and h.iterations == 5
+        assert true < np.linalg.norm(b)
+        assert abs(true - h.norms[-1]) <= 1e-12 * np.linalg.norm(b)
+
     def test_nltgcr_restarts_window_after_collapse(self, monkeypatch):
         # f(0) = (-1, 0) with J(0) = I, so the first step lands on (1, 0)
         # where J r = (1/2, 0) is parallel to the stored v: the new direction
