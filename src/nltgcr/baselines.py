@@ -20,7 +20,7 @@ from .core import (
     WindowPair,
     drive,
 )
-from .linear import LinearOperator, LinearOptions, add_direction, tgcr_solve
+from .linear import TOL_FLOOR_F32, LinearOperator, LinearOptions, add_direction, tgcr_solve
 from .linesearch import backtrack, backtrack_phi, update_alpha0
 
 # Each solver below is its argument checks plus core.drive, which owns the
@@ -151,7 +151,9 @@ def newton_krylov_solve(
     quadratic Eisenstat-Walker choice eta_j = 0.9 (||f_j|| / ||f_{j-1}||)^2
     with the usual safeguard and a 0.9 cap. Inner matrix-vector products
     are Frechet probes charged one feval each. Every inner solve runs in one
-    window allocated per call.
+    window allocated per call, whose v rows are float32 while eta >=
+    linear.TOL_FLOOR_F32; from the first eta below it on, a float64 window
+    takes its place for the rest of the solve.
     """
     if inner_m < 1:
         raise ValueError("inner_m must be >= 1")
@@ -165,13 +167,16 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer):
     ls = opts.linesearch or LineSearchOptions()
     fnorm_prev = float(np.linalg.norm(fx))
     # One window for every inner solve: a fresh one per outer step would be
-    # freed and faulted back in each time.
-    window = WindowPair(inner_m)
+    # freed and faulted back in each time. Its rows are sized at the first
+    # push, so the switch to float64 never holds two windows.
+    window = WindowPair(inner_m, np.float32)
     # r = -f(x), formed once per step: the inner right-hand side, the base
     # of every probe at x, and the slope's and the search's residual.
     r = -fx
     del fx
     for it in count(1):
+        if eta < TOL_FLOOR_F32 and window.dtype == np.float32:
+            window = WindowPair(inner_m)
         x_frozen, r_frozen = x, r
         # Every inner probe at this x scales by the same ||x||_inf.
         x_inf = float(np.abs(x).max())

@@ -152,17 +152,22 @@ class WindowPair:
     `gain` is the largest ||v|| / ||p|| of a raw pair that
     linear.add_direction has seen since the last clear: the operator's
     scale, against which a v' at rounding level collapses.
+    The v rows are stored in `dtype` (float64 or float32; push rounds each
+    row to it), the P rows always in float64.
     """
 
     NORMALIZATION_TOL = 1e-10
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, dtype=np.float64):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.float64, np.float32):
+            raise ValueError(f"v rows must be float64 or float32, got {self.dtype}")
         self.capacity = capacity
         # Sized to the vector length at the first push (P: with a p).
         self._p = np.empty((capacity, 0))
-        self._v = np.empty((capacity, 0))
+        self._v = np.empty((capacity, 0), self.dtype)
         self._has_p = True
         self._len = 0
         self.head = 0
@@ -186,7 +191,7 @@ class WindowPair:
         if n != self._v.shape[1]:
             if self._len:
                 raise ValueError("dimension mismatch with existing window columns")
-            self._v = np.empty((self.capacity, n))
+            self._v = np.empty((self.capacity, n), self.dtype)
         nv = (float(np.linalg.norm(v)) if v_norm is None else v_norm) / scale
         # Written so that a NaN norm fails too.
         if not abs(nv - 1.0) <= self.NORMALIZATION_TOL:
@@ -212,7 +217,7 @@ class WindowPair:
         if self._has_p:
             raise ValueError("the window holds P rows already")
         if self._p.shape[1] != self._v.shape[1]:
-            self._p = np.empty(self._v.shape)
+            self._p = np.empty(self._v.shape, np.float64)
         self._has_p = True
         return self._p[: self._len]
 

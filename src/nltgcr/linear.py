@@ -19,11 +19,22 @@ Jiranek, Rozloznik & Gutknecht, SIMAX 30, 2008). It does not store the
 residuals either: r_{t+1} = r_t - alpha_t v_t gives each one back from
 r_0 and the v rows, replayed with the loop's own floats, so the window
 holds one row per direction, as GMRES does. At exit the replay writes each
-r_{t+1} over the v_t it was the last to read, so the workspace's v rows
-hold residuals after the solve. Near stagnation successive residuals are
+r_{t+1} over the float64 v_t it was the last to read, so the workspace's
+v rows hold residuals after the solve. Near stagnation successive residuals are
 almost parallel and B^(k) ill-conditioned, so a step that keeps more than
 STALL_RATIO of ||r|| rebuilds the directions the direction basis would
 hold, to the bit, and the rest of the solve updates p and x at every step.
+
+A window may store its v rows in float32 (WindowPair(dtype=np.float32)),
+as the Newton-Krylov inner solves do while their tolerance is at least
+TOL_FLOOR_F32. Its rows are then orthonormal to float32 precision, and
+its collapse and second-pass rules use constants derived for it
+(BREAKDOWN_TOL_F32, REORTH_REL_F32). Only the two window products of a
+Gram-Schmidt pass run in float32: v is cast down for them, the window
+never up. Every n-vector outside the window stays float64, and so do the
+residual update r - alpha_t v_t, its replay and the exit sum, which forms
+each residual in turn because float32 rows cannot hold them. Float64
+windows run the same operations as before float32 rows existed.
 """
 
 from __future__ import annotations
@@ -80,6 +91,16 @@ class LinearOptions:
 BREAKDOWN_TOL = 1e-14
 REORTH_REL = 1e-8
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# Float32 v rows (WindowPair(dtype=np.float32)) get the same two rules at
+# their own unit roundoff u32 = 2^-24. The subtraction b V of a pass rounds
+# each entry of v' by about sqrt(k) u ||v|| (the probabilistic bound of
+# Higham & Mary, SISC 41, 2019); BREAKDOWN_TOL is 90 u, above that up to
+# k = 8100, and BREAKDOWN_TOL_F32 is 90 u32, 5.4e-6. REORTH_REL is about
+# sqrt(u) (1e-8 against 1.05e-8), half the working digits; REORTH_REL_F32
+# is sqrt(u32), 2.4e-4.
+UNIT_ROUNDOFF_F32 = float(np.finfo(np.float32).eps) / 2
+BREAKDOWN_TOL_F32 = BREAKDOWN_TOL / UNIT_ROUNDOFF * UNIT_ROUNDOFF_F32
+REORTH_REL_F32 = math.sqrt(UNIT_ROUNDOFF_F32)
 # A first pass that keeps less than this share of ||v|| is always followed
 # by a second one (skip_eta).
 KEPT_FLOOR = 0.2
@@ -88,10 +109,20 @@ KEPT_FLOOR = 0.2
 # solves on scaled Bratu keep at most 0.994 of ||r|| per step, so they stay
 # in the residual basis.
 STALL_RATIO = 0.999
+# The least tol_rel a solve with float32 v rows is asked for. Its recorded
+# residual r_0 - sum_t alpha_t v_t is formed in float64, but each stored
+# v_t meets A p_t only to e_t ~ (sqrt(k) G + 1) u32, the rounding of b V and
+# of the row itself, G = max ||b_t|| / s_t. The e_t are independent
+# roundings and sum alpha_t^2 <= ||r_0||^2, so the true residual is within
+# about ||r_0|| max e_t of the recorded one: 6e-5 ||r_0|| at k = 10^4 and
+# G = 10 (steps keeping a tenth of ||A r_t||; the newton-krylov inner
+# solves keep more than half). 1e-3 keeps that below a tenth of tol_rel.
+TOL_FLOOR_F32 = 1e-3
 
 
-def skip_eta(k: int, n: int) -> float:
-    """The ||v'|| / ||v|| below which Gram-Schmidt takes a second pass.
+def skip_eta(k: int, n: int, dtype=np.float64) -> float:
+    """The ||v'|| / ||v|| below which Gram-Schmidt takes a second pass
+    against k rows of n entries in `dtype`.
 
     After one classical Gram-Schmidt pass v' = v - V^T (V v) against k rows
     V, in floating point with unit roundoff u,
@@ -99,16 +130,24 @@ def skip_eta(k: int, n: int) -> float:
     The second term is the rounding of the pass (Giraud, Langou & Rozloznik,
     Comput. Math. Appl. 50, 2005); with c = k n it stays below
     REORTH_REL ||v'|| once ||v'|| >= k n u / REORTH_REL ||v||, 5.5e-3 at
-    k = 50, n = 10^4. The first term is the window's own loss of
-    orthonormality, multiplied by up to ||V v|| / ||v'||. So the rule assumes
-    rows orthonormal to working precision, and keeps them so: below eta
-    the second pass runs without a test (a test would let rows in with
-    projections up to REORTH_REL, which later single passes multiply), and
-    eta >= KEPT_FLOOR caps that factor at about 5. On windows add_direction
-    built from random nonsymmetric and near-singular operators (k <= 50),
-    a floor of 0.1 (Rutishauser's factor 10) let a few runs end with
-    projections up to 3e-7; 0.2 kept all of them below 1e-11.
+    k = 50, n = 10^4. For float32 rows that worst case says nothing (k n
+    u32 / REORTH_REL_F32 is 122 there), so it takes the probabilistic
+    c = sqrt(k n) of Higham & Mary (SISC 41, 2019): sqrt(k n u32), 0.17 at
+    k = 50, n = 10^4 and 0.69 at n = 1.6e5. The first term is the window's
+    own loss of orthonormality, multiplied by up to ||V v|| / ||v'||. So the
+    rule assumes rows orthonormal to the window's precision, and keeps them
+    so: below eta the second pass runs without a test (a test would let
+    rows in with projections up to REORTH_REL, which later single passes
+    multiply), and eta >= KEPT_FLOOR caps that factor at about 5. On
+    windows add_direction built from random nonsymmetric and near-singular
+    operators (k <= 50), a floor of 0.1 (Rutishauser's factor 10) let a few
+    runs end with projections up to 3e-7; 0.2 kept all of them below 1e-11.
+    In the float32 inner windows of the newton-krylov benchmark workload
+    (seed 0) every first pass kept 0.54 to 0.79 of ||v||, so none took a
+    second, and no new row had a projection above 3.1e-6 on an older one.
     """
+    if dtype == np.float32:
+        return max(math.sqrt(k * n) * UNIT_ROUNDOFF_F32 / REORTH_REL_F32, KEPT_FLOOR)
     return max(k * n * UNIT_ROUNDOFF / REORTH_REL, KEPT_FLOOR)
 
 
@@ -152,9 +191,11 @@ def orthogonalize_pair(p, v, P, V, lo, hi):
     """Classical Gram-Schmidt of (p, v) against window columns lo..hi-1.
 
     P and V hold the window pairs as columns, in any order; the V columns
-    must be orthonormal to working precision, as in every window
+    must be orthonormal to the window's precision, as in every window
     add_direction builds. As transposed WindowPair row blocks, V[:, lo:hi].T
-    is contiguous, so each pass is two BLAS-2 products. The same
+    is contiguous, so each pass is two BLAS-2 products, in V's precision:
+    v is cast down to it for them, and the window never up. v', b and ||v||
+    are float64 whatever V holds. The same
     combination applied to v is applied to p so v = A p is preserved; with
     P None, p is handed back as given and no pass over P runs. A second
     pass runs exactly when the first kept less than skip_eta(k, n) of
@@ -166,18 +207,32 @@ def orthogonalize_pair(p, v, P, V, lo, hi):
     if hi == lo:
         return p, v, np.empty(0), math.sqrt(v @ v)
     Vr = V[:, lo:hi].T
-    b = Vr @ v
-    # Each subtraction overwrites the product it subtracts: one temporary.
+    # Float32 rows: the passes run on a copy of v scaled by a power of two
+    # to about unit norm, so that its float32 casts neither over- nor
+    # underflow and every result scales with v exactly. numpy would cast all
+    # of V up in a product with a float64 v.
+    low = Vr.dtype != v.dtype
+    if low:
+        unit = math.ldexp(1.0, -math.frexp(math.sqrt(v @ v))[1])
+        v = v * unit
+    b = Vr @ v.astype(Vr.dtype, copy=False)
+    # Each subtraction overwrites the product it subtracts (or the scaled
+    # copy): one temporary.
     t = np.dot(b, Vr)
-    v = np.subtract(v, t, out=t)
+    v = np.subtract(v, t, out=v if low else t)
+    b = b.astype(np.float64, copy=False)
     nv = math.sqrt(v @ v)
     # On orthonormal rows ||v||^2 = ||v'||^2 + ||b||^2 to rounding, so the
     # ratio costs O(k) instead of a pass over the window.
-    if nv * nv < skip_eta(hi - lo, v.shape[0]) ** 2 * (nv * nv + float(b @ b)):
-        proj = Vr @ v
+    if nv * nv < skip_eta(hi - lo, v.shape[0], Vr.dtype) ** 2 * (nv * nv + float(b @ b)):
+        proj = Vr @ v.astype(Vr.dtype, copy=False)
         v -= np.dot(proj, Vr)
         b += proj
         nv = math.sqrt(v @ v)
+    if low:
+        v /= unit
+        b /= unit
+        nv /= unit
     if P is not None:
         t = np.dot(b, P[:, lo:hi].T)
         p = np.subtract(p, t, out=t)
@@ -203,13 +258,14 @@ def add_direction(window: WindowPair, p, v, *, r0_norm: float, p_norm: Optional[
     """
     if p_norm is None:
         p_norm = float(np.linalg.norm(p))
-    if p_norm <= BREAKDOWN_TOL * r0_norm:
+    tol = BREAKDOWN_TOL_F32 if window.dtype == np.float32 else BREAKDOWN_TOL
+    if p_norm <= tol * r0_norm:
         return None
     P, V = window.rows()
     p, v, b, s = orthogonalize_pair(p, v, None if residual_basis else P.T, V.T, 0, len(window))
     # On orthonormal rows the raw ||v||^2 is ||v'||^2 + b . b.
     window.gain = max(window.gain, math.sqrt(s * s + float(b @ b)) / p_norm)
-    if s <= BREAKDOWN_TOL * window.gain * p_norm:
+    if s <= tol * window.gain * p_norm:
         return None
     # Gram-Schmidt ran on the rows in storage order; the push moves the head.
     b = window.logical(b)
@@ -275,14 +331,15 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
         V = window.rows()[1]
         prev = r0
         for t, alpha in enumerate(hist.alphas[:-1]):
-            np.subtract(prev, np.multiply(V[t], alpha, out=dest[t]), out=dest[t])
+            np.subtract(prev, np.multiply(V[t], alpha, out=dest[t], dtype=float), out=dest[t])
             prev = dest[t]
 
     def _iterate():
         """x0 plus the steps taken so far. On a triangular U, LU with
         partial pivoting never swaps a row, so the solve is a back
         substitution. The residual basis forms r_1 .. r_{k-1} in its own
-        v rows, which leaves the workspace holding them."""
+        v rows, which leaves the workspace holding them; float32 rows cannot
+        hold them, so there each is formed and added in turn."""
         k = len(hist.alphas)
         if not residual or not k:
             return x
@@ -291,9 +348,21 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
             U[:t, t] = hist.betas[t] / hist.scales[t]
         w = np.linalg.solve(U, hist.alphas) / hist.scales
         V = window.rows()[1]
-        _replay(V)
         out = x + w[0] * r0
-        out += w[1:] @ V[: k - 1]
+        if V.dtype == np.float64:
+            _replay(V)
+            out += w[1:] @ V[: k - 1]
+            return out
+        # Float32 rows cannot hold the residuals: each r_t is replayed into
+        # the float64 product it subtracts and added as soon as it is formed,
+        # so the sum holds two at a time. The row is cast up before it is
+        # scaled: the loop's floats, without np.multiply's cast buffer.
+        r_t = r0
+        for t in range(1, k):
+            step = V[t - 1].astype(np.float64)
+            step *= hist.alphas[t - 1]
+            r_t = np.subtract(r_t, step, out=step)
+            out += w[t] * r_t
         return out
 
     def _leave_residual_basis():
@@ -333,7 +402,8 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
         alpha = float(r @ v_j)
         if not residual:
             x = x + alpha * P[window.newest_slot]
-        r = r - alpha * v_j
+        # In float64 whatever the rows hold: alpha * v_j would round to them.
+        r = r - np.multiply(v_j, alpha, dtype=float)
         rnorm = math.sqrt(r @ r)
         hist.alphas.append(alpha)
         hist.norms.append(rnorm)
@@ -380,7 +450,12 @@ def tgcr_solve(A: LinearOperator, b, x0, m: int, opts: Optional[LinearOptions] =
     step stalls (module docstring); the iterate equals the one without a
     workspace up to rounding, and to the bit once a step has stalled. The
     workspace's rows are scratch after the solve: a residual-basis exit
-    overwrites its v rows with the residuals the iterate is summed from. A
+    overwrites its float64 v rows with the residuals the iterate is summed
+    from. A workspace may hold float32 v rows (module docstring) for a
+    tol_rel of at least TOL_FLOOR_F32. Below it nothing bounds the gap
+    between the recorded and the true residual: on the scaled-Bratu
+    Jacobian at 60 x 60, m = max_iters = 200 and tol_rel 1e-5, float32
+    rows recorded 2.6e-5 ||b|| and left a true residual of 1.07 ||b||. A
     breakdown stops the solve as in gcr_solve. x0 is read, never written.
     """
     if m < 1:

@@ -289,9 +289,13 @@ class TestNewtonKrylov:
             newton_krylov_solve(prob, np.zeros(4), eta0=eta0)
 
     def test_peak_memory_is_about_one_inner_window(self):
-        # Every inner solve runs in one window of inner_m * n doubles, one v
-        # row per direction (the residual basis stores no P rows), and keeps
-        # no residuals or iterates, so no outer step holds a second one. The
+        # Every inner solve runs in one window of inner_m v rows, one per
+        # direction (the residual basis stores no P rows), and keeps no
+        # residuals or iterates, so no outer step holds a second one. Here
+        # eta falls below TOL_FLOOR_F32 (to 7.8e-7 at the last step), and
+        # the float32 window is dropped before the float64 one that takes
+        # its place gets rows, so the peak is one window of inner_m * n
+        # doubles; keeping the float32 window beside it put it at 1.67. The
         # rest of the peak is about six n-vectors (0.12 of a window) and one
         # inner history's betas (inner_m^2 / 2 doubles with their array
         # headers, 0.02 of a window at this small n); small objects bring it
@@ -316,8 +320,10 @@ class TestNewtonKrylov:
         window_bytes = 50 * bp.dim * 8
         assert peak < 1.25 * window_bytes
 
-    def test_peak_memory_in_n_vectors(self):
-        # The peak is in a Jv probe of an inner solve, 58.0 n-vectors here:
+    def test_peak_memory_in_n_vectors(self, monkeypatch):
+        # With float64 rows throughout (eta never falls below a floor of 1,
+        # while this instance keeps eta >= 1.3e-3), the peak is in a Jv
+        # probe of an inner solve, 58.0 n-vectors here:
         # - the window's inner_m v rows; the exit replays the residuals the
         #   iterate is summed from into those rows, so it adds none;
         # - three vectors live through every inner solve: the outer x and
@@ -333,6 +339,7 @@ class TestNewtonKrylov:
         # held through this one put it at 61.4.
         import tracemalloc
 
+        monkeypatch.setattr(baselines, "TOL_FLOOR_F32", 1.0)
         bp = BratuProblem(grid_n=60, lam=0.5, scaled=True)
         prob = bp.minimization_problem()
         opts = SolverOptions(tol_rel=1e-8, max_iters=40)
@@ -345,6 +352,63 @@ class TestNewtonKrylov:
             tracemalloc.stop()
         assert trace.final().resnorm <= 1e-8 * trace.records[0].resnorm
         assert peak <= (50 + 9) * bp.dim * 8
+
+    def test_peak_memory_with_float32_rows_in_n_vectors(self):
+        # Here eta stays >= 1.3e-3, above TOL_FLOOR_F32, so every inner
+        # solve runs in float32 rows, and the peak moves to an inner
+        # solve's exit, 33.8 n-vectors:
+        # - the window's inner_m rows, half an n-vector each: 25;
+        # - the outer x and r = -f(x), and the inner r_t: 3;
+        # - the exit sum: the iterate, the residual being replayed and the
+        #   float64 product it overwrites (the rows cannot hold float64
+        #   residuals, so they are formed and added one at a time): 3;
+        # - this inner history's betas and the exit's U, about 1.5 inner_m^2
+        #   doubles: 1.2 at n = 3600.
+        # That is inner_m / 2 + 7.2, and small objects bring it to 33.8; the
+        # bound leaves 1 n-vector. The same solve in float64 rows reads
+        # 58.2 (test_peak_memory_in_n_vectors).
+        import tracemalloc
+
+        bp = BratuProblem(grid_n=60, lam=0.5, scaled=True)
+        prob = bp.minimization_problem()
+        reports = []
+        tracemalloc.start()
+        try:
+            _, trace = newton_krylov_solve(prob, np.zeros(bp.dim), inner_m=50, eta0=0.9,
+                                           opts=SolverOptions(tol_rel=1e-8, max_iters=40),
+                                           observer=reports.append)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.final().resnorm <= 1e-8 * trace.records[0].resnorm
+        assert min(rep["eta"] for rep in reports) >= baselines.TOL_FLOOR_F32
+        assert peak <= (50 / 2 + 10) * bp.dim * 8
+
+    @pytest.mark.parametrize("inner_m, iters, fevals", [(10, 8, 64), (50, 7, 90)])
+    def test_float32_rows_keep_the_counts_on_a_nonsymmetric_problem(
+            self, monkeypatch, inner_m, iters, fevals):
+        # f(x) = T x + 0.1 sin(x) - c, T tridiagonal (-1.5, 2.5, -0.5): its
+        # Jacobian is not symmetric. eta falls below TOL_FLOOR_F32 during
+        # the solve, so the window switches to float64 rows part way. The
+        # counts are those of float64 rows throughout (a floor of 1).
+        n = 4000
+        c = np.random.default_rng(0).standard_normal(n)
+
+        def f(x):
+            out = 2.5 * x + 0.1 * np.sin(x) - c
+            out[1:] -= 1.5 * x[:-1]
+            out[:-1] -= 0.5 * x[1:]
+            return out
+
+        opts = SolverOptions(tol_rel=1e-8, max_iters=60)
+        for floor in (baselines.TOL_FLOOR_F32, 1.0):
+            monkeypatch.setattr(baselines, "TOL_FLOOR_F32", floor)
+            reports = []
+            _, trace = newton_krylov_solve(NonlinearProblem(dim=n, eval_f=f), np.zeros(n),
+                                           inner_m=inner_m, eta0=0.9, opts=opts,
+                                           observer=reports.append)
+            assert (trace.final().iter, trace.final().fevals) == (iters, fevals)
+            assert reports[0]["eta"] >= 1e-3 > min(rep["eta"] for rep in reports)
 
     def test_accepted_trial_f_is_released_before_the_next_inner_solve(self):
         # The line search's f(x_new) lives on only as r = -f(x_new): by the

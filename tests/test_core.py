@@ -131,6 +131,22 @@ class TestWindowPair:
             w.push(np.zeros(40), v)
         assert w.orthonormality_defect() <= 1e-10
 
+    def test_float32_rows_hold_v_only(self):
+        # push rounds v / scale to the rows' precision once; P stays float64.
+        w = WindowPair(capacity=2, dtype=np.float32)
+        v = np.array([0.6, 0.8, 0.0])
+        p = np.array([1.0 / 3.0, 0.1, 0.2])
+        w.push(p, 0.5 * v, scale=0.5)
+        P, V = w.rows()
+        assert V.dtype == np.float32 and P.dtype == np.float64
+        assert V[0].tobytes() == v.astype(np.float32).tobytes()
+        assert P[0].tobytes() == (p / 0.5).tobytes()
+        w.clear()
+        w.push(None, np.array([0.0, 0.0, 1.0]))
+        assert w.rows()[0] is None and w.add_p_rows().dtype == np.float64
+        with pytest.raises(ValueError, match="float64 or float32"):
+            WindowPair(capacity=2, dtype=np.float16)
+
     def test_random_push_sequences_keep_invariants(self):
         # Property sweep: any reachable push sequence of orthonormalized
         # columns keeps the window orthonormal, within capacity, and paired.

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import nltgcr.linear as linear
 import nltgcr.solver as solver_module
 from nltgcr import (
+    BratuProblem,
     BreakdownError,
     LinearOperator,
     LinearOptions,
@@ -467,6 +469,16 @@ def _assert_same_window(a, b):
     np.testing.assert_array_equal(a[3], b[3])
 
 
+def _rank_five_problem(n):
+    """(operator, b): Q diag(1 .. 2 in five steps, 0, ..., 0) Q^T, symmetric
+    of rank 5, and a standard normal b."""
+    rng = np.random.default_rng(0)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    d = np.zeros(n)
+    d[:5] = np.linspace(1.0, 2.0, 5)
+    return LinearOperator.from_matrix((Q * d) @ Q.T), rng.standard_normal(n)
+
+
 class TestAddDirection:
     """The one direction step shared by TGCR, nlTGCR and Newton-Krylov."""
 
@@ -546,13 +558,8 @@ class TestAddDirection:
         # ||b - A x|| = 1.0089 ||b||, worse than x0 = 0, while it recorded
         # 0.937 ||b||. Against the window's gain it collapses at step 5.
         n = 200
-        rng = np.random.default_rng(0)
-        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        d = np.zeros(n)
-        d[:5] = np.linspace(1.0, 2.0, 5)
-        A = (Q * d) @ Q.T
-        b = rng.standard_normal(n)
-        op = LinearOperator.from_matrix(A)
+        op, b = _rank_five_problem(n)
+        A = op.mat
         opts = LinearOptions(tol_rel=0.5, max_iters=20)
         if m is None:
             x, h = gcr_solve(op, b, np.zeros(n), opts)
@@ -973,3 +980,157 @@ class TestWorkspace:
         with pytest.raises(ValueError, match="capacity"):
             tgcr_solve(op, b, np.zeros(10), m=8, opts=LinearOptions(max_iters=5),
                        workspace=WindowPair(capacity))
+
+
+def _digest(*arrays):
+    """The first 16 hex digits of the sha256 of the arrays' float64 bytes."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestFloat32Rows:
+    """Windows with float32 v rows (WindowPair(dtype=np.float32)), as the
+    Newton-Krylov inner solves use while eta >= TOL_FLOOR_F32, and float64
+    windows, which keep the operations they had before float32 rows."""
+
+    # sha256 prefixes of (x, norms, alphas, scales, betas) as the code gave
+    # them before float32 rows existed, with OpenBLAS on x86-64; a BLAS
+    # that sums in another order gives other bytes.
+    @pytest.mark.parametrize("kind, n, seed, m, max_iters, tol, workspace, want", [
+        ("nonsymmetric", 40, 3, 5, 60, 1e-12, False, "33fda8b20e8f2baa"),
+        ("nonsymmetric", 40, 3, 5, 60, 1e-12, True, "33fda8b20e8f2baa"),
+        ("nonsymmetric", 40, 3, 40, 40, 1e-12, True, "e589ba117c758720"),
+        ("late-stall", 18, 32, 18, 18, 1e-4, True, "086d56686f7d139e"),
+    ])
+    def test_float64_rows_give_the_bytes_they_gave(self, kind, n, seed, m, max_iters, tol,
+                                                   workspace, want):
+        # The last case stalls at step 3 and leaves the residual basis.
+        op, b = _workspace_problem(kind, n, seed)
+        opts = LinearOptions(tol_rel=tol, max_iters=max_iters)
+        x, h = _run(op, b, m, opts, workspace=WindowPair(min(m, max_iters)) if workspace else None)
+        assert _digest(x, h.norms, h.alphas, h.scales, *h.betas) == want
+
+    def test_nltgcr_window_gives_the_bytes_it_gave(self):
+        # add_direction on nlTGCR's float64 window, as above: (x, resnorms).
+        bp = BratuProblem(grid_n=20)
+        x, trace = nltgcr_solve(bp.problem(), np.zeros(bp.dim),
+                                SolverOptions(window_m=10, tol_rel=1e-10, max_iters=300))
+        assert _digest(x, trace.resnorms()) == "e0567a98efc84b30"
+
+    def test_gram_schmidt_never_casts_the_window_up(self):
+        # A mixed float32-float64 product would copy all k rows to float64
+        # (k n-vectors); cast down, the pass allocates v in float32, b V and
+        # v' (2.5 n-vectors), measured at 2.5.
+        k, n = 50, 4000
+        rng = np.random.default_rng(0)
+        V = np.linalg.qr(rng.standard_normal((n, k)))[0].T.astype(np.float32)
+        v = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            _, v_out, b, nv = linear.orthogonalize_pair(None, v, None, V.T, 0, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v_out.dtype == b.dtype == np.float64
+        assert peak <= 3 * n * 8
+        # v' is orthogonal to the rows to their precision.
+        assert np.abs(V.astype(np.float64) @ v_out).max() <= linear.REORTH_REL_F32 * nv
+
+    @staticmethod
+    def _floor_problem(kind):
+        """(operator, b): the scaled-Bratu Jacobian at u = 0 on a 60 x 60
+        grid, with b = -f(0), or the nonsymmetric tridiagonal operator
+        (-1.5, 2 + 0.1 cos(x_i), -0.5), n = 4000."""
+        if kind == "scaled-bratu":
+            prob = BratuProblem(grid_n=60, lam=0.5, scaled=True).minimization_problem()
+            u = np.zeros(prob.dim)
+            return LinearOperator(prob.dim, lambda v: prob.exact_jv(u, v)), -prob.eval_f(u)
+        n = 4000
+        rng = np.random.default_rng(0)
+        diag = 2.0 + 0.1 * np.cos(rng.standard_normal(n))
+
+        def apply(v):
+            out = diag * v
+            out[1:] -= 1.5 * v[:-1]
+            out[:-1] -= 0.5 * v[1:]
+            return out
+
+        return LinearOperator(n, apply), rng.standard_normal(n)
+
+    @pytest.mark.parametrize("kind", ["scaled-bratu", "nonsymmetric-tridiagonal"])
+    def test_true_residual_at_the_floor(self, kind):
+        # At tol_rel = TOL_FLOOR_F32 the recorded and true residuals agree
+        # to 5.9e-5 (Bratu, 70 steps) and 4.2e-7 (tridiagonal, 108 steps)
+        # of the recorded one, measured; TOL_FLOOR_F32's derivation asks
+        # for a tenth.
+        op, b = self._floor_problem(kind)
+        m = 200
+        w = WindowPair(m, np.float32)
+        x, h = tgcr_solve(op, b, np.zeros(op.dim), m=m,
+                          opts=LinearOptions(tol_rel=linear.TOL_FLOOR_F32, max_iters=m),
+                          workspace=w)
+        assert h.converged and w.rows()[0] is None
+        true = float(np.linalg.norm(b - op.apply(x)))
+        assert abs(true - h.norms[-1]) <= 0.1 * h.norms[-1]
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_a_stalled_solve_keeps_its_true_residual(self, seed):
+        # "late-stall" at n = 200 stalls after 22 (seed 2) and 20 (seed 3)
+        # residual-basis steps: the float64 P rows are rebuilt from the
+        # residuals, replayed with the loop's float64 products of the
+        # float32 rows, and the solve goes on in the direction basis. The
+        # gap is 4.0e-9 and 5.7e-10 of ||b||, measured, against the tenth
+        # of TOL_FLOOR_F32 ||b|| that the floor allows.
+        n = 200
+        op, b = _workspace_problem("late-stall", n, seed)
+        w = WindowPair(n, np.float32)
+        x, h = _run(op, b, n, LinearOptions(tol_rel=linear.TOL_FLOOR_F32, max_iters=n),
+                    workspace=w)
+        assert h.converged and w.rows()[0] is not None
+        gap = abs(float(np.linalg.norm(b - op.mat @ x)) - h.norms[-1])
+        assert gap <= 0.1 * linear.TOL_FLOOR_F32 * float(np.linalg.norm(b))
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_a_stall_rebuilds_the_float32_direction_basis_to_the_bit(self, seed):
+        # A workspace that can evict (max_iters one above its capacity)
+        # builds directions in float32 rows from the start. The stall's
+        # rebuild gives the same P rows only if the replay forms each r_t
+        # with the loop's own float64 products; so the rest of the solve,
+        # and its iterate, are the same bytes.
+        n = 200
+        op, b = _workspace_problem("late-stall", n, seed)
+        runs = [_run(op, b, n, LinearOptions(tol_rel=linear.TOL_FLOOR_F32, max_iters=n + extra),
+                     workspace=WindowPair(n, np.float32)) for extra in (0, 1)]
+        (x_rb, h_rb), (x_db, h_db) = runs
+        assert h_rb.converged and h_rb.resnorms().tobytes() == h_db.resnorms().tobytes()
+        assert x_rb.tobytes() == x_db.tobytes()
+
+    def test_the_exit_sum_is_the_direction_basis_iterate_to_rounding(self):
+        # Without a stall the iterate is summed from the residuals at exit;
+        # formed from float64 products of the float32 rows, it is the
+        # direction basis's to float64 rounding (1e-16 of ||x||, measured),
+        # where float32 products left it 2.6e-7 away.
+        op, b = make_linear_problem("nonsymmetric", 60, seed=1)
+        runs = [_run(op, b, 60, LinearOptions(tol_rel=linear.TOL_FLOOR_F32, max_iters=60 + extra),
+                     workspace=WindowPair(60, np.float32)) for extra in (0, 1)]
+        (x_rb, h_rb), (x_db, h_db) = runs
+        assert h_rb.converged and h_rb.norms == h_db.norms
+        assert np.linalg.norm(x_rb - x_db) <= 1e-13 * np.linalg.norm(x_db)
+
+    def test_a_direction_at_float32_rounding_collapses(self):
+        # On the rank-5 operator the fifth direction's scale is 1.4e-6,
+        # against 0.017 to 2.2 for the first four. In float32 rows b V
+        # rounds v' by about sqrt(k) u32 ||b||, a fifth of that, so it falls
+        # under BREAKDOWN_TOL_F32 and collapses; float64 rows take it. Both
+        # end at the same true residual, 0.99507 ||b||, as recorded.
+        op, b = _rank_five_problem(200)
+        opts = LinearOptions(tol_rel=0.5, max_iters=20)
+        steps = []
+        for dtype in (np.float64, np.float32):
+            x, h = _run(op, b, 20, opts, workspace=WindowPair(20, dtype))
+            true = float(np.linalg.norm(b - op.mat @ x))
+            assert h.breakdown and abs(true - h.norms[-1]) <= 1e-9 * np.linalg.norm(b)
+            steps.append(h.iterations)
+        assert steps == [5, 4]
