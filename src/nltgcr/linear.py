@@ -20,10 +20,11 @@ residuals either: r_{t+1} = r_t - alpha_t v_t gives each one back from
 r_0 and the v rows, replayed with the loop's own floats, so the window
 holds one row per direction, as GMRES does. At exit the replay writes each
 r_{t+1} over the float64 v_t it was the last to read, so the workspace's
-v rows hold residuals after the solve. Near stagnation successive residuals are
-almost parallel and B^(k) ill-conditioned, so a step that keeps more than
-STALL_RATIO of ||r|| rebuilds the directions the direction basis would
-hold, to the bit, and the rest of the solve updates p and x at every step.
+v rows hold residuals after the solve. Near stagnation successive
+residuals are almost parallel and B^(k) ill-conditioned, so a step that
+keeps more than STALL_RATIO of ||r|| rebuilds the directions the direction
+basis would hold, to the bit, and the rest of the solve updates p and x at
+every step.
 
 A window may store its v rows in float32 (WindowPair(dtype=np.float32)),
 as the Newton-Krylov inner solves do while their tolerance is at least
@@ -86,8 +87,8 @@ class LinearOptions:
 # itself rounding noise against the operator's scale), or the raw ||p|| at
 # most BREAKDOWN_TOL * ||r_0|| (the residual reached rounding level). Both
 # are relative, so whether a direction collapses does not depend on the
-# scale of f. A Gram-Schmidt pass that kept skip_eta
-# of ||v|| leaves no projection above REORTH_REL * ||v'||.
+# scale of f. A Gram-Schmidt pass that kept skip_eta of ||v|| leaves no
+# projection above REORTH_REL * ||v'||.
 BREAKDOWN_TOL = 1e-14
 REORTH_REL = 1e-8
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -198,7 +199,7 @@ def orthogonalize_pair(p, v, P, V, lo, hi):
     are float64 whatever V holds. The same
     combination applied to v is applied to p so v = A p is preserved; with
     P None, p is handed back as given and no pass over P runs. A second
-    pass runs exactly when the first kept less than skip_eta(k, n) of
+    pass runs exactly when the first kept less than skip_eta(k, n, V.dtype) of
     ||v||. Never writes to p or v. Returns (p, v, b, ||v||): b holds the
     coefficients in column order, and ||v|| is measured once more only
     after a second pass.
