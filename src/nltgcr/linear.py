@@ -216,17 +216,20 @@ def orthogonalize_pair(p, v, P, V, lo, hi):
     if low:
         unit = math.ldexp(1.0, -math.frexp(math.sqrt(v @ v))[1])
         v = v * unit
-    b = Vr @ v.astype(Vr.dtype, copy=False)
+        b = Vr @ v.astype(Vr.dtype)
+    else:
+        b = Vr @ v
     # Each subtraction overwrites the product it subtracts (or the scaled
     # copy): one temporary.
     t = np.dot(b, Vr)
     v = np.subtract(v, t, out=v if low else t)
-    b = b.astype(np.float64, copy=False)
+    if low:
+        b = b.astype(np.float64)
     nv = math.sqrt(v @ v)
     # On orthonormal rows ||v||^2 = ||v'||^2 + ||b||^2 to rounding, so the
     # ratio costs O(k) instead of a pass over the window.
     if nv * nv < skip_eta(hi - lo, v.shape[0], Vr.dtype) ** 2 * (nv * nv + float(b @ b)):
-        proj = Vr @ v.astype(Vr.dtype, copy=False)
+        proj = Vr @ (v.astype(Vr.dtype) if low else v)
         v -= np.dot(proj, Vr)
         b += proj
         nv = math.sqrt(v @ v)
@@ -265,8 +268,8 @@ def add_direction(window: WindowPair, p, v, *, r0_norm: float, p_norm: Optional[
     P, V = window.rows()
     p, v, b, s = orthogonalize_pair(p, v, None if residual_basis else P.T, V.T, 0, len(window))
     # On orthonormal rows the raw ||v||^2 is ||v'||^2 + b . b.
-    window.gain = max(window.gain, math.sqrt(s * s + float(b @ b)) / p_norm)
-    if s <= tol * window.gain * p_norm:
+    gain = window.gain = max(window.gain, math.sqrt(s * s + float(b @ b)) / p_norm)
+    if s <= tol * gain * p_norm:
         return None
     # Gram-Schmidt ran on the rows in storage order; the push moves the head.
     b = window.logical(b)
