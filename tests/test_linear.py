@@ -1079,33 +1079,27 @@ class TestFloat32Rows:
     def test_a_stalled_solve_keeps_its_true_residual(self, seed):
         # "late-stall" at n = 200 stalls after 22 (seed 2) and 20 (seed 3)
         # residual-basis steps: the float64 P rows are rebuilt from the
-        # residuals, replayed with the loop's float64 products of the
-        # float32 rows, and the solve goes on in the direction basis. The
-        # gap is 4.0e-9 and 5.7e-10 of ||b||, measured, against the tenth
-        # of TOL_FLOOR_F32 ||b|| that the floor allows.
+        # replayed residuals and the solve goes on in the direction basis.
+        # A workspace that can evict (max_iters one above its capacity)
+        # builds directions in float32 rows from the start; the rebuild
+        # gives its P rows only if the replay forms each r_t with the loop's
+        # own float64 products, and then the rest of the solve, and its
+        # iterate, are the same bytes. The gap between the true and the
+        # recorded residual is 4.0e-9 and 5.7e-10 of ||b||, measured,
+        # against the tenth of TOL_FLOOR_F32 ||b|| that the floor allows.
         n = 200
         op, b = _workspace_problem("late-stall", n, seed)
-        w = WindowPair(n, np.float32)
-        x, h = _run(op, b, n, LinearOptions(tol_rel=linear.TOL_FLOOR_F32, max_iters=n),
-                    workspace=w)
-        assert h.converged and w.rows()[0] is not None
+        runs = []
+        for extra in (0, 1):
+            w = WindowPair(n, np.float32)
+            opts = LinearOptions(tol_rel=linear.TOL_FLOOR_F32, max_iters=n + extra)
+            runs.append(_run(op, b, n, opts, workspace=w) + (w.rows()[0] is not None,))
+        (x, h, stalled), (x_db, h_db, _) = runs
+        assert h.converged and stalled
         gap = abs(float(np.linalg.norm(b - op.mat @ x)) - h.norms[-1])
         assert gap <= 0.1 * linear.TOL_FLOOR_F32 * float(np.linalg.norm(b))
-
-    @pytest.mark.parametrize("seed", [2, 3])
-    def test_a_stall_rebuilds_the_float32_direction_basis_to_the_bit(self, seed):
-        # A workspace that can evict (max_iters one above its capacity)
-        # builds directions in float32 rows from the start. The stall's
-        # rebuild gives the same P rows only if the replay forms each r_t
-        # with the loop's own float64 products; so the rest of the solve,
-        # and its iterate, are the same bytes.
-        n = 200
-        op, b = _workspace_problem("late-stall", n, seed)
-        runs = [_run(op, b, n, LinearOptions(tol_rel=linear.TOL_FLOOR_F32, max_iters=n + extra),
-                     workspace=WindowPair(n, np.float32)) for extra in (0, 1)]
-        (x_rb, h_rb), (x_db, h_db) = runs
-        assert h_rb.converged and h_rb.resnorms().tobytes() == h_db.resnorms().tobytes()
-        assert x_rb.tobytes() == x_db.tobytes()
+        assert h.resnorms().tobytes() == h_db.resnorms().tobytes()
+        assert x.tobytes() == x_db.tobytes()
 
     def test_the_exit_sum_is_the_direction_basis_iterate_to_rounding(self):
         # Without a stall the iterate is summed from the residuals at exit;
