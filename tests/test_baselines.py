@@ -366,7 +366,7 @@ class TestNewtonKrylov:
         #   doubles: 1.2 at n = 3600.
         # That is inner_m / 2 + 7.2, and small objects bring it to 33.8; the
         # bound leaves 1 n-vector. The same solve in float64 rows reads
-        # 58.2 (test_peak_memory_in_n_vectors).
+        # 58.1 (test_peak_memory_in_n_vectors).
         import tracemalloc
 
         bp = BratuProblem(grid_n=60, lam=0.5, scaled=True)

@@ -1021,8 +1021,9 @@ class TestFloat32Rows:
 
     def test_gram_schmidt_never_casts_the_window_up(self):
         # A mixed float32-float64 product would copy all k rows to float64
-        # (k n-vectors); cast down, the pass allocates v in float32, b V and
-        # v' (2.5 n-vectors), measured at 2.5.
+        # (k n-vectors). Cast down, the pass holds at most the scaled copy
+        # of v, b V in float32 and numpy's float64 cast buffer for the
+        # subtraction: 2.5 n-vectors, measured.
         k, n = 50, 4000
         rng = np.random.default_rng(0)
         V = np.linalg.qr(rng.standard_normal((n, k)))[0].T.astype(np.float32)
