@@ -152,26 +152,22 @@ class WindowPair:
     `gain` is the largest ||v|| / ||p|| of a raw pair that
     linear.add_direction has seen since the last clear: the operator's
     scale, against which a v' at rounding level collapses.
-    The v rows are stored in `dtype` (float64 or float32; push rounds each
-    row to it), the P rows always in float64.
+    The v rows are stored in the precision the last clear set (float64
+    before any; push rounds each row to it), the P rows in float64.
     """
 
     NORMALIZATION_TOL = 1e-10
 
-    def __init__(self, capacity: int, dtype=np.float64):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.float64, np.float32):
-            raise ValueError(f"v rows must be float64 or float32, got {self.dtype}")
         self.capacity = capacity
         # Sized to the vector length at the first push (P: with a p).
         self._p = np.empty((capacity, 0))
-        self._v = np.empty((capacity, 0), self.dtype)
+        self._v = np.empty((capacity, 0))
         self._has_p = True
         self._len = 0
         self.head = 0
-        self.oldest_index = 0
         self.gain = 0.0
 
     def __len__(self):
@@ -191,7 +187,7 @@ class WindowPair:
         if n != self._v.shape[1]:
             if self._len:
                 raise ValueError("dimension mismatch with existing window columns")
-            self._v = np.empty((self.capacity, n), self.dtype)
+            self._v = np.empty((self.capacity, n), self._v.dtype)
         nv = (float(np.linalg.norm(v)) if v_norm is None else v_norm) / scale
         # Written so that a NaN norm fails too.
         if not abs(nv - 1.0) <= self.NORMALIZATION_TOL:
@@ -199,7 +195,6 @@ class WindowPair:
         if self._len == self.capacity:
             row = self.head
             self.head = (row + 1) % self.capacity
-            self.oldest_index += 1
         else:
             row = self._len
             self._len += 1
@@ -221,8 +216,14 @@ class WindowPair:
         self._has_p = True
         return self._p[: self._len]
 
-    def clear(self) -> None:
-        self.oldest_index += self._len
+    def clear(self, dtype=np.float64) -> None:
+        """Empty the window and store its v rows in `dtype` (float64 or
+        float32) from here on, dropping a buffer of the other precision."""
+        dtype = np.dtype(dtype)
+        if dtype not in (np.float64, np.float32):
+            raise ValueError(f"v rows must be float64 or float32, got {dtype}")
+        if dtype != self._v.dtype:
+            self._v = np.empty((self.capacity, 0), dtype)
         self._len = 0
         self.head = 0
         self._has_p = True
@@ -408,6 +409,8 @@ class EvalCounter:
         """
         if self.exact_jv:
             jv = self.prob.exact_jv(x, p)
+            if np.shape(jv) != p.shape:
+                raise ValueError(f"J(x) p has shape {np.shape(jv)}, expected {p.shape}")
             if not all_finite(jv):
                 raise NonFiniteError("J(x) p is not finite")
             return jv

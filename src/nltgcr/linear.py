@@ -26,10 +26,11 @@ keeps more than STALL_RATIO of ||r|| rebuilds the directions the direction
 basis would hold, to the bit, and the rest of the solve updates p and x at
 every step.
 
-A window may store its v rows in float32 (WindowPair(dtype=np.float32)),
-as the Newton-Krylov inner solves do while their tolerance is at least
-TOL_FLOOR_F32. Its rows are then orthonormal to float32 precision, and
-its collapse and second-pass rules use constants derived for it
+A solve in a caller's workspace (tgcr_solve) stores its v rows in float32
+exactly when its tol_rel is at least TOL_FLOOR_F32, and in float64 below
+it, setting the precision as it clears the workspace; every other window
+is float64. Float32 rows are orthonormal to float32 precision, and their
+collapse and second-pass rules use constants derived for them
 (BREAKDOWN_TOL_F32, REORTH_REL_F32). Only the two window products of a
 Gram-Schmidt pass run in float32: v is cast down for them, the window
 never up. Every n-vector outside the window stays float64, and so do the
@@ -92,13 +93,13 @@ class LinearOptions:
 BREAKDOWN_TOL = 1e-14
 REORTH_REL = 1e-8
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
-# Float32 v rows (WindowPair(dtype=np.float32)) get the same two rules at
-# their own unit roundoff u32 = 2^-24. The subtraction b V of a pass rounds
-# each entry of v' by about sqrt(k) u ||v|| (the probabilistic bound of
-# Higham & Mary, SISC 41, 2019); BREAKDOWN_TOL is 90 u, above that up to
-# k = 8100, and BREAKDOWN_TOL_F32 is 90 u32, 5.4e-6. REORTH_REL is about
-# sqrt(u) (1e-8 against 1.05e-8), half the working digits; REORTH_REL_F32
-# is sqrt(u32), 2.4e-4.
+# Float32 v rows get the same two rules at their own unit roundoff
+# u32 = 2^-24. The subtraction b V of a pass rounds each entry of v' by
+# about sqrt(k) u ||v|| (the probabilistic bound of Higham & Mary, SISC 41,
+# 2019); BREAKDOWN_TOL is 90 u, above that up to k = 8100, and
+# BREAKDOWN_TOL_F32 is 90 u32, 5.4e-6. REORTH_REL is about sqrt(u) (1e-8
+# against 1.05e-8), half the working digits; REORTH_REL_F32 is sqrt(u32),
+# 2.4e-4.
 UNIT_ROUNDOFF_F32 = float(np.finfo(np.float32).eps) / 2
 BREAKDOWN_TOL_F32 = BREAKDOWN_TOL / UNIT_ROUNDOFF * UNIT_ROUNDOFF_F32
 REORTH_REL_F32 = math.sqrt(UNIT_ROUNDOFF_F32)
@@ -110,10 +111,10 @@ KEPT_FLOOR = 0.2
 # solves on scaled Bratu keep at most 0.994 of ||r|| per step, so they stay
 # in the residual basis.
 STALL_RATIO = 0.999
-# The least tol_rel a solve with float32 v rows is asked for. Its recorded
-# residual r_0 - sum_t alpha_t v_t is formed in float64, but each stored
-# v_t meets A p_t only to e_t ~ (sqrt(k) G + 1) u32, the rounding of b V and
-# of the row itself, G = max ||b_t|| / s_t. The e_t are independent
+# The least tol_rel for which a workspace solve stores float32 v rows. Its
+# recorded residual r_0 - sum_t alpha_t v_t is formed in float64, but each
+# stored v_t meets A p_t only to e_t ~ (sqrt(k) G + 1) u32, the rounding of
+# b V and of the row itself, G = max ||b_t|| / s_t. The e_t are independent
 # roundings and sum alpha_t^2 <= ||r_0||^2, so the true residual is within
 # about ||r_0|| max e_t of the recorded one: 6e-5 ||r_0|| at k = 10^4 and
 # G = 10 (steps keeping a tenth of ||A r_t||; the newton-krylov inner
@@ -262,10 +263,10 @@ def add_direction(window: WindowPair, p, v, *, r0_norm: float, p_norm: Optional[
     """
     if p_norm is None:
         p_norm = float(np.linalg.norm(p))
-    tol = BREAKDOWN_TOL_F32 if window.dtype == np.float32 else BREAKDOWN_TOL
+    P, V = window.rows()
+    tol = BREAKDOWN_TOL_F32 if V.dtype == np.float32 else BREAKDOWN_TOL
     if p_norm <= tol * r0_norm:
         return None
-    P, V = window.rows()
     p, v, b, s = orthogonalize_pair(p, v, None if residual_basis else P.T, V.T, 0, len(window))
     # On orthonormal rows the raw ||v||^2 is ||v'||^2 + b . b.
     gain = window.gain = max(window.gain, math.sqrt(s * s + float(b @ b)) / p_norm)
@@ -310,7 +311,7 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
                 f"workspace capacity {workspace.capacity} != min(m, max_iters) = {capacity}"
             )
         window = workspace
-        window.clear()
+        window.clear(np.float32 if opts.tol_rel >= TOL_FLOOR_F32 else np.float64)
         hist = KrylovHistory()
     # A workspace that cannot evict keeps the residual basis: pair t holds
     # only its v row, and r_t / s_t = P_t + sum_i U[i, t] P_i with
@@ -455,12 +456,12 @@ def tgcr_solve(A: LinearOperator, b, x0, m: int, opts: Optional[LinearOptions] =
     workspace up to rounding, and to the bit once a step has stalled. The
     workspace's rows are scratch after the solve: a residual-basis exit
     overwrites its float64 v rows with the residuals the iterate is summed
-    from. A workspace may hold float32 v rows (module docstring) for a
-    tol_rel of at least TOL_FLOOR_F32. Below it nothing bounds the gap
-    between the recorded and the true residual: on the scaled-Bratu
-    Jacobian at 60 x 60, m = max_iters = 200 and tol_rel 1e-5, float32
-    rows recorded 2.6e-5 ||b|| and left a true residual of 1.07 ||b||. A
-    breakdown stops the solve as in gcr_solve. x0 is read, never written.
+    from. A workspace solve stores float32 v rows (module docstring) when
+    tol_rel >= TOL_FLOOR_F32 and float64 rows below it, where float32 rows
+    would leave the true residual unbounded: on the scaled-Bratu Jacobian
+    at 60 x 60, m = max_iters = 200 and tol_rel 1e-5, they recorded 2.6e-5
+    ||b|| and left a true residual of 1.07 ||b|| (8.04 on one BLAS thread).
+    A breakdown stops the solve as in gcr_solve. x0 is read, never written.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

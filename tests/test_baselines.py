@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nltgcr.baselines as baselines
+import nltgcr.linear as linear
 from nltgcr import (
     BratuProblem,
     BreakdownError,
@@ -231,6 +232,20 @@ def _orth_probe(v, seed=0):
 
 
 class TestNewtonKrylov:
+    @staticmethod
+    def _spy_row_dtypes(monkeypatch):
+        """A list that gets the v rows' dtype of every inner solve."""
+        dtypes = []
+        solve = baselines.tgcr_solve
+
+        def spy(*args, workspace, **kw):
+            out = solve(*args, workspace=workspace, **kw)
+            dtypes.append(workspace.rows()[1].dtype)
+            return out
+
+        monkeypatch.setattr(baselines, "tgcr_solve", spy)
+        return dtypes
+
     def test_affine_problem_needs_one_deep_outer_step(self):
         prob, op, b = _affine(n=10, seed=9)
         # eta0 tiny forces the inner solve to full accuracy: Newton is exact
@@ -293,13 +308,13 @@ class TestNewtonKrylov:
         # direction (the residual basis stores no P rows), and keeps no
         # residuals or iterates, so no outer step holds a second one. Here
         # eta falls below TOL_FLOOR_F32 (to 7.8e-7 at the last step), and
-        # the float32 window is dropped before the float64 one that takes
-        # its place gets rows, so the peak is one window of inner_m * n
-        # doubles; keeping the float32 window beside it put it at 1.67. The
-        # rest of the peak is about six n-vectors (0.12 of a window) and one
-        # inner history's betas (inner_m^2 / 2 doubles with their array
-        # headers, 0.02 of a window at this small n); small objects bring it
-        # to 1.20 windows, measured.
+        # the clear that gives the window float64 rows drops its float32
+        # buffer before the first push sizes the float64 one, so the peak
+        # is one window of inner_m * n doubles; keeping the float32 window
+        # beside a float64 one put it at 1.67. The rest of the peak is about
+        # six n-vectors (0.12 of a window) and one inner history's betas
+        # (inner_m^2 / 2 doubles with their array headers, 0.02 of a window
+        # at this small n); small objects bring it to 1.20 windows, measured.
         # The bound leaves 0.05 of a window, 2.5 n-vectors. A zero start
         # and its copy, a U of inner_m^2 doubles per inner solve and the
         # previous step's history held as well put it at 1.28; with a P row
@@ -321,8 +336,8 @@ class TestNewtonKrylov:
         assert peak < 1.25 * window_bytes
 
     def test_peak_memory_in_n_vectors(self, monkeypatch):
-        # With float64 rows throughout (eta never falls below a floor of 1,
-        # while this instance keeps eta >= 1.3e-3), the peak is in a Jv
+        # With float64 rows throughout (no eta reaches a floor of 1, while
+        # this instance keeps eta >= 1.3e-3), the peak is in a Jv
         # probe of an inner solve, 58.0 n-vectors here:
         # - the window's inner_m v rows; the exit replays the residuals the
         #   iterate is summed from into those rows, so it adds none;
@@ -339,7 +354,8 @@ class TestNewtonKrylov:
         # held through this one put it at 61.4.
         import tracemalloc
 
-        monkeypatch.setattr(baselines, "TOL_FLOOR_F32", 1.0)
+        monkeypatch.setattr(linear, "TOL_FLOOR_F32", 1.0)
+        dtypes = self._spy_row_dtypes(monkeypatch)
         bp = BratuProblem(grid_n=60, lam=0.5, scaled=True)
         prob = bp.minimization_problem()
         opts = SolverOptions(tol_rel=1e-8, max_iters=40)
@@ -351,9 +367,10 @@ class TestNewtonKrylov:
         finally:
             tracemalloc.stop()
         assert trace.final().resnorm <= 1e-8 * trace.records[0].resnorm
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
         assert peak <= (50 + 9) * bp.dim * 8
 
-    def test_peak_memory_with_float32_rows_in_n_vectors(self):
+    def test_peak_memory_with_float32_rows_in_n_vectors(self, monkeypatch):
         # Here eta stays >= 1.3e-3, above TOL_FLOOR_F32, so every inner
         # solve runs in float32 rows, and the peak moves to an inner
         # solve's exit, 33.8 n-vectors:
@@ -369,6 +386,7 @@ class TestNewtonKrylov:
         # 58.1 (test_peak_memory_in_n_vectors).
         import tracemalloc
 
+        dtypes = self._spy_row_dtypes(monkeypatch)
         bp = BratuProblem(grid_n=60, lam=0.5, scaled=True)
         prob = bp.minimization_problem()
         reports = []
@@ -381,7 +399,8 @@ class TestNewtonKrylov:
         finally:
             tracemalloc.stop()
         assert trace.final().resnorm <= 1e-8 * trace.records[0].resnorm
-        assert min(rep["eta"] for rep in reports) >= baselines.TOL_FLOOR_F32
+        assert min(rep["eta"] for rep in reports) >= linear.TOL_FLOOR_F32
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
         assert peak <= (50 / 2 + 10) * bp.dim * 8
 
     @pytest.mark.parametrize("inner_m, iters, fevals", [(10, 8, 64), (50, 7, 90)])
@@ -389,8 +408,10 @@ class TestNewtonKrylov:
             self, monkeypatch, inner_m, iters, fevals):
         # f(x) = T x + 0.1 sin(x) - c, T tridiagonal (-1.5, 2.5, -0.5): its
         # Jacobian is not symmetric. eta falls below TOL_FLOOR_F32 during
-        # the solve, so the window switches to float64 rows part way. The
-        # counts are those of float64 rows throughout (a floor of 1).
+        # the solve: eta >= 0.036 at steps 1-5 and <= 6.7e-4 from step 6 on,
+        # so the first five inner solves run in float32 rows and the rest in
+        # float64. The counts are those of float64 rows throughout (a floor
+        # of 1).
         n = 4000
         c = np.random.default_rng(0).standard_normal(n)
 
@@ -401,14 +422,17 @@ class TestNewtonKrylov:
             return out
 
         opts = SolverOptions(tol_rel=1e-8, max_iters=60)
-        for floor in (baselines.TOL_FLOOR_F32, 1.0):
-            monkeypatch.setattr(baselines, "TOL_FLOOR_F32", floor)
+        dtypes = self._spy_row_dtypes(monkeypatch)
+        for floor, low in ((linear.TOL_FLOOR_F32, 5), (1.0, 0)):
+            monkeypatch.setattr(linear, "TOL_FLOOR_F32", floor)
             reports = []
+            dtypes.clear()
             _, trace = newton_krylov_solve(NonlinearProblem(dim=n, eval_f=f), np.zeros(n),
                                            inner_m=inner_m, eta0=0.9, opts=opts,
                                            observer=reports.append)
             assert (trace.final().iter, trace.final().fevals) == (iters, fevals)
             assert reports[0]["eta"] >= 1e-3 > min(rep["eta"] for rep in reports)
+            assert dtypes == [np.dtype(np.float32)] * low + [np.dtype(np.float64)] * (iters - low)
 
     def test_accepted_trial_f_is_released_before_the_next_inner_solve(self):
         # The line search's f(x_new) lives on only as r = -f(x_new): by the

@@ -32,7 +32,6 @@ class TestWindowPair:
         v[0] = 1.0
         w.push(np.arange(5.0), v)
         assert len(w) == 1
-        assert w.oldest_index == 0
 
     def test_eviction_order_at_capacity(self):
         w = WindowPair(capacity=2)
@@ -45,7 +44,7 @@ class TestWindowPair:
         np.testing.assert_array_equal(w.p_matrix()[:, 1], ps[2])
         np.testing.assert_array_equal(w.v_matrix()[:, 0], vs[1])
 
-    def test_oldest_index_matches_window_start_formula(self):
+    def test_window_start_matches_formula(self):
         # After pushing pairs 0..j with capacity m, the window holds
         # max(0, j - m + 1) .. j. Enumerated by hand for j = 0..6, m = 4.
         m = 4
@@ -53,7 +52,6 @@ class TestWindowPair:
         vs = _orthonormal_columns(10, 7)
         for j in range(7):
             w.push(np.full(10, float(j)), vs[j])
-            assert w.oldest_index == max(0, j - m + 1)
             assert w.p_matrix()[0, 0] == float(max(0, j - m + 1))
 
     def test_p_rows_for_all_pairs_or_none(self):
@@ -133,7 +131,8 @@ class TestWindowPair:
 
     def test_float32_rows_hold_v_only(self):
         # push rounds v / scale to the rows' precision once; P stays float64.
-        w = WindowPair(capacity=2, dtype=np.float32)
+        w = WindowPair(capacity=2)
+        w.clear(np.float32)
         v = np.array([0.6, 0.8, 0.0])
         p = np.array([1.0 / 3.0, 0.1, 0.2])
         w.push(p, 0.5 * v, scale=0.5)
@@ -141,11 +140,19 @@ class TestWindowPair:
         assert V.dtype == np.float32 and P.dtype == np.float64
         assert V[0].tobytes() == v.astype(np.float32).tobytes()
         assert P[0].tobytes() == (p / 0.5).tobytes()
-        w.clear()
+        # A clear keeps a buffer of its precision and drops one of the
+        # other, which the first push then sizes anew.
+        buffer = w._v
+        w.clear(np.float32)
         w.push(None, np.array([0.0, 0.0, 1.0]))
         assert w.rows()[0] is None and w.add_p_rows().dtype == np.float64
+        assert w._v is buffer
+        w.clear()
+        assert w._v.size == 0
+        w.push(None, np.array([0.0, 0.0, 1.0]))
+        assert w.rows()[1].dtype == np.float64
         with pytest.raises(ValueError, match="float64 or float32"):
-            WindowPair(capacity=2, dtype=np.float16)
+            w.clear(np.float16)
 
     def test_random_push_sequences_keep_invariants(self):
         # Property sweep: any reachable push sequence of orthonormalized
@@ -162,7 +169,7 @@ class TestWindowPair:
                 assert len(w) <= cap
                 assert w.p_matrix().shape == w.v_matrix().shape == (n, len(w))
                 assert w.orthonormality_defect() <= 1e-10
-                assert w.oldest_index == max(0, j - cap + 1)
+                assert w.p_matrix()[0, 0] == float(max(0, j - cap + 1))
 
     def test_pairs_stay_paired_through_eviction(self):
         w = WindowPair(capacity=3)
@@ -186,11 +193,10 @@ class TestWindowRing:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         Q, _ = np.linalg.qr(rng.standard_normal((self.N, 4 * cap)))
         w = WindowPair(cap)
-        model, oldest = [], 0
+        model = []
         for step, op in enumerate(ops):
             if op == "clear":
                 w.clear()
-                oldest += len(model)
                 model = []
                 continue
             q = Q[:, step]
@@ -214,11 +220,10 @@ class TestWindowRing:
             model.append(pair)
             if len(model) > cap:
                 model.pop(0)
-                oldest += 1
-            self._check(w, model, oldest, rng)
+            self._check(w, model, rng)
 
-    def _check(self, w, model, oldest, rng):
-        assert len(w) == len(model) and w.oldest_index == oldest
+    def _check(self, w, model, rng):
+        assert len(w) == len(model)
         P_log = np.stack([p for p, _ in model], axis=1)
         V_log = np.stack([v for _, v in model], axis=1)
         np.testing.assert_array_equal(w.p_matrix(), P_log)
@@ -355,6 +360,18 @@ class TestEvalCounter:
             nltgcr_solve(prob, np.ones(3))
         assert info.value.trace.frozen and len(info.value.trace) == 0
         np.testing.assert_array_equal(info.value.x, np.ones(3))
+
+    @pytest.mark.parametrize("jv, shape", [(lambda x, p: p[:, None], (5, 1)),
+                                           (lambda x, p: p[:1], (1,))], ids=["column", "short"])
+    def test_exact_jv_of_another_shape_is_rejected(self, jv, shape):
+        # Rejected where it is made, as f is: unchecked, a column failed in
+        # all_finite's product and a short one in the window's push.
+        d = np.arange(1.0, 6.0)
+        prob = NonlinearProblem(dim=5, eval_f=lambda x: d * x - 1.0, exact_jv=jv)
+        message = re.escape(f"J(x) p has shape {shape}, expected (5,)")
+        with pytest.raises(ValueError, match=message) as info:
+            nltgcr_solve(prob, np.zeros(5), exact_jv=True)
+        assert info.value.trace.frozen and len(info.value.trace) == 1
 
     def test_counts_f_and_frechet(self):
         prob = NonlinearProblem(dim=2, eval_f=lambda x: x * x)
