@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -296,6 +297,24 @@ class TestNewtonKrylov:
         assert tr.final().resnorm <= 1e-7 * tr.records[0].resnorm
         assert np.abs(prob.eval_f(x)).max() <= 1e-4
         assert tr.fevals_to_relative(1e-6) is not None
+
+    @pytest.mark.parametrize("grid_n, iters, fevals, want", [
+        (30, 7, 169, "3d23f2938664aa01"),
+        (40, 7, 198, "d54effc7f4db0cd2"),
+    ])
+    def test_scaled_bratu_gives_the_bytes_it_gave(self, grid_n, iters, fevals, want):
+        # The first 16 hex digits of the sha256 of x, the trace's resnorms
+        # and its fevals, with OpenBLAS on x86-64 (a BLAS that sums in
+        # another order gives other bytes). Inner solves run in float32
+        # rows while eta >= TOL_FLOOR_F32 and in float64 rows after.
+        bp = BratuProblem(grid_n=grid_n, lam=0.5, scaled=True)
+        x, trace = newton_krylov_solve(bp.minimization_problem(), np.zeros(bp.dim), inner_m=50,
+                                       eta0=0.9, opts=SolverOptions(tol_rel=1e-8, max_iters=40))
+        assert (trace.final().iter, trace.final().fevals) == (iters, fevals)
+        h = hashlib.sha256(x.tobytes())
+        h.update(trace.resnorms().tobytes())
+        h.update(trace.fevals().astype(np.int64).tobytes())
+        assert h.hexdigest()[:16] == want
 
     @pytest.mark.parametrize("eta0", [0.0, -0.5, 1.0, 1.5])
     def test_eta0_outside_unit_interval_rejected(self, eta0):

@@ -305,6 +305,87 @@ class TestConvergenceTrace:
         assert t.fevals_to_relative(1e-1) == 3
         assert t.fevals_to_relative(1e-6) is None
 
+    # Rows with every float a CSV line must spell out: -0, subnormal, inf,
+    # nan, fevals past 2^32 and a wallclock that rounds up.
+    EDGE_ROWS = [
+        (0, 1, 1.0 / 3.0, 0.0, "NL", 0.0),
+        (1, 3, -0.0, 1.0, "LIN", 0.0123456789),
+        (2, 3, 1e-300, 0.8**7, "NL", 1.5e-7),
+        (3, 2**40, float("inf"), 5e-324, "LIN", 12345.678901),
+        (4, 2**40 + 1, float("nan"), -2.5, "NL", 0.9999995),
+    ]
+
+    def test_records_view_equals_the_appended_rows(self):
+        rows = [TraceRecord(*row) for row in self.EDGE_ROWS]
+        t = ConvergenceTrace()
+        assert t.records == [] and t.fevals_to_relative(0.5) is None
+        for rec in rows:
+            t.append(rec)
+        # nan != nan, so the rows are compared by their reprs.
+        assert [repr(r) for r in t.records] == [repr(r) for r in rows]
+        assert repr(t.final()) == repr(rows[-1])
+        assert t.resnorms().tobytes() == np.array([r.resnorm for r in rows]).tobytes()
+        assert t.fevals().tolist() == [r.fevals for r in rows]
+        assert t.fevals().dtype == np.dtype(int)
+        with pytest.raises(AttributeError):
+            t.records = []
+
+    def test_csv_gives_the_bytes_it_gave(self, tmp_path):
+        # The sha256 prefix of the CSV text these rows gave when the trace
+        # kept one TraceRecord per row; from_csv reads every field back.
+        import hashlib
+
+        t = ConvergenceTrace()
+        for row in self.EDGE_ROWS:
+            t.append(TraceRecord(*row))
+        text = t.to_csv(tmp_path / "edge.csv")
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "8c03697cb14982cd"
+        assert ConvergenceTrace.from_csv(tmp_path / "edge.csv").to_csv() == text
+
+    def test_csv_of_a_solve_is_its_records_formatted(self):
+        # The CSV as the record-per-row trace wrote it, from the records view.
+        from nltgcr import BratuProblem
+
+        bp = BratuProblem(grid_n=8)
+        _, t = nltgcr_solve(bp.problem(), np.zeros(bp.dim),
+                            SolverOptions(window_m=3, tol_rel=1e-10, variant="adaptive"))
+        want = "iter,fevals,resnorm,step_size,mode,wallclock_s\n" + "".join(
+            f"{r.iter},{r.fevals},{r.resnorm:.16e},{r.step_size:.16e},{r.mode},"
+            f"{r.wallclock_s:.6f}\n" for r in t.records)
+        assert {r.mode for r in t.records} == {"NL", "LIN"}
+        assert t.to_csv() == want
+
+    def test_rejected_appends_leave_the_trace_as_it_was(self):
+        t = ConvergenceTrace()
+        t.append(self._rec(0, 5, 2.0))
+        with pytest.raises(ValueError, match="nondecreasing"):
+            t.append(self._rec(1, 4))
+        with pytest.raises(ValueError, match="mode"):
+            t.append(TraceRecord(1, 6, 1.0, 1.0, "XX", 0.0))
+        t.freeze()
+        with pytest.raises(RuntimeError, match="frozen"):
+            t.append(self._rec(1, 6))
+        assert len(t) == 1 and t.records == [self._rec(0, 5, 2.0)]
+
+    def test_a_row_costs_under_64_bytes(self):
+        # Six numbers are 41 bytes in columns; a TraceRecord object per row
+        # held 237.
+        import tracemalloc
+
+        rows = 10**4
+        t = ConvergenceTrace()
+        t.append(self._rec(0, 0))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for i in range(1, rows + 1):
+                t.append(TraceRecord(i, i, 1.0 / i, 1.0, "LIN" if i % 2 else "NL", 1e-3 * i))
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(t) == rows + 1
+        assert held < 64 * rows
+
 
 class TestSolverOptions:
     def test_defaults_valid(self):

@@ -1014,6 +1014,21 @@ class TestFloat32Rows:
         x, h = _run(op, b, m, opts, workspace=WindowPair(min(m, max_iters)) if workspace else None)
         assert _digest(x, h.norms, h.alphas, h.scales, *h.betas) == want
 
+    # The same for float32 rows at tol_rel = TOL_FLOOR_F32: a solve that
+    # ends in the residual basis and sums its iterate from the residuals
+    # (19 steps), and one that stalls and leaves it (168 steps).
+    @pytest.mark.parametrize("kind, n, seed, stalls, want", [
+        ("nonsymmetric", 60, 1, False, "f3f9e068ac3ae171"),
+        ("late-stall", 200, 2, True, "26cb2919dbd19df5"),
+    ])
+    def test_float32_rows_give_the_bytes_they_gave(self, kind, n, seed, stalls, want):
+        op, b = _workspace_problem(kind, n, seed)
+        w = WindowPair(n)
+        x, h = _run(op, b, n, LinearOptions(tol_rel=linear.TOL_FLOOR_F32, max_iters=n),
+                    workspace=w)
+        assert w.rows()[1].dtype == np.float32 and (w.rows()[0] is not None) == stalls
+        assert _digest(x, h.norms, h.alphas, h.scales, *h.betas) == want
+
     def test_nltgcr_window_gives_the_bytes_it_gave(self):
         # add_direction on nlTGCR's float64 window, as above: (x, resnorms).
         bp = BratuProblem(grid_n=20)
