@@ -172,6 +172,9 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer):
     # of every probe at x, and the slope's and the search's residual.
     r = -fx
     del fx
+    # ||r||^2, the search's merit at x: at every step after the first, the
+    # merit the last search measured at its point, to the bit.
+    rnorm2 = float(r @ r)
     for it in count(1):
         x_frozen, r_frozen = x, r
         # Every inner probe at this x scales by the same ||x||_inf.
@@ -192,11 +195,12 @@ def _newton_krylov_steps(ev, x, fx, target, opts, inner_m, eta, observer):
         # would not help: the probe scales its step by 1 / ||delta||, so it
         # probes the same point and returns the same slope, scaled.
         slope = ev.slope(x, r, delta)
-        res = backtrack(ev.f, x, delta, r, slope, ls)
+        res = backtrack(ev.f, x, delta, r, slope, ls, rnorm2=rnorm2)
         ls = update_alpha0(ls, res.steps)
         # f(x) lives on only as r, and delta and ihist not at all, through
         # the next inner solve. The search measured ||f(x_new)||^2 already.
-        alpha, x, f_new, fnorm = res.alpha, res.x_new, res.f_new, math.sqrt(res.merit)
+        alpha, x, f_new, rnorm2 = res.alpha, res.x_new, res.f_new, res.merit
+        fnorm = math.sqrt(rnorm2)
         del res, delta
         r = -f_new
         del f_new

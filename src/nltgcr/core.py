@@ -6,7 +6,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -279,23 +281,45 @@ CSV_HEADER = "iter,fevals,resnorm,step_size,mode,wallclock_s"
 
 
 class ConvergenceTrace:
-    """Per-iteration convergence log; immutable once the solve finalizes it."""
+    """Per-iteration convergence log; immutable once the solve finalizes it.
+
+    The rows are kept in columns: iter and fevals as int64, resnorm,
+    step_size and wallclock_s as float64, and the mode as one byte, its
+    index in MODES. That is 41 bytes a row, where a TraceRecord object
+    kept per row took 237. `records` and final() build TraceRecords from
+    the columns when asked.
+    """
 
     def __init__(self):
-        self.records: List[TraceRecord] = []
+        self._iter = array("q")
+        self._fevals = array("q")
+        self._resnorm = array("d")
+        self._step_size = array("d")
+        self._wallclock_s = array("d")
+        self._mode = bytearray()
         self._frozen = False
 
     def __len__(self):
-        return len(self.records)
+        return len(self._iter)
 
     def append(self, rec: TraceRecord) -> "ConvergenceTrace":
         if self._frozen:
             raise RuntimeError("trace is frozen after the solve completed")
-        if self.records and rec.fevals < self.records[-1].fevals:
+        if self._fevals and rec.fevals < self._fevals[-1]:
             raise ValueError(
-                f"fevals must be nondecreasing: {rec.fevals} < {self.records[-1].fevals}"
+                f"fevals must be nondecreasing: {rec.fevals} < {self._fevals[-1]}"
             )
-        self.records.append(rec)
+        # Every field is converted before any column grows, so a row that
+        # does not fit the columns leaves the trace as it was.
+        it, fevals = operator.index(rec.iter), operator.index(rec.fevals)
+        floats = float(rec.resnorm), float(rec.step_size), float(rec.wallclock_s)
+        mode = MODES.index(rec.mode)
+        self._iter.append(it)
+        self._fevals.append(fevals)
+        self._resnorm.append(floats[0])
+        self._step_size.append(floats[1])
+        self._wallclock_s.append(floats[2])
+        self._mode.append(mode)
         return self
 
     def freeze(self) -> "ConvergenceTrace":
@@ -306,36 +330,45 @@ class ConvergenceTrace:
     def frozen(self) -> bool:
         return self._frozen
 
+    def _columns(self):
+        """The six columns in TraceRecord's field order, modes as strings."""
+        modes = (MODES[m] for m in self._mode)
+        return (self._iter, self._fevals, self._resnorm, self._step_size, modes,
+                self._wallclock_s)
+
+    @property
+    def records(self) -> List[TraceRecord]:
+        """The rows as TraceRecords, built anew on each access."""
+        return list(map(TraceRecord, *self._columns()))
+
     def resnorms(self) -> np.ndarray:
-        return np.array([r.resnorm for r in self.records])
+        return np.array(self._resnorm, dtype=np.float64)
 
     def fevals(self) -> np.ndarray:
-        return np.array([r.fevals for r in self.records], dtype=int)
+        return np.array(self._fevals, dtype=int)
 
     def final(self) -> TraceRecord:
-        return self.records[-1]
+        return TraceRecord(self._iter[-1], self._fevals[-1], self._resnorm[-1],
+                           self._step_size[-1], MODES[self._mode[-1]], self._wallclock_s[-1])
 
     def fevals_to_relative(self, threshold: float) -> Optional[int]:
         """Cumulative fevals when resnorm/resnorm0 first drops to threshold."""
-        if not self.records:
+        if not self._resnorm:
             return None
-        r0 = self.records[0].resnorm
+        r0 = self._resnorm[0]
         if r0 == 0.0:
-            return self.records[0].fevals
-        for rec in self.records:
-            if rec.resnorm <= threshold * r0:
-                return rec.fevals
+            return self._fevals[0]
+        for resnorm, fevals in zip(self._resnorm, self._fevals):
+            if resnorm <= threshold * r0:
+                return fevals
         return None
 
     def to_csv(self, path=None) -> str:
         """Serialize as CSV; resnorm carries 17 significant digits."""
         buf = io.StringIO()
         buf.write(CSV_HEADER + "\n")
-        for r in self.records:
-            buf.write(
-                f"{r.iter},{r.fevals},{r.resnorm:.16e},{r.step_size:.16e},"
-                f"{r.mode},{r.wallclock_s:.6f}\n"
-            )
+        for it, fevals, resnorm, step, mode, wall in zip(*self._columns()):
+            buf.write(f"{it},{fevals},{resnorm:.16e},{step:.16e},{mode},{wall:.6f}\n")
         text = buf.getvalue()
         if path is not None:
             with open(path, "w") as fh:
@@ -415,7 +448,8 @@ class EvalCounter:
                 raise NonFiniteError("J(x) p is not finite")
             return jv
         if p_norm is None:
-            p_norm = float(np.linalg.norm(p))
+            # np.linalg.norm(p) to the bit, without its overhead.
+            p_norm = math.sqrt(p @ p)
         if p_norm == 0.0:
             raise ValueError("cannot probe along a zero direction")
         if x_inf is None:

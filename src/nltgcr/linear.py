@@ -34,9 +34,11 @@ collapse and second-pass rules use constants derived for them
 (BREAKDOWN_TOL_F32, REORTH_REL_F32). Only the two window products of a
 Gram-Schmidt pass run in float32: v is cast down for them, the window
 never up. Every n-vector outside the window stays float64, and so do the
-residual update r - alpha_t v_t, its replay and the exit sum, which forms
-each residual in turn because float32 rows cannot hold them. Float64
-windows run the same operations as before float32 rows existed.
+residual update r - alpha_t v_t (a step casts its new row up once, for
+alpha_t and the update), its replay and the exit sum, which forms each
+residual in turn, in one buffer, because float32 rows cannot hold them.
+Float64 windows run the same floating-point operations as before float32
+rows existed.
 """
 
 from __future__ import annotations
@@ -215,8 +217,10 @@ def orthogonalize_pair(p, v, P, V, lo, hi):
     # of V up in a product with a float64 v.
     low = Vr.dtype != v.dtype
     if low:
-        unit = math.ldexp(1.0, -math.frexp(math.sqrt(v @ v))[1])
-        v = v * unit
+        # Undone by multiplying by 2^e: the same floats as dividing by
+        # unit = 2^-e, at less than half the cost of a division pass.
+        e = math.frexp(math.sqrt(v @ v))[1]
+        v = v * math.ldexp(1.0, -e)
         b = Vr @ v.astype(Vr.dtype)
     else:
         b = Vr @ v
@@ -235,9 +239,10 @@ def orthogonalize_pair(p, v, P, V, lo, hi):
         b += proj
         nv = math.sqrt(v @ v)
     if low:
-        v /= unit
-        b /= unit
-        nv /= unit
+        undo = math.ldexp(1.0, e)
+        v *= undo
+        b *= undo
+        nv *= undo
     if P is not None:
         t = np.dot(b, P[:, lo:hi].T)
         p = np.subtract(p, t, out=t)
@@ -359,15 +364,16 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
             out += w[1:] @ V[: k - 1]
             return out
         # Float32 rows cannot hold the residuals: each r_t is replayed into
-        # the float64 product it subtracts and added as soon as it is formed,
-        # so the sum holds two at a time. The row is cast up before it is
-        # scaled: the loop's floats, without np.multiply's cast buffer.
-        r_t = r0
+        # one buffer and added as soon as it is formed, through one scratch
+        # vector. The row is cast up before it is scaled: the loop's floats,
+        # without np.multiply's cast buffer.
+        r_t, scratch = np.empty_like(out), np.empty_like(out)
+        prev = r0
         for t in range(1, k):
-            step = V[t - 1].astype(np.float64)
-            step *= hist.alphas[t - 1]
-            r_t = np.subtract(r_t, step, out=step)
-            out += w[t] * r_t
+            np.copyto(scratch, V[t - 1])
+            scratch *= hist.alphas[t - 1]
+            prev = np.subtract(prev, scratch, out=r_t)
+            out += np.multiply(r_t, w[t], out=scratch)
         return out
 
     def _leave_residual_basis():
@@ -403,12 +409,17 @@ def _tgcr_engine(A: LinearOperator, b, x0, m: Optional[int], opts: LinearOptions
         if not _new_direction():
             break
         P, V = window.rows()
-        v_j = V[window.newest_slot]
+        slot = window.newest_slot
+        # The update runs in float64 whatever the rows hold (alpha * v_j
+        # would round to them), so a float32 row is cast up once, for alpha
+        # and for the update, and scaled in place.
+        cast = V.dtype != np.float64
+        v_j = V[slot].astype(np.float64) if cast else V[slot]
         alpha = float(r @ v_j)
         if not residual:
-            x = x + alpha * P[window.newest_slot]
-        # In float64 whatever the rows hold: alpha * v_j would round to them.
-        r = r - np.multiply(v_j, alpha, dtype=float)
+            x = x + alpha * P[slot]
+        step = np.multiply(v_j, alpha, out=v_j if cast else None)
+        r = np.subtract(r, step, out=step)
         rnorm = math.sqrt(r @ r)
         hist.alphas.append(alpha)
         hist.norms.append(rnorm)

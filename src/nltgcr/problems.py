@@ -65,24 +65,34 @@ class BratuProblem:
             raise ValueError(f"expected length {self.dim}, got {u.shape}")
         return u.reshape(self.grid_n, self.grid_n)
 
-    def _scaled(self, out: np.ndarray) -> np.ndarray:
+    def _scaled(self, out: np.ndarray, sign: float) -> np.ndarray:
+        """The kernel's output, flattened and multiplied in place by sign
+        times the row scale: one pass for both. Negation is exact, so
+        out * -s is -(out * s) to the bit, signed zeros included."""
         out = out.ravel()
-        if self.scaled:
-            out *= self._row_scale
+        scale = sign * self._row_scale
+        if scale != 1.0:
+            out *= scale
         return out
 
-    def f(self, u: np.ndarray) -> np.ndarray:
+    def _residual(self, u: np.ndarray, sign: float = 1.0) -> np.ndarray:
         u2 = self._grid(u)
         if float(u2.max()) > _EXP_OVERFLOW:
             raise ValueError("exp overflow: u is out of physical range")
-        return self._scaled(kernels.bratu_residual(u2, self.lam, self.h))
+        return self._scaled(kernels.bratu_residual(u2, self.lam, self.h), sign)
 
-    def jv(self, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def _jv(self, u: np.ndarray, p: np.ndarray, sign: float = 1.0) -> np.ndarray:
         u2 = self._grid(u)
         p2 = self._grid(np.asarray(p, dtype=float))
         if float(u2.max()) > _EXP_OVERFLOW:
             raise ValueError("exp overflow: u is out of physical range")
-        return self._scaled(kernels.bratu_jv(u2, p2, self.lam, self.h))
+        return self._scaled(kernels.bratu_jv(u2, p2, self.lam, self.h), sign)
+
+    def f(self, u: np.ndarray) -> np.ndarray:
+        return self._residual(u)
+
+    def jv(self, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return self._jv(u, p)
 
     def laplacian_quadratic(self, u: np.ndarray) -> float:
         """0.5 * u^T L u for the (possibly scaled) discrete Laplacian part."""
@@ -111,8 +121,8 @@ class BratuProblem:
 
         return NonlinearProblem(
             dim=self.dim,
-            eval_f=lambda u: -self.f(u),
-            exact_jv=lambda u, p: -self.jv(u, p),
+            eval_f=lambda u: self._residual(u, -1.0),
+            exact_jv=lambda u, p: self._jv(u, p, -1.0),
             eval_phi=phi,
             name="bratu-min",
         )

@@ -103,6 +103,21 @@ class TestBratu:
         fd = central_diff_gradient(pm.eval_phi, u, eps=1e-6)
         np.testing.assert_allclose(pm.eval_f(u), fd, rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_minimization_form_is_the_negated_residual_to_the_bit(self, scaled, lam):
+        # The sign rides on the row scale's multiply; on u and p with +0 and
+        # -0 entries (and lam = 0, where f(0) = 0 and its negation is -0)
+        # the bytes must be those of negating f and J p.
+        bp = BratuProblem(grid_n=7, lam=lam, scaled=scaled)
+        pm = bp.minimization_problem()
+        rng = np.random.default_rng(2)
+        for u in (0.3 * rng.standard_normal(bp.dim), np.zeros(bp.dim)):
+            p = rng.standard_normal(bp.dim)
+            u[::3], u[1::3], p[::4], p[1::4] = 0.0, -0.0, 0.0, -0.0
+            assert pm.eval_f(u).tobytes() == (-bp.f(u)).tobytes()
+            assert pm.exact_jv(u, p).tobytes() == (-bp.jv(u, p)).tobytes()
+
 
 class TestLennardJones:
     def test_two_atoms_at_minimum_distance(self):
