@@ -312,13 +312,13 @@ class ConvergenceTrace:
         # Every field is converted before any column grows, so a row that
         # does not fit the columns leaves the trace as it was.
         it, fevals = operator.index(rec.iter), operator.index(rec.fevals)
-        floats = float(rec.resnorm), float(rec.step_size), float(rec.wallclock_s)
+        resnorm, step, wall = float(rec.resnorm), float(rec.step_size), float(rec.wallclock_s)
         mode = MODES.index(rec.mode)
         self._iter.append(it)
         self._fevals.append(fevals)
-        self._resnorm.append(floats[0])
-        self._step_size.append(floats[1])
-        self._wallclock_s.append(floats[2])
+        self._resnorm.append(resnorm)
+        self._step_size.append(step)
+        self._wallclock_s.append(wall)
         self._mode.append(mode)
         return self
 

@@ -75,13 +75,13 @@ class BratuProblem:
             out *= scale
         return out
 
-    def _residual(self, u: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    def _residual(self, u: np.ndarray, sign: float) -> np.ndarray:
         u2 = self._grid(u)
         if float(u2.max()) > _EXP_OVERFLOW:
             raise ValueError("exp overflow: u is out of physical range")
         return self._scaled(kernels.bratu_residual(u2, self.lam, self.h), sign)
 
-    def _jv(self, u: np.ndarray, p: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    def _jv(self, u: np.ndarray, p: np.ndarray, sign: float) -> np.ndarray:
         u2 = self._grid(u)
         p2 = self._grid(np.asarray(p, dtype=float))
         if float(u2.max()) > _EXP_OVERFLOW:
@@ -89,10 +89,10 @@ class BratuProblem:
         return self._scaled(kernels.bratu_jv(u2, p2, self.lam, self.h), sign)
 
     def f(self, u: np.ndarray) -> np.ndarray:
-        return self._residual(u)
+        return self._residual(u, 1.0)
 
     def jv(self, u: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return self._jv(u, p)
+        return self._jv(u, p, 1.0)
 
     def laplacian_quadratic(self, u: np.ndarray) -> float:
         """0.5 * u^T L u for the (possibly scaled) discrete Laplacian part."""

@@ -362,6 +362,9 @@ class TestConvergenceTrace:
             t.append(self._rec(1, 4))
         with pytest.raises(ValueError, match="mode"):
             t.append(TraceRecord(1, 6, 1.0, 1.0, "XX", 0.0))
+        # fevals is a count: a float has no place in its int64 column.
+        with pytest.raises(TypeError):
+            t.append(TraceRecord(1, 6.5, 1.0, 1.0, "NL", 0.0))
         t.freeze()
         with pytest.raises(RuntimeError, match="frozen"):
             t.append(self._rec(1, 6))
