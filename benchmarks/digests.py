@@ -46,11 +46,6 @@ def run_case(workloads, name: str, seed: int) -> dict:
     return {"iters": last.iter, "fevals": last.fevals, "digest": digest(x, trace)}
 
 
-def parse_case(spec: str):
-    name, _, seed = spec.partition(":")
-    return name, int(seed or 0)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("cases", nargs="*", help="WORKLOAD or WORKLOAD:SEED (default: all)")
@@ -68,7 +63,8 @@ def main(argv=None) -> int:
     want = json.loads(args.against.read_text()) if args.against else {}
     got, differ = {}, []
     for spec in specs:
-        name, seed = parse_case(spec)
+        name, _, seed = spec.partition(":")
+        seed = int(seed or 0)
         key = f"{name}:{seed}"
         got[key] = run_case(workloads, name, seed)
         line = f"{key:<18} {got[key]['iters']:>5} {got[key]['fevals']:>6}  {got[key]['digest']}"

@@ -286,8 +286,8 @@ class ConvergenceTrace:
     The rows are kept in columns: iter and fevals as int64, resnorm,
     step_size and wallclock_s as float64, and the mode as one byte, its
     index in MODES. That is 41 bytes a row, where a TraceRecord object
-    kept per row took 237. `records` and final() build TraceRecords from
-    the columns when asked.
+    kept per row took over 200. `records` and final() build TraceRecords
+    from the columns when asked.
     """
 
     def __init__(self):
