@@ -3,8 +3,6 @@ and the Jacobian-vector probe with its feval accounting."""
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import operator
 import time
@@ -205,7 +203,12 @@ class WindowPair:
             if self._p.shape[1] != n:
                 self._p = np.empty((self.capacity, n))
             np.divide(p, scale, out=self._p[row])
-        np.divide(v, scale, out=self._v[row])
+        if self._v.dtype == np.float32:
+            # v times 1 / scale, in float64 and rounded once to float32:
+            # within a float32 ulp of v / scale, at a multiply's cost.
+            np.multiply(v, 1.0 / scale, out=self._v[row])
+        else:
+            np.divide(v, scale, out=self._v[row])
 
     def add_p_rows(self) -> np.ndarray:
         """Give every pair of a window without P rows one, allocating the
@@ -365,6 +368,8 @@ class ConvergenceTrace:
 
     def to_csv(self, path=None) -> str:
         """Serialize as CSV; resnorm carries 17 significant digits."""
+        import io  # here, not at the top: a solve never needs it
+
         buf = io.StringIO()
         buf.write(CSV_HEADER + "\n")
         for it, fevals, resnorm, step, mode, wall in zip(*self._columns()):
@@ -377,6 +382,8 @@ class ConvergenceTrace:
 
     @classmethod
     def from_csv(cls, path) -> "ConvergenceTrace":
+        import csv  # here, not at the top: it costs every import of nltgcr
+
         trace = cls()
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)

@@ -14,7 +14,8 @@ MIN_PAIR_DISTANCE = 1e-8
 # ---------------------------------------------------------------------------
 
 def _stencil(v: np.ndarray, h: float) -> np.ndarray:
-    """The 5-point Laplacian of the (n, n) grid v, flat.
+    """The 5-point Laplacian of the (n, n) grid v, flat. At h = 1 it is
+    the stencil sum itself: dividing by 1 is exact, so that pass is skipped.
 
     All four shifts run on the flat contiguous arrays, in the order -4 v,
     up, down, left, right. The flat left and right shifts also carry a value
@@ -33,7 +34,8 @@ def _stencil(v: np.ndarray, h: float) -> np.ndarray:
     edge = grid[:-1, -1].copy()
     out[:-1] += flat[1:]
     grid[:-1, -1] = edge
-    out /= h * h
+    if h != 1.0:
+        out /= h * h
     return out
 
 

@@ -38,6 +38,9 @@ class BratuProblem:
     the stencil O(1); the roots are identical and the conjugate-residual
     solvers are scale-invariant, but fixed-point baselines (Anderson mixing
     with beta = 0.1, gradient methods) need this normalization to behave.
+    The scaled form is evaluated as it stands, S(u) + c e^u with S the
+    stencil sum on a unit grid and c = h^2 lam, not as h^2 times the
+    unscaled residual: no division by h^2 that a multiply then undoes.
     """
 
     grid_n: int = 100
@@ -59,34 +62,37 @@ class BratuProblem:
     def _row_scale(self) -> float:
         return self.h * self.h if self.scaled else 1.0
 
+    @property
+    def _coefficients(self) -> Tuple[float, float]:
+        """The kernels' (lam, h); the scaled form's are (h^2 lam, 1)."""
+        return (self._row_scale * self.lam, 1.0) if self.scaled else (self.lam, self.h)
+
     def _grid(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dim,):
             raise ValueError(f"expected length {self.dim}, got {u.shape}")
         return u.reshape(self.grid_n, self.grid_n)
 
-    def _scaled(self, out: np.ndarray, sign: float) -> np.ndarray:
-        """The kernel's output, flattened and multiplied in place by sign
-        times the row scale: one pass for both. Negation is exact, so
-        out * -s is -(out * s) to the bit, signed zeros included."""
+    @staticmethod
+    def _signed(out: np.ndarray, sign: float) -> np.ndarray:
+        """The kernel's output, flat, negated in place for sign -1."""
         out = out.ravel()
-        scale = sign * self._row_scale
-        if scale != 1.0:
-            out *= scale
+        if sign != 1.0:
+            out *= sign
         return out
 
     def _residual(self, u: np.ndarray, sign: float) -> np.ndarray:
         u2 = self._grid(u)
         if float(u2.max()) > _EXP_OVERFLOW:
             raise ValueError("exp overflow: u is out of physical range")
-        return self._scaled(kernels.bratu_residual(u2, self.lam, self.h), sign)
+        return self._signed(kernels.bratu_residual(u2, *self._coefficients), sign)
 
     def _jv(self, u: np.ndarray, p: np.ndarray, sign: float) -> np.ndarray:
         u2 = self._grid(u)
         p2 = self._grid(np.asarray(p, dtype=float))
         if float(u2.max()) > _EXP_OVERFLOW:
             raise ValueError("exp overflow: u is out of physical range")
-        return self._scaled(kernels.bratu_jv(u2, p2, self.lam, self.h), sign)
+        return self._signed(kernels.bratu_jv(u2, p2, *self._coefficients), sign)
 
     def f(self, u: np.ndarray) -> np.ndarray:
         return self._residual(u, 1.0)

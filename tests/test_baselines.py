@@ -299,8 +299,8 @@ class TestNewtonKrylov:
         assert tr.fevals_to_relative(1e-6) is not None
 
     @pytest.mark.parametrize("grid_n, iters, fevals, want", [
-        (30, 7, 169, "3d23f2938664aa01"),
-        (40, 7, 198, "d54effc7f4db0cd2"),
+        (30, 7, 169, "45bf103072353570"),
+        (40, 7, 198, "b2b3767051cceb6c"),
     ])
     def test_scaled_bratu_gives_the_bytes_it_gave(self, grid_n, iters, fevals, want):
         # The first 16 hex digits of the sha256 of x, the trace's resnorms

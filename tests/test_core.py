@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,50 @@ class TestWindowPair:
         assert w.rows()[1].dtype == np.float64
         with pytest.raises(ValueError, match="float64 or float32"):
             w.clear(np.float16)
+
+    def test_float32_push_rounds_once_within_an_ulp(self):
+        # A float32 row is v times 1 / scale, formed in float64 and rounded
+        # once to float32: within one float32 ulp of rounding v / scale.
+        # Float64 rows divide, so they hold v / scale to the bit.
+        rng = np.random.default_rng(5)
+        n = 4096
+        w32, w64 = WindowPair(capacity=4), WindowPair(capacity=4)
+        w32.clear(np.float32)
+        for scale in (3.0, 0.1, 7.0 / 3.0, 1e-30):
+            v = rng.standard_normal(n)
+            v[::7] = 0.0
+            v *= scale / np.linalg.norm(v)
+            w32.push(None, v, scale)
+            w64.push(None, v, scale)
+            got = w32.rows()[1][w32.newest_slot]
+            want = (v / scale).astype(np.float32)
+            # Both round the same real's sign, so adjacent floats are
+            # adjacent integers.
+            ulps = got.view(np.int32).astype(np.int64) - want.view(np.int32)
+            assert np.abs(ulps).max() <= 1
+            assert w64.rows()[1][w64.newest_slot].tobytes() == (v / scale).tobytes()
+
+    @staticmethod
+    def _peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_float32_push_allocates_no_float64_vector(self):
+        n = 1 << 16  # a float64 n-vector is 512 KiB
+        v = np.random.default_rng(6).standard_normal(n)
+        scale = float(np.linalg.norm(v))
+        w = WindowPair(capacity=2)
+        w.clear(np.float32)
+        w.push(None, v, scale, v_norm=scale)  # sizes the buffer
+        row = w.rows()[1][0]
+        assert self._peak_bytes(lambda: w.push(None, v, scale, v_norm=scale)) < 4 * n
+        # The check sees a float64 temporary: assigning v * (1 / scale)
+        # into the row builds one.
+        assert self._peak_bytes(lambda: row.__setitem__(..., v * (1.0 / scale))) >= 8 * n
 
     def test_random_push_sequences_keep_invariants(self):
         # Property sweep: any reachable push sequence of orthonormalized

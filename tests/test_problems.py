@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -117,6 +118,49 @@ class TestBratu:
             u[::3], u[1::3], p[::4], p[1::4] = 0.0, -0.0, 0.0, -0.0
             assert pm.eval_f(u).tobytes() == (-bp.f(u)).tobytes()
             assert pm.exact_jv(u, p).tobytes() == (-bp.jv(u, p)).tobytes()
+
+    @staticmethod
+    def _signed_zero_point(dim):
+        rng = np.random.default_rng(3)
+        u = 0.3 * rng.standard_normal(dim)
+        p = rng.standard_normal(dim)
+        u[::3], u[1::3], p[::4], p[1::4] = 0.0, -0.0, 0.0, -0.0
+        return u, p
+
+    def test_unscaled_bytes_are_pinned(self):
+        # The first 16 hex digits of the sha256 of f(u), J p and their
+        # minimization-form negations, on x86-64 (exp's last bit comes from
+        # numpy's build). The unscaled form divides its stencil by h^2.
+        bp = BratuProblem(grid_n=9, lam=0.5)
+        pm = bp.minimization_problem()
+        u, p = self._signed_zero_point(bp.dim)
+        h = hashlib.sha256()
+        for out in (bp.f(u), bp.jv(u, p), pm.eval_f(u), pm.exact_jv(u, p)):
+            h.update(out.tobytes())
+        assert h.hexdigest()[:16] == "70a6f6bb96b4f3c0"
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 3.0])
+    def test_scaled_form_is_h2_times_the_unscaled_within_rounding(self, lam):
+        # With s the float stencil sum (the same bytes in both forms),
+        # E = fl(e^u), hh = fl(h^2) and c = fl(hh lam), and every fl() a
+        # factor (1 + d) with |d| <= u:
+        #   hh f = (s (1+d1) + hh lam E (1+d2)) (1+d3)     (s / hh, lam E, +)
+        #   g    = (s + hh lam E (1+d4)(1+d5)) (1+d6)       (c, c E, +)
+        # so |g - hh f| <= 3u |s| + 5u c E to first order, and forming hh f
+        # in floats adds u |hh f|: 4u |s| + 6u c E. Jv multiplies by p once
+        # more on each side: 4u |S p| + 8u c E |p|. 10u (|S| + c E) bounds
+        # both with room for the second-order terms.
+        unit = np.finfo(float).eps / 2
+        raw = BratuProblem(grid_n=9, lam=lam)
+        scaled = BratuProblem(grid_n=9, lam=lam, scaled=True)
+        stencil = BratuProblem(grid_n=9, lam=0.0, scaled=True)  # f = s exactly
+        hh, c = scaled.h * scaled.h, scaled.h * scaled.h * lam
+        for u, p in (self._signed_zero_point(raw.dim), (np.full(raw.dim, 2.0), np.ones(raw.dim))):
+            ce = c * np.exp(u)
+            cases = ((scaled.f(u), raw.f(u), np.abs(stencil.f(u)) + ce),
+                     (scaled.jv(u, p), raw.jv(u, p), np.abs(stencil.jv(u, p)) + ce * np.abs(p)))
+            for g, f, size in cases:
+                assert np.all(np.abs(g - hh * f) <= 10 * unit * size)
 
 
 class TestLennardJones:
