@@ -85,14 +85,16 @@ class BratuProblem:
         u2 = self._grid(u)
         if float(u2.max()) > _EXP_OVERFLOW:
             raise ValueError("exp overflow: u is out of physical range")
-        return self._signed(kernels.bratu_residual(u2, *self._coefficients), sign)
+        lam, h = self._coefficients
+        return self._signed(kernels.bratu_residual(u2, lam, h), sign)
 
     def _jv(self, u: np.ndarray, p: np.ndarray, sign: float) -> np.ndarray:
         u2 = self._grid(u)
         p2 = self._grid(np.asarray(p, dtype=float))
         if float(u2.max()) > _EXP_OVERFLOW:
             raise ValueError("exp overflow: u is out of physical range")
-        return self._signed(kernels.bratu_jv(u2, p2, *self._coefficients), sign)
+        lam, h = self._coefficients
+        return self._signed(kernels.bratu_jv(u2, p2, lam, h), sign)
 
     def f(self, u: np.ndarray) -> np.ndarray:
         return self._residual(u, 1.0)
