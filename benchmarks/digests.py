@@ -17,6 +17,12 @@ splits its sums across threads can give other bytes from run to run.
 
 --out writes the cases as JSON; --against reads such a file and exits 1
 when a case in both differs in any of the three, or is missing from it.
+`--counts-only WORKLOAD` (repeatable) compares only the iterations and
+fevals of that workload's cases, for a change meant to move its bytes in
+rounding but not its counts; every other workload is still compared in
+full:
+
+    python3 benchmarks/digests.py --against parent.json --counts-only newton-krylov
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import sys
 from pathlib import Path
 
 SEEDS = (0, 101, 9001)
+COUNTS = ("iters", "fevals")
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -53,11 +60,19 @@ def main(argv=None) -> int:
                     help="checkout whose src/ and perfbench/ run the solves")
     ap.add_argument("--out", type=Path, help="write the cases to this JSON file")
     ap.add_argument("--against", type=Path, help="JSON file of an earlier run to compare with")
+    ap.add_argument("--counts-only", action="append", default=[], metavar="WORKLOAD",
+                    help="with --against, compare only iters and fevals for this workload")
     args = ap.parse_args(argv)
 
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
+
+    unknown = sorted(set(args.counts_only) - set(workloads.WORKLOADS))
+    if unknown:
+        ap.error(f"--counts-only: unknown workload {', '.join(unknown)}")
+    if args.counts_only and args.against is None:
+        ap.error("--counts-only needs --against")
 
     specs = args.cases or [f"{w}:{s}" for w in workloads.WORKLOADS for s in SEEDS]
     want = json.loads(args.against.read_text()) if args.against else {}
@@ -68,9 +83,13 @@ def main(argv=None) -> int:
         key = f"{name}:{seed}"
         got[key] = run_case(workloads, name, seed)
         line = f"{key:<18} {got[key]['iters']:>5} {got[key]['fevals']:>6}  {got[key]['digest']}"
-        if args.against is not None and want.get(key) != got[key]:
+        fields = COUNTS if name in args.counts_only else (*COUNTS, "digest")
+        was = want.get(key)
+        if args.against is not None and (was is None or any(was.get(f) != got[key][f] for f in fields)):
             differ.append(key)
-            line += f"  DIFFERS from {want.get(key)}"
+            line += f"  DIFFERS from {was}"
+        elif was is not None and was.get("digest") != got[key]["digest"]:
+            line += "  digest moved, counts only compared"
         print(line, flush=True)
     if args.out is not None:
         args.out.write_text(json.dumps(got, indent=1) + "\n")

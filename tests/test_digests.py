@@ -28,3 +28,20 @@ def test_a_changed_result_fails_the_comparison(tmp_path):
     assert "DIFFERS" in differs.stdout and "1 of 1 cases differ" in differs.stdout
     record.write_text("{}")
     assert _run("--against", str(record)).returncode == 1
+
+
+def test_counts_only_compares_the_counts_of_the_named_workloads(tmp_path):
+    record = tmp_path / "digests.json"
+    want = {"iters": 102, "fevals": 205, "digest": "6d850e1ff164073e"}
+    flags = ("--counts-only", "newton-krylov", "--counts-only", "lj-cluster")
+    record.write_text(json.dumps({"lj-cluster:0": {**want, "digest": "0" * 16}}))
+    same_counts = _run("--against", str(record), *flags)
+    assert same_counts.returncode == 0, same_counts.stdout + same_counts.stderr
+    assert "digest moved" in same_counts.stdout
+    # Only the named workloads: without lj-cluster the digest counts again.
+    assert _run("--against", str(record), "--counts-only", "newton-krylov").returncode == 1
+
+    record.write_text(json.dumps({"lj-cluster:0": {**want, "fevals": 204}}))
+    changed = _run("--against", str(record), *flags)
+    assert changed.returncode == 1 and "1 of 1 cases differ" in changed.stdout
+    assert _run("--counts-only", "no-such-workload", "--against", str(record)).returncode == 2
