@@ -39,8 +39,8 @@ class BratuProblem:
     solvers are scale-invariant, but fixed-point baselines (Anderson mixing
     with beta = 0.1, gradient methods) need this normalization to behave.
     The scaled form is evaluated as it stands, S(u) + c e^u with S the
-    stencil sum on a unit grid and c = h^2 lam, not as h^2 times the
-    unscaled residual: no division by h^2 that a multiply then undoes.
+    stencil sum on a unit grid and c = h^2 lam, so no pass divides by h^2
+    only for a multiply to undo it.
     """
 
     grid_n: int = 100
