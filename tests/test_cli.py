@@ -314,6 +314,97 @@ max_iters = 200
         opts = SolverOptions(tol_rel=1e-6, linesearch=LineSearchOptions())
         assert seen["newton-krylov"] == (dim, (), {"opts": opts})
 
+    def test_every_key_reaches_its_library_argument(self, tmp_path, monkeypatch):
+        # Each key README lists, set to a value other than its default, must
+        # reach its library argument parsed. The problem classes are spied
+        # and still built; the solvers are spied and stop at once.
+        from nltgcr.problems import LennardJonesProblem, logreg_make_synthetic
+
+        seen = []
+
+        def spy(name, real=None):
+            def call(*args, **kw):
+                seen.append((name, args, kw))
+                if real is None:
+                    raise ValueError("stop")  # recorded as a failed run
+                return real(*args, **kw)
+
+            return call
+
+        monkeypatch.setattr(cli, "BratuProblem", spy("bratu", BratuProblem))
+        monkeypatch.setattr(cli, "LennardJonesProblem", spy("lj", LennardJonesProblem))
+        monkeypatch.setattr(cli, "logreg_make_synthetic", spy("logreg", logreg_make_synthetic))
+        solvers = ("nltgcr_solve", "aa_solve", "newton_krylov_solve", "broyden2_solve",
+                   "nesterov_solve", "ncg_fr_solve", "lbfgs_solve")
+        for fn in solvers:
+            monkeypatch.setattr(cli, fn, spy(fn))
+        bratu = ("problem = bratu\ngrid_n = 7\nlambda = 0.25\nscaled = on\n"
+                 "form = minimization\nx0 = ones\n")
+        lj = "problem = lennard-jones\ncells = 2\nperturbation = 0.02\nseed = 3\n"
+        logreg = "problem = logreg\nsamples = 20\nfeatures = 3\nreg = 0.5\nseed = 2\n"
+        cfg = (
+            f"[nltgcr]\n{bratu}solver = nltgcr\nm = 3\nmax_iters = 17\nrestart_every = none\n"
+            "variant = linearized\nlinesearch = on\nprops = on\ntol = 1e-7\n"
+            f"[aa-defaults]\n{lj}repetitions = 2\nsolver = aa\nmax_iters = 11\ntol = 1e-5\n"
+            f"[aa]\n{bratu}solver = aa\nm = 4\nbeta = 0.5\n"
+            f"[newton-krylov]\n{logreg}solver = newton-krylov\ninner_m = 7\neta0 = 0.5\n"
+            f"[broyden2]\n{bratu}solver = broyden2\nbeta = 0.7\n"
+            f"[nesterov]\n{bratu}solver = nesterov\nmax_iters = 9\n"
+            f"[ncg]\n{bratu}solver = ncg\ntol = 1e-3\n"
+            f"[lbfgs]\n{bratu}solver = lbfgs\nm = 4\n"
+        )
+        assert main(["run", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 0
+        problems, calls = seen[0::2], seen[1::2]
+        bratu_kw = {"grid_n": 7, "lam": 0.25, "scaled": True}
+        assert problems == [
+            ("bratu", (), bratu_kw),
+            ("lj", (), {"rng_seed": 3, "cells_per_side": 2, "perturbation_scale": 0.02}),
+            ("lj", (), {"rng_seed": 4, "cells_per_side": 2, "perturbation_scale": 0.02}),
+            ("bratu", (), bratu_kw),
+            ("logreg", (), {"seed": 2, "n_samples": 20, "n_features": 3, "lambda_reg": 0.5}),
+            *[("bratu", (), bratu_kw)] * 4,
+        ]
+        for (problem, _, _), (_, args, _) in zip(problems, calls):
+            if problem == "bratu":
+                assert args[0].name == "bratu-min" and args[0].dim == 49
+                assert np.array_equal(args[1], np.ones(49))
+        ls = LineSearchOptions()
+        nl = SolverOptions(window_m=3, tol_rel=1e-7, max_iters=17, restart_every=None,
+                           variant="linearized", linesearch=ls)
+        name, args, kw = calls[0]
+        assert (name, args[2:]) == ("nltgcr_solve", (nl,))
+        assert list(kw) == ["observer"] and kw["observer"] is not None
+        lj_x0 = LennardJonesProblem(cells_per_side=2, perturbation_scale=0.02, rng_seed=4)
+        assert np.array_equal(calls[2][1][1], lj_x0.initial_positions())
+        x0 = 1e-6 * np.random.default_rng(2).standard_normal(3)
+        assert np.array_equal(calls[4][1][1], x0)
+        base = SolverOptions(linesearch=ls)
+        aa_opts = SolverOptions(tol_rel=1e-5, max_iters=11, linesearch=ls)
+        assert [(name, kw) for name, _, kw in calls[1:]] == [
+            ("aa_solve", {"opts": aa_opts, "m": 10, "beta": 0.1}),
+            ("aa_solve", {"opts": aa_opts, "m": 10, "beta": 0.1}),
+            ("aa_solve", {"opts": base, "m": 4, "beta": 0.5}),
+            ("newton_krylov_solve", {"opts": base, "inner_m": 7, "eta0": 0.5}),
+            ("broyden2_solve", {"opts": base, "beta": 0.7}),
+            ("nesterov_solve", {"opts": SolverOptions(max_iters=9, linesearch=ls)}),
+            ("ncg_fr_solve", {"opts": SolverOptions(tol_rel=1e-3, linesearch=ls)}),
+            ("lbfgs_solve", {"opts": base, "m": 4}),
+        ]
+
+    def test_committed_demo_config_runs(self, tmp_path, capsys):
+        from pathlib import Path
+
+        demo = Path(__file__).resolve().parent.parent / "configs" / "bratu_demo.ini"
+        out = tmp_path / "o"
+        assert main(["run", str(demo), "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert [r[:2] for r in rows] == [
+            ["nltgcr", "bratu"], ["newton-krylov", "bratu"], ["lbfgs", "bratu"]
+        ]
+        # Each run reached its tol; the final residual's digits vary with the
+        # BLAS thread count, so they are not pinned.
+        assert all(r[2] != "-" and int(r[2]) > 0 for r in rows)
+
     def test_bad_config_value_exits_2(self, tmp_path, capsys):
         # A bad value stops the batch and names its run, instead of running
         # with a guess (form, linesearch) or as a recorded failed solve.
