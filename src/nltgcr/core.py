@@ -118,7 +118,7 @@ class SolverOptions:
     def __post_init__(self):
         if self.window_m < 1:
             raise ValueError("window_m must be >= 1")
-        if self.tol_rel <= 0.0:
+        if not self.tol_rel > 0.0:  # written so that a NaN fails too
             raise ValueError("tol_rel must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -391,6 +391,10 @@ class ConvergenceTrace:
             if reader.fieldnames != expected:
                 raise ValueError(f"bad trace header: {reader.fieldnames}")
             for row in reader:
+                # DictReader fills a short row's missing fields with None and
+                # files a long row's extra fields under the key None.
+                if None in row or None in row.values():
+                    raise ValueError(f"line {reader.line_num}: not {len(expected)} fields")
                 trace.append(
                     TraceRecord(
                         iter=int(row["iter"]),

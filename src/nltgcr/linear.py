@@ -78,7 +78,7 @@ class LinearOptions:
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.tol_rel <= 0.0:
+        if not self.tol_rel > 0.0:  # written so that a NaN fails too
             raise ValueError("tol_rel must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")

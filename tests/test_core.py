@@ -452,6 +452,7 @@ class TestSolverOptions:
             {"adaptive_threshold": 2.0},
             {"variant": "bogus"},
             {"restart_every": 0},
+            {"tol_rel": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kw):

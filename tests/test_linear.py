@@ -715,11 +715,13 @@ class TestReadOnlyStart:
 
 class TestLinearOptions:
     @pytest.mark.parametrize(
-        "kw", [dict(max_iters=0), dict(max_iters=-1), dict(tol_rel=0.0), dict(tol_rel=-1.0)]
+        "kw", [dict(max_iters=0), dict(max_iters=-1), dict(tol_rel=0.0), dict(tol_rel=-1.0),
+               dict(tol_rel=float("nan"))]
     )
     def test_rejects_out_of_range(self, kw):
         # max_iters=0 would spend an operator apply on a direction nobody
-        # uses; tol_rel=-1 can never be met and runs into breakdown.
+        # uses; tol_rel=-1 can never be met and runs into breakdown, and a
+        # NaN tol_rel is never met either, so the solve ran to max_iters.
         with pytest.raises(ValueError):
             LinearOptions(**kw)
 
