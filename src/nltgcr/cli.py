@@ -8,8 +8,9 @@ import configparser
 import json
 import sys
 import time
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,11 +40,9 @@ class ConfigError(Exception):
     pass
 
 
-def _get(section, key, default=None, cast=str):
+def _get(section, key, cast=str):
     if key not in section:
-        if default is None:
-            raise ConfigError(f"missing key '{key}'")
-        return default
+        raise ConfigError(f"missing key '{key}'")
     raw = section[key]
     try:
         return cast(raw)
@@ -51,16 +50,10 @@ def _get(section, key, default=None, cast=str):
         raise ConfigError(f"bad value for '{key}': {raw!r}") from None
 
 
-def _given(section, **spec):
-    """{name: value} for each name=(key, cast) whose key the section sets;
-    an unset key is left to the library's own default."""
-    return {name: _get(section, key, cast=cast) for name, (key, cast) in spec.items()
-            if key in section}
-
-
-def _flag(raw):
-    """An INI boolean (1/yes/true/on or 0/no/false/off); any other word raises."""
-    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+def _flag(raw, on=True, off=False):
+    """An INI boolean (1/yes/true/on or 0/no/false/off) as `on` or `off`; any
+    other word raises."""
+    return on if configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()] else off
 
 
 def _size(raw):
@@ -76,212 +69,171 @@ def _restart(raw):
     return None if raw.strip().lower() in ("none", "off") else int(raw)
 
 
-def _options(**kw) -> SolverOptions:
-    """SolverOptions from config values; a value it rejects is a ConfigError."""
-    try:
-        return SolverOptions(**kw)
-    except ValueError as err:
-        raise ConfigError(f"bad value: {err}") from None
+def _one_of(what, **choices):
+    """A cast from a word to choices[word]; any other word is an unknown `what`."""
+    def cast(raw):
+        if raw not in choices:
+            raise ConfigError(f"unknown {what} '{raw}'")
+        return choices[raw]
+
+    return cast
 
 
-def _problem_maker(section):
-    """Read the problem options; returns seed -> (problem, x0)."""
-    name = _get(section, "problem")
-    if name == "bratu":
-        kw = _given(section, grid_n=("grid_n", _size), lam=("lambda", float),
-                    scaled=("scaled", _flag))
-        form = _get(section, "form", "roots")
-        if form not in ("roots", "minimization"):
-            raise ConfigError(f"unknown bratu form '{form}'")
-        start = _get(section, "x0", "zeros")
-        if start not in ("zeros", "ones"):
-            raise ConfigError(f"unknown bratu x0 '{start}'")
-
-        def make(seed):
-            bp = BratuProblem(**kw)
-            prob = bp.problem() if form == "roots" else bp.minimization_problem()
-            return prob, (np.zeros if start == "zeros" else np.ones)(bp.dim)
-
-        return make
-    if name == "lennard-jones":
-        kw = _given(section, cells_per_side=("cells", _size),
-                    perturbation_scale=("perturbation", float))
-
-        def make(seed):
-            lj = LennardJonesProblem(rng_seed=seed, **kw)
-            return lj.problem(), lj.initial_positions()
-
-        return make
-    if name == "logreg":
-        kw = _given(section, n_samples=("samples", _size), n_features=("features", _size),
-                    lambda_reg=("reg", float))
-
-        def make(seed):
-            lr = logreg_make_synthetic(seed=seed, **kw)
-            rng = np.random.default_rng(seed)
-            return lr.problem(), 1e-6 * rng.standard_normal(lr.dim)
-
-        return make
-    raise ConfigError(f"unknown problem '{name}'")
+def _bratu(seed, form="problem", start=np.zeros, **kw):
+    bp = BratuProblem(**kw)
+    return getattr(bp, form)(), start(bp.dim)
 
 
-def _solver(section, tol):
-    """Read the solver options; returns (prob, x0, props_path) -> (x, trace)."""
-    name = _get(section, "solver")
-    if name == "nltgcr":
-        ls = LineSearchOptions() if _get(section, "linesearch", False, _flag) else None
-        opts = _options(tol_rel=tol, linesearch=ls, **_given(
-            section, window_m=("m", int), max_iters=("max_iters", int),
-            restart_every=("restart_every", _restart), variant=("variant", str)))
-
-        def solve(prob, x0, props_path):
-            records = []
-            observer = identity_observer(records) if props_path else None
-            x, trace = nltgcr_solve(prob, x0, opts, observer=observer)
-            if props_path:
-                with open(props_path, "w") as fh:
-                    json.dump(records, fh, indent=1)
-            return x, trace
-
-        return solve
-    opts = _options(tol_rel=tol, linesearch=LineSearchOptions(),
-                    **_given(section, max_iters=("max_iters", int)))
-    if name == "aa":
-        solve, kw = aa_solve, {
-            "m": _get(section, "m", 10, int),
-            "beta": _get(section, "beta", 0.1, float),
-        }
-    elif name == "newton-krylov":
-        solve, kw = newton_krylov_solve, _given(section, inner_m=("inner_m", int),
-                                                eta0=("eta0", float))
-    elif name == "broyden2":
-        solve, kw = broyden2_solve, _given(section, beta=("beta", float))
-    elif name == "nesterov":
-        solve, kw = nesterov_solve, {}
-    elif name == "ncg":
-        solve, kw = ncg_fr_solve, {}
-    elif name == "lbfgs":
-        solve, kw = lbfgs_solve, _given(section, m=("m", int))
-    else:
-        raise ConfigError(f"unknown solver '{name}'")
-    return lambda prob, x0, _: solve(prob, x0, opts=opts, **kw)
+def _lennard_jones(seed, **kw):
+    lj = LennardJonesProblem(rng_seed=seed, **kw)
+    return lj.problem(), lj.initial_positions()
 
 
-class _Run(NamedTuple):
-    """One config section with every option read and checked."""
-
-    solver: str
-    problem: str
-    tol: float
-    seed: int
-    reps: int
-    props: bool
-    make_problem: Callable
-    solve: Callable
+def _logreg(seed, **kw):
+    lr = logreg_make_synthetic(seed=seed, **kw)
+    return lr.problem(), 1e-6 * np.random.default_rng(seed).standard_normal(lr.dim)
 
 
-def _read_run(section, args) -> _Run:
-    if "solver" not in section or not section["solver"].strip():
+def _nltgcr(prob, x0, opts, props_path, props=False):
+    records = []
+    x, trace = nltgcr_solve(prob, x0, opts, observer=identity_observer(records) if props else None)
+    if props:
+        props_path.write_text(json.dumps(records, indent=1))
+    return x, trace
+
+
+def _baseline(function, **defaults):
+    """A baseline solve with a line search; `function` is looked up by name per call."""
+    return lambda prob, x0, opts, props_path, **kw: globals()[function](
+        prob, x0, opts=replace(opts, linesearch=LineSearchOptions()), **{**defaults, **kw})
+
+
+# name -> (function, {argument: (key, cast)}): a run passes each argument whose
+# key its section sets, so an unset key keeps the function's own default.
+PROBLEMS = {
+    "bratu": (_bratu, {
+        "grid_n": ("grid_n", _size), "lam": ("lambda", float), "scaled": ("scaled", _flag),
+        "form": ("form", _one_of("bratu form", roots="problem",
+                                 minimization="minimization_problem")),
+        "start": ("x0", _one_of("bratu x0", zeros=np.zeros, ones=np.ones))}),
+    "lennard-jones": (_lennard_jones, {
+        "cells_per_side": ("cells", _size), "perturbation_scale": ("perturbation", float)}),
+    "logreg": (_logreg, {"n_samples": ("samples", _size), "n_features": ("features", _size),
+                         "lambda_reg": ("reg", float)}),
+}
+SOLVERS = {
+    "nltgcr": (_nltgcr, {
+        "window_m": ("m", int), "restart_every": ("restart_every", _restart),
+        "variant": ("variant", str), "props": ("props", _flag),
+        "linesearch": ("linesearch", partial(_flag, on=LineSearchOptions(), off=None))}),
+    "aa": (_baseline("aa_solve", m=10, beta=0.1), {"m": ("m", int), "beta": ("beta", float)}),
+    "newton-krylov": (_baseline("newton_krylov_solve"),
+                      {"inner_m": ("inner_m", int), "eta0": ("eta0", float)}),
+    "broyden2": (_baseline("broyden2_solve"), {"beta": ("beta", float)}),
+    "nesterov": (_baseline("nesterov_solve"), {}),
+    "ncg": (_baseline("ncg_fr_solve"), {}),
+    "lbfgs": (_baseline("lbfgs_solve"), {"m": ("m", int)}),
+}
+# Every solver reads these too; the solver arguments SolverOptions has go to opts.
+SOLVER_OPTIONS = {"tol_rel": ("tol", float), "max_iters": ("max_iters", int)}
+RUN = {"seed": ("seed", int), "repetitions": ("repetitions", int)}
+
+
+def _read_run(section):
+    """(solver, problem, tol, seed, repetitions, make(seed) -> (problem, x0),
+    solve(prob, x0, props_path) -> (x, trace)), every key read and checked."""
+    if not section.get("solver", "").strip():
         raise ConfigError("empty solver")
-    tol = args.tol if args.tol is not None else _get(section, "tol", 1e-10, float)
-    seed = args.seed if args.seed is not None else _get(section, "seed", 0, int)
+    make, problem_spec = _get(section, "problem", _one_of("problem", **PROBLEMS))
+    solve, solver_spec = _get(section, "solver", _one_of("solver", **SOLVERS))
+    specs = (RUN, problem_spec, {**SOLVER_OPTIONS, **solver_spec})
+    # [DEFAULT] keys are exempt: runs that read different keys share them.
+    known = {"problem", "solver", *section.parser.defaults(),
+             *(key for spec in specs for key, _ in spec.values())}
+    unknown = [key for key in section if key not in known]
+    if unknown:
+        raise ConfigError("unknown key(s) " + ", ".join(f"'{key}'" for key in unknown))
+    run, problem_kw, kw = ({arg: _get(section, key, cast) for arg, (key, cast) in spec.items()
+                            if key in section} for spec in specs)
+    seed, reps = run.get("seed", 0), run.get("repetitions", 1)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    reps = _get(section, "repetitions", 1, int)
     if reps < 1:
         raise ConfigError(f"repetitions must be >= 1, got {reps}")
-    return _Run(
-        solver=section["solver"],
-        problem=_get(section, "problem"),
-        tol=tol,
-        seed=seed,
-        reps=reps,
-        props=_get(section, "props", False, _flag),
-        make_problem=_problem_maker(section),
-        solve=_solver(section, tol),
-    )
+    fields = SolverOptions.__dataclass_fields__
+    try:
+        opts = SolverOptions(**{arg: kw.pop(arg) for arg in list(kw) if arg in fields})
+    except ValueError as err:
+        raise ConfigError(f"bad value: {err}") from None
+    return (section["solver"], section["problem"], opts.tol_rel, seed, reps,
+            partial(make, **problem_kw), partial(solve, opts=opts, **kw))
 
 
 def cmd_run(args) -> int:
     cfg = configparser.ConfigParser()
-    read = cfg.read(args.config)
-    if not read:
+    if not cfg.read(args.config):
         print(f"error: cannot read config {args.config}", file=sys.stderr)
         return 2
-    sections = cfg.sections()
-    if not sections:
+    if not cfg.sections():
         print("error: config defines no runs", file=sys.stderr)
         return 2
-    # Every section is read before the first solve, so a bad value in any of
-    # them stops the batch before it spends a solve or writes a file.
+    # --seed and --tol stand for the key in every section. Every section is
+    # read before the first solve, so a bad value in any of them stops the
+    # batch before it spends a solve or writes a file.
+    overrides = {k: v for k, v in {"seed": args.seed, "tol": args.tol}.items() if v is not None}
+    cfg.read_dict({name: overrides for name in cfg.sections()})
     runs = []
-    for name in sections:
+    for name in cfg.sections():
         try:
-            runs.append((name, _read_run(cfg[name], args)))
+            runs.append((name, _read_run(cfg[name])))
         except ConfigError as err:
             print(f"error: run '{name}': {err}", file=sys.stderr)
             return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = []
-    for name, run in runs:
-        for rep in range(run.reps):
-            prob, x0 = run.make_problem(run.seed + rep)
-            props_path = out_dir / f"{name}_rep{rep}_props.json" if run.props else None
+    summary = ["solver,problem,fevals_to_tol,final_resnorm,wallclock_s\n"]
+    for name, (solver, problem, tol, seed, reps, make, solve) in runs:
+        for rep in range(reps):
+            prob, x0 = make(seed + rep)
             t_start = time.perf_counter()
             try:
-                _, trace = run.solve(prob, x0, props_path)
+                _, trace = solve(prob, x0, props_path=out_dir / f"{name}_rep{rep}_props.json")
                 note = ""
             except SOLVE_FAILURES as err:  # recorded; the batch goes on
                 trace = getattr(err, "trace", None)
-                if isinstance(err, DivergenceError):
-                    note = "diverged"
-                else:
-                    note = f"failed: {type(err).__name__}: {err}"
+                diverged = isinstance(err, DivergenceError)
+                note = "diverged" if diverged else f"failed: {type(err).__name__}: {err}"
             wall = time.perf_counter() - t_start
-            fev = None
-            final = float("nan")
+            fev, final = None, float("nan")
             # A solve that fails at x0 carries an empty trace: no CSV.
             if trace is not None and len(trace) > 0:
                 trace.to_csv(out_dir / f"{name}_rep{rep}.csv")
-                fev = trace.fevals_to_relative(run.tol)
+                fev = trace.fevals_to_relative(tol)
                 final = trace.final().resnorm
             fev = "-" if fev is None else fev
-            summary.append(f"{run.solver},{run.problem},{fev},{final:.16e},{wall:.6f}\n")
+            summary.append(f"{solver},{problem},{fev},{final:.16e},{wall:.6f}\n")
             tag = f" [{note}]" if note else ""
-            print(f"{name} rep{rep}: solver={run.solver} problem={run.problem} "
+            print(f"{name} rep{rep}: solver={solver} problem={problem} "
                   f"fevals_to_tol={fev} final={final:.16e}{tag}")
     summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w") as fh:
-        fh.write("solver,problem,fevals_to_tol,final_resnorm,wallclock_s\n")
-        fh.writelines(summary)
+    summary_path.write_text("".join(summary))
     print(f"wrote {summary_path}")
     return 0
-
-
-def _fevals_to_thresholds(path):
-    trace = ConvergenceTrace.from_csv(path)
-    if len(trace) == 0:
-        raise ValueError("empty trace")
-    out = {}
-    for thr in COMPARE_THRESHOLDS:
-        out[thr] = trace.fevals_to_relative(thr)
-    return out
 
 
 def cmd_compare(args) -> int:
     rows = []
     for path in args.traces:
         try:
-            thresholds = _fevals_to_thresholds(path)
+            trace = ConvergenceTrace.from_csv(path)
+            if len(trace) == 0:
+                raise ValueError("empty trace")
         except (OSError, ValueError, KeyError) as err:
             print(f"error: {path}: {err}", file=sys.stderr)
             return 2
-        rows.append((path, thresholds))
-    key_thr = 1e-6
-    rows.sort(key=lambda r: (r[1][key_thr] is None, r[1][key_thr] or 0))
-    header = "trace" + "".join(f",fevals_to_{t:g}" for t in COMPARE_THRESHOLDS)
-    print(header)
+        rows.append((path, {t: trace.fevals_to_relative(t) for t in COMPARE_THRESHOLDS}))
+    rows.sort(key=lambda r: (r[1][1e-6] is None, r[1][1e-6] or 0))  # by fevals to 1e-6
+    print("trace" + "".join(f",fevals_to_{t:g}" for t in COMPARE_THRESHOLDS))
     for path, thresholds in rows:
         cells = ",".join(
             "\u2014" if thresholds[t] is None else str(thresholds[t]) for t in COMPARE_THRESHOLDS

@@ -423,6 +423,50 @@ max_iters = 200
             assert rc == 2, new
             assert err.startswith("error: run 'bratu-small': ") and message in err, err
 
+    def test_nan_tol_stops_before_any_solve(self, tmp_path, capsys):
+        # A NaN tol is never met: the solve ran to max_iters and its row read
+        # "-". Both the key and the --tol override are refused.
+        for text, extra in ((BASE_CONFIG.replace("tol = 1e-8", "tol = nan"), []),
+                            (BASE_CONFIG, ["--tol", "nan"])):
+            out = tmp_path / "o"
+            assert main(["run", str(_write(tmp_path, text)), "--out", str(out), *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: run 'bratu-small': bad value: tol_rel must be positive\n"
+            assert captured.out == "" and not out.exists()
+
+    def test_unknown_key_stops_before_any_solve(self, tmp_path, capsys):
+        # A key that neither the run's problem nor its solver reads is a typo
+        # or a key of another solver; it used to be dropped without a word.
+        good = BASE_CONFIG.replace("[bratu-small]", "[good]")
+        aa = "[aa]\nproblem = bratu\ngrid_n = 5\nsolver = aa\n"
+        cases = [
+            (BASE_CONFIG.replace("lambda", "lamda").replace("variant", "varient"),
+             "bratu-small", "unknown key(s) 'lamda', 'varient'"),
+            (aa + "props = on\nlinesearch = off\n", "aa", "unknown key(s) 'props', 'linesearch'"),
+            (aa + "variant = adaptive\n", "aa", "unknown key(s) 'variant'"),
+            ("[lj]\nproblem = lennard-jones\nsolver = lbfgs\ngrid_n = 5\n", "lj",
+             "unknown key(s) 'grid_n'"),
+        ]
+        for i, (section, run, message) in enumerate(cases):
+            out = tmp_path / f"o{i}"
+            rc = main(["run", str(_write(tmp_path, good + "\n" + section)), "--out", str(out)])
+            captured = capsys.readouterr()
+            assert rc == 2, section
+            assert captured.err == f"error: run '{run}': {message}\n"
+            assert captured.out == ""
+            assert not out.exists()
+
+    def test_default_section_keys_are_shared_not_checked(self, tmp_path, capsys):
+        # [DEFAULT] keys reach every run, and runs read different keys: here
+        # nltgcr reads m and variant, nesterov neither.
+        cfg = ("[DEFAULT]\nproblem = bratu\ngrid_n = 6\nm = 2\nvariant = adaptive\n"
+               "tol = 1e-6\nmax_iters = 300\n"
+               "[nl]\nsolver = nltgcr\n[nv]\nsolver = nesterov\n")
+        out = tmp_path / "o"
+        assert main(["run", str(_write(tmp_path, cfg)), "--out", str(out)]) == 0
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["nltgcr", "nesterov"]
+
 
     def test_bad_value_in_a_later_run_stops_before_any_solve(self, tmp_path, capsys):
         good = BASE_CONFIG.replace("[bratu-small]", "[good]").replace("grid_n = 15", "grid_n = 8")
@@ -522,3 +566,14 @@ class TestCompare:
         bad.write_text("nope,nope\n1,2\n")
         rc = main(["compare", str(bad)])
         assert rc == 2
+
+    def test_row_of_wrong_length_exits_2(self, tmp_path, capsys):
+        # The right header over a row of too few or too many fields: the short
+        # row escaped as a TypeError traceback, the long one was read.
+        bad = tmp_path / "bad.csv"
+        good = self._trace_csv(tmp_path, "good.csv", [1.0, 1e-7]).read_text()
+        for row in ("0,1", good.splitlines()[1] + ",7"):
+            bad.write_text(good + row + "\n")
+            capsys.readouterr()
+            assert main(["compare", str(bad)]) == 2, row
+            assert capsys.readouterr().err == f"error: {bad}: line 4: not 6 fields\n"
